@@ -8,6 +8,7 @@ rename) so a failed run never leaves a truncated artifact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing
 import os
@@ -15,6 +16,8 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from . import analysis, corpus, evaluation, matchers, textpipe
 from .analysis import Detection, TimeWindow
@@ -25,6 +28,8 @@ from .errors import (
     DegenerateLabelsError,
     EmptyCorpusError,
     EmptyDenominatorError,
+    IndexFormatError,
+    InputFormatError,
     NoRumorLabelsError,
     NoRumorsError,
     RumorMatchError,
@@ -136,30 +141,24 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
     return config
 
 
-def atomic_write_text(path, text: str):
+@contextlib.contextmanager
+def atomic_write_text(path):
+    """Yield a temp path beside `path` to write the output to.
+
+    On success the temp file replaces `path` in one rename; on failure it is
+    removed, so a failed run never leaves a truncated or partial artifact.
+    Every output file of the CLI, text or binary, is written through here;
+    the name is kept because the benchmark's traced run reports it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_bytes(path, data: bytes):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 
@@ -176,32 +175,36 @@ def save_index(index: matchers.ArticleIndex, path):
         "avgdl": index.vocabulary.avgdl,
         "terms": terms,
         "postings": {
-            t: [[int(o) for o in ords], [int(c) for c in counts]]
+            t: [ords.tolist(), counts.astype(np.int64).tolist()]
             for t, (ords, counts) in index.postings.items()
         },
     }
     body = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    atomic_write_bytes(path, INDEX_MAGIC + bytes([INDEX_VERSION]) + body)
+    with atomic_write_text(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(INDEX_MAGIC + bytes([INDEX_VERSION]) + body)
 
 
 def load_index(path) -> matchers.ArticleIndex:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != INDEX_MAGIC:
-        raise ValueError(f"{path}: not a rumormatch index file")
+    if len(data) < 5 or data[:4] != INDEX_MAGIC:
+        raise IndexFormatError(f"{path}: not a rumormatch index file (bad or truncated header)")
     if data[4] != INDEX_VERSION:
-        raise ValueError(
+        raise IndexFormatError(
             f"{path}: index version {data[4]} not supported (want {INDEX_VERSION})"
         )
-    payload = json.loads(data[5:].decode("utf-8"))
-    return matchers.ArticleIndex.from_parts(
-        article_ids=payload["article_ids"],
-        empty_article_ids=payload["empty_article_ids"],
-        doc_len=payload["doc_len"],
-        avgdl=payload["avgdl"],
-        terms=payload["terms"],
-        postings={t: (o, c) for t, (o, c) in payload["postings"].items()},
-    )
+    try:
+        payload = json.loads(data[5:].decode("utf-8"))
+        return matchers.ArticleIndex.from_parts(
+            article_ids=payload["article_ids"],
+            empty_article_ids=payload["empty_article_ids"],
+            doc_len=payload["doc_len"],
+            avgdl=payload["avgdl"],
+            terms=payload["terms"],
+            postings={t: (o, c) for t, (o, c) in payload["postings"].items()},
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IndexFormatError(f"{path}: malformed index payload: {exc!r}") from exc
 
 
 def _require_file(path, what):
@@ -223,11 +226,13 @@ def _get_index(config: RunConfig) -> matchers.ArticleIndex:
 # batch matching (worker globals set up via fork)
 
 _WORKER = {}
+CHUNK = 2000  # tweets per worker task
+BLOCK = 64  # tweets per score_block call
 
 
-def _init_worker(index, tok, matcher, params, threshold, emb_table, art_vecs, lexicon):
+def _init_worker(index, tok, matcher, table, threshold, emb_table, art_vecs, lexicon):
     _WORKER.update(
-        index=index, tok=tok, matcher=matcher, params=params, threshold=threshold,
+        index=index, tok=tok, matcher=matcher, table=table, threshold=threshold,
         emb_table=emb_table, art_vecs=art_vecs, lexicon=lexicon,
     )
 
@@ -240,44 +245,45 @@ def _match_line(tweet_id, article_id, score, label) -> str:
     )
 
 
-def _score_chunk(chunk) -> list[str]:
-    """chunk: list of (tweet_id, text). Returns output lines in input order."""
+def _score_chunk(chunk) -> str:
+    """chunk: list of (tweet_id, text). Returns its output lines in input order."""
     index = _WORKER["index"]
     tok = _WORKER["tok"]
     matcher = _WORKER["matcher"]
-    threshold = _WORKER["threshold"]
-    lines = []
-    for tweet_id, text in chunk:
-        if matcher == "LEXICON":
-            hit = matchers.match_lexicon(text, _WORKER["lexicon"])
-            lines.append(_match_line(
-                tweet_id, None, 1.0 if hit else 0.0,
-                Label.RUMOR if hit else Label.NONRUMOR,
-            ))
-            continue
-        if matcher == "DOCVEC":
+    if matcher == "LEXICON":
+        hits = [matchers.match_lexicon(text, _WORKER["lexicon"]) for _, text in chunk]
+        return "".join(
+            _match_line(tweet_id, None, 1.0 if hit else 0.0,
+                        Label.RUMOR if hit else Label.NONRUMOR) + "\n"
+            for (tweet_id, _), hit in zip(chunk, hits)
+        )
+
+    best = []  # per tweet: (best article id or None if undefined, best score)
+    if matcher in ("BM25", "TFIDF"):
+        for start in range(0, len(chunk), BLOCK):
+            tokens = [textpipe.tokenize(text, tok) for _, text in chunk[start:start + BLOCK]]
+            scores = matchers.score_block(tokens, index, _WORKER["table"])
+            ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
+            top = scores[np.arange(len(tokens)), ordinals]
+            best.extend((index.article_ids[o], s)
+                        for o, s in zip(ordinals.tolist(), top.tolist()))
+    else:  # EMBEDDING / DOCVEC
+        for tweet_id, text in chunk:
             # document-vector file carries per-tweet vectors keyed by tweet id;
             # a single-id "token" list reuses the embedding degenerate handling
-            tokens = [tweet_id]
-        else:
-            tokens = textpipe.tokenize(text, tok)
-        if matcher == "BM25":
-            scores = matchers.score_bm25(tokens, index, _WORKER["params"])
-        elif matcher == "TFIDF":
-            scores = matchers.score_tfidf(tokens, index)
-        else:  # EMBEDDING / DOCVEC
+            tokens = [tweet_id] if matcher == "DOCVEC" else textpipe.tokenize(text, tok)
             scores, defined = matchers.score_embedding(
                 tokens, _WORKER["art_vecs"], _WORKER["emb_table"]
             )
-            if not defined:
-                lines.append(_match_line(tweet_id, None, 0.0, Label.NONRUMOR))
-                continue
-        article_id, best = matchers.best_match(scores, index)
-        result = matchers.MatchResult(tweet_id, article_id, best)
-        label = matchers.classify(result, threshold)
-        lines.append(_match_line(tweet_id, article_id if label is Label.RUMOR else None,
-                                 best, label))
-    return lines
+            best.append(matchers.best_match(scores, index) if defined else (None, 0.0))
+
+    threshold = _WORKER["threshold"]
+    lines = []
+    for (tweet_id, _), (article_id, score) in zip(chunk, best):
+        rumor = article_id is not None and score > threshold  # strictly above h
+        lines.append(_match_line(tweet_id, article_id if rumor else None, score,
+                                 Label.RUMOR if rumor else Label.NONRUMOR) + "\n")
+    return "".join(lines)
 
 
 def _chunks(items, size):
@@ -289,14 +295,14 @@ def run_match(config: RunConfig, tweets: list[corpus.Tweet], out_path) -> None:
     """Score every tweet, classify at the configured threshold, write JSONL.
 
     Output order equals input order regardless of worker count, so parallel
-    and serial runs produce identical bytes.
+    and serial runs produce identical bytes. Lines are streamed to the
+    output's temp file one chunk at a time.
     """
     matcher = config.matcher.upper()
     if matcher not in MATCHERS:
         raise ValueError(f"unknown matcher {config.matcher!r}")
     tok = config.tokenizer_config()
-    index = emb_table = art_vecs = lexicon = None
-    params = config.bm25_params()
+    index = table = emb_table = art_vecs = lexicon = None
     if matcher == "LEXICON":
         lexicon = (
             matchers.load_lexicon(config.lexicon) if config.lexicon
@@ -304,11 +310,15 @@ def run_match(config: RunConfig, tweets: list[corpus.Tweet], out_path) -> None:
         )
     else:
         index = _get_index(config)
-        if matcher == "EMBEDDING":
+        if matcher == "BM25":
+            table = index.bm25_table(config.bm25_params())
+        elif matcher == "TFIDF":
+            table = index.tfidf_table()
+        elif matcher == "EMBEDDING":
             emb_table = matchers.load_embeddings(_require_file(config.embeddings, "embeddings"))
             articles = corpus.load_articles(_require_file(config.articles, "articles"))
             art_vecs = matchers.embed_articles(articles, emb_table, tok)
-        elif matcher == "DOCVEC":
+        else:  # DOCVEC
             emb_table = matchers.load_embeddings(_require_file(config.doc_vectors, "doc_vectors"))
             art_vecs = matchers.article_vectors_from_file(
                 index.article_ids, _require_file(config.doc_vectors, "doc_vectors")
@@ -316,29 +326,24 @@ def run_match(config: RunConfig, tweets: list[corpus.Tweet], out_path) -> None:
 
     items = [(t.id, t.text) for t in tweets]
     jobs = config.jobs or (os.cpu_count() or 1)
-    chunk_size = 2000
-    init_args = (index, tok, matcher, params, config.threshold, emb_table, art_vecs, lexicon)
+    init_args = (index, tok, matcher, table, config.threshold, emb_table, art_vecs, lexicon)
 
-    pieces = []
     done = 0
-    if jobs <= 1 or len(items) <= chunk_size:
-        _init_worker(*init_args)
-        for chunk in _chunks(items, chunk_size):
-            pieces.append("\n".join(_score_chunk(chunk)))
+    with contextlib.ExitStack() as stack:
+        tmp = stack.enter_context(atomic_write_text(out_path))
+        fh = stack.enter_context(open(tmp, "w", encoding="utf-8", newline=""))
+        if jobs <= 1 or len(items) <= CHUNK:
+            _init_worker(*init_args)
+            texts = map(_score_chunk, _chunks(items, CHUNK))
+        else:
+            ctx = multiprocessing.get_context("fork")
+            pool = stack.enter_context(
+                ctx.Pool(jobs, initializer=_init_worker, initargs=init_args))
+            texts = pool.imap(_score_chunk, _chunks(items, CHUNK))
+        for chunk, text in zip(_chunks(items, CHUNK), texts):
+            fh.write(text)
             done += len(chunk)
             _progress(config, done)
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs, initializer=_init_worker, initargs=init_args) as pool:
-            for chunk, lines in zip(
-                _chunks(items, chunk_size),
-                pool.imap(_score_chunk, _chunks(items, chunk_size)),
-            ):
-                pieces.append("\n".join(lines))
-                done += len(chunk)
-                _progress(config, done)
-    text = "\n".join(p for p in pieces if p)
-    atomic_write_text(out_path, text + "\n" if text else "")
 
 
 def _progress(config, done):
@@ -419,17 +424,17 @@ def cmd_eval(config: RunConfig, task: str) -> None:
                 for l in labels
             }
             point = evaluation.fixed_point_eval(predictions, labels)
-            _atomic_csv(evaluation.write_pr_curve, [point],
-                        os.path.join(config.out, "pr_curve.csv"))
-            _atomic_csv(evaluation.write_pr_curve, [point],
-                        os.path.join(config.out, "max_f1.csv"))
+            with atomic_write_text(os.path.join(config.out, "pr_curve.csv")) as tmp:
+                evaluation.write_pr_curve([point], tmp)
+            with atomic_write_text(os.path.join(config.out, "max_f1.csv")) as tmp:
+                evaluation.write_pr_curve([point], tmp)
             return
         scores, _ = _scores_for_labeled(config, loaded.tweets_by_id, labels)
         result = evaluation.sweep(scores, labels)
-        _atomic_csv(evaluation.write_pr_curve, result.points,
-                    os.path.join(config.out, "pr_curve.csv"))
-        _atomic_csv(evaluation.write_pr_curve, [result.max_f1_point],
-                    os.path.join(config.out, "max_f1.csv"))
+        with atomic_write_text(os.path.join(config.out, "pr_curve.csv")) as tmp:
+            evaluation.write_pr_curve(result.points, tmp)
+        with atomic_write_text(os.path.join(config.out, "max_f1.csv")) as tmp:
+            evaluation.write_pr_curve([result.max_f1_point], tmp)
         return
 
     # IDENTIFY
@@ -450,8 +455,8 @@ def cmd_eval(config: RunConfig, task: str) -> None:
         }
         accuracy = evaluation.identification_accuracy(matches, rumor_labels)
         rows.append((name, accuracy, len(rumor_labels)))
-    _atomic_csv(evaluation.write_identification_report, rows,
-                os.path.join(config.out, "identification.csv"))
+    with atomic_write_text(os.path.join(config.out, "identification.csv")) as tmp:
+        evaluation.write_identification_report(rows, tmp)
 
 
 def _clone_config(config: RunConfig, **changes) -> RunConfig:
@@ -461,12 +466,6 @@ def _clone_config(config: RunConfig, **changes) -> RunConfig:
     for k, v in changes.items():
         setattr(clone, k, v)
     return clone
-
-
-def _atomic_csv(writer, data, path):
-    tmp = path + ".partial"
-    writer(data, tmp)
-    os.replace(tmp, path)
 
 
 ANALYSES = ("ratio", "users", "keywords", "attribution", "timeline")
@@ -488,26 +487,26 @@ def cmd_analyze(config: RunConfig, which: list[str]) -> None:
                 tweets, detections, group)))
             rows.append((group, "election", analysis.group_rumor_ratio(
                 tweets, detections, group, window)))
-        _atomic_csv_rows(analysis.write_group_ratios, rows,
-                         os.path.join(config.out, "group_ratio.csv"))
+        with atomic_write_text(os.path.join(config.out, "group_ratio.csv")) as tmp:
+            analysis.write_group_ratios(rows, tmp)
 
     if "users" in which:
         conc = [
             (f, analysis.user_concentration(tweets, detections, f))
             for f in config.top_fractions
         ]
-        _atomic_csv_rows(analysis.write_concentration, conc,
-                         os.path.join(config.out, "concentration.csv"))
+        with atomic_write_text(os.path.join(config.out, "concentration.csv")) as tmp:
+            analysis.write_concentration(conc, tmp)
         ranking = analysis.user_rumor_ratio_ranking(tweets, detections, config.top_n)
-        _atomic_csv_rows(analysis.write_user_ranking, ranking,
-                         os.path.join(config.out, "user_ranking.csv"))
+        with atomic_write_text(os.path.join(config.out, "user_ranking.csv")) as tmp:
+            analysis.write_user_ranking(ranking, tmp)
 
     if "keywords" in which and config.keywords:
         breakdown = analysis.keyword_breakdown(
             tweets, detections, config.keywords, config.tokenizer_config()
         )
-        _atomic_csv_rows(analysis.write_keywords, breakdown,
-                         os.path.join(config.out, "keywords.csv"))
+        with atomic_write_text(os.path.join(config.out, "keywords.csv")) as tmp:
+            analysis.write_keywords(breakdown, tmp)
 
     if "attribution" in which:
         articles = corpus.load_articles(_require_file(config.articles, "articles"))
@@ -516,21 +515,14 @@ def cmd_analyze(config: RunConfig, which: list[str]) -> None:
             values = analysis.content_attribution(tweets, detections, articles, group)
             for subject, value in sorted(values.items(), key=lambda kv: kv[0].value):
                 rows.append((group, subject, value))
-        _atomic_csv_rows(analysis.write_attribution, rows,
-                         os.path.join(config.out, "attribution.csv"))
+        with atomic_write_text(os.path.join(config.out, "attribution.csv")) as tmp:
+            analysis.write_attribution(rows, tmp)
 
     if "timeline" in which:
         bins = analysis.timeline(tweets, detections, config.bin_width, window)
         peaks = analysis.detect_peaks([c for _, c in bins], config.peak_k) if bins else []
-        tmp = os.path.join(config.out, "timeline.csv.partial")
-        analysis.write_timeline(bins, peaks, tmp)
-        os.replace(tmp, os.path.join(config.out, "timeline.csv"))
-
-
-def _atomic_csv_rows(writer, rows, path):
-    tmp = path + ".partial"
-    writer(rows, tmp)
-    os.replace(tmp, path)
+        with atomic_write_text(os.path.join(config.out, "timeline.csv")) as tmp:
+            analysis.write_timeline(bins, peaks, tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +578,7 @@ def main(argv=None) -> int:
             if config.labels:
                 cmd_eval(config, "CLASSIFY")
             cmd_analyze(config, list(ANALYSES))
-    except (FileNotFoundError, CorpusError, ValueError) as exc:
+    except (FileNotFoundError, CorpusError, InputFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EmptyCorpusError, AllEmptyAfterTokenizeError,

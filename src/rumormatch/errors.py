@@ -75,7 +75,17 @@ class AllEmptyAfterTokenizeError(RumorMatchError):
     code = "ALL_EMPTY_AFTER_TOKENIZE"
 
 
-class DimMismatchError(RumorMatchError):
+class InputFormatError(RumorMatchError, ValueError):
+    """An input file that its reader cannot use (index, vector file)."""
+
+    code = "INPUT_FORMAT"
+
+
+class IndexFormatError(InputFormatError):
+    code = "INDEX_FORMAT"
+
+
+class DimMismatchError(InputFormatError):
     code = "DIM_MISMATCH"
 
 

@@ -23,7 +23,7 @@ from .errors import (
     EmptyCorpusError,
     EmptyScoresError,
 )
-from .textpipe import TokenizerConfig, build_vocabulary, term_counts, tokenize
+from .textpipe import TokenizerConfig, build_vocabulary, tokenize
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,39 @@ class BM25Params:
             raise ValueError("b must be in [0, 1]")
 
 
+# A term that posts to at least 1/DENSE_SHARE of the articles gets a dense
+# impact row; all other terms are stored as CSR rows.
+DENSE_SHARE = 5
+
+
+@dataclass(frozen=True)
+class ImpactTable:
+    """Per-term impact rows over article ordinals for one weighting.
+
+    Term t scores ``impact[t, j]`` on article j. Head terms (see DENSE_SHARE)
+    keep a dense row ``dense_rows[dense_slot[t]]`` and an empty CSR row; all
+    other terms keep their postings in ``indptr``/``indices``/``data`` with
+    ordinals ascending. ``query_idf`` is set for TF-IDF, whose query terms
+    carry the weight ``count * idf / |q|``; BM25 queries weigh each unique
+    term once.
+    """
+
+    n_articles: int
+    indptr: np.ndarray  # (V + 1,) int64
+    indices: np.ndarray  # (nnz,) int64 article ordinals
+    data: np.ndarray  # (nnz,) float64 impacts
+    dense_slot: np.ndarray  # (V,) int64 row of dense_rows, or -1
+    dense_rows: np.ndarray  # (n_dense, n_articles) float64
+    query_idf: Optional[np.ndarray] = None  # (V,) float64, TF-IDF only
+
+
 class ArticleIndex:
     """Inverted index over the reference articles.
 
-    Immutable after construction. Holds, per term: the posting list of
-    (article ordinal, term count), the BM25 idf ln(1 + (N-df+0.5)/(df+0.5)),
-    the TF-IDF idf ln(N/df), and per-article L2-normalized TF-IDF postings.
+    Immutable after construction. Holds the raw postings as CSR arrays over
+    term ids (``indptr``, ``ordinals``, ``counts``; ordinals ascending within
+    a term) and builds one ImpactTable per weighting on first use: BM25 per
+    BM25Params, TF-IDF from the L2-normalized tf*idf postings.
     """
 
     def __init__(self, articles: list[RumorArticle], tok: Optional[TokenizerConfig] = None):
@@ -58,21 +85,18 @@ class ArticleIndex:
         self.vocabulary = build_vocabulary(docs)
         self.doc_len = np.array([len(d) for d in docs], dtype=np.float64)
 
-        # postings: term -> (ordinals, counts); built in term-id order
-        per_term: dict[str, tuple[list[int], list[int]]] = {
-            t: ([], []) for t in self.vocabulary.term_ids
-        }
-        for ordinal, doc in enumerate(docs):
-            for term, count in sorted(term_counts(doc).items()):
-                ords, counts = per_term[term]
-                ords.append(ordinal)
-                counts.append(count)
-        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = {
-            t: (np.array(o, dtype=np.int64), np.array(c, dtype=np.float64))
-            for t, (o, c) in per_term.items()
-        }
-
-        self._finalize()
+        # one (term id, ordinal) key per token; unique keys sort term-major
+        term_ids = self.vocabulary.term_ids
+        ids = np.fromiter((term_ids[t] for d in docs for t in d), dtype=np.int64,
+                          count=int(self.doc_len.sum()))
+        ords = np.repeat(np.arange(len(docs), dtype=np.int64), self.doc_len.astype(np.int64))
+        keys, counts = np.unique(ids * len(docs) + ords, return_counts=True)
+        self.indptr = np.zeros(self.vocabulary.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // len(docs), minlength=self.vocabulary.size),
+                  out=self.indptr[1:])
+        self.ordinals = keys % len(docs)
+        self.counts = counts.astype(np.float64)
+        self._tables: dict[object, ImpactTable] = {}
 
     @classmethod
     def from_parts(cls, article_ids, empty_article_ids, doc_len, avgdl, terms, postings):
@@ -84,101 +108,150 @@ class ArticleIndex:
         index.article_ids = list(article_ids)
         index.empty_article_ids = list(empty_article_ids)
         index.doc_len = np.asarray(doc_len, dtype=np.float64)
+        df = [len(postings[t][0]) for t in terms]
         index.vocabulary = Vocabulary(
             term_ids={t: i for i, t in enumerate(terms)},
-            doc_freq={t: len(postings[t][0]) for t in terms},
+            doc_freq=dict(zip(terms, df)),
             n_docs=len(article_ids),
             avgdl=avgdl,
         )
-        index.postings = {
-            t: (np.asarray(o, dtype=np.int64), np.asarray(c, dtype=np.float64))
-            for t, (o, c) in postings.items()
-        }
-        index._finalize()
+        index.indptr = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum(df, out=index.indptr[1:])
+        index.ordinals = np.fromiter((o for t in terms for o in postings[t][0]),
+                                     dtype=np.int64, count=int(index.indptr[-1]))
+        index.counts = np.fromiter((c for t in terms for c in postings[t][1]),
+                                   dtype=np.float64, count=int(index.indptr[-1]))
+        index._tables = {}
         return index
-
-    def _finalize(self):
-        """Derive idf tables and normalized TF-IDF postings from the raw postings."""
-        n = len(self.article_ids)
-        self.idf_bm25 = {
-            t: math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            for t, df in self.vocabulary.doc_freq.items()
-        }
-        self.idf_tfidf = {
-            t: math.log(n / df) for t, df in self.vocabulary.doc_freq.items()
-        }
-
-        # per-article L2 norms of raw tf*idf vectors, then normalized postings
-        sq_norms = np.zeros(n)
-        for t, (ords, counts) in self.postings.items():
-            w = counts * self.idf_tfidf[t]
-            sq_norms[ords] += w * w
-        norms = np.sqrt(sq_norms)
-        safe = np.where(norms > 0, norms, 1.0)  # empty / all-common articles stay zero
-        self.tfidf_postings = {
-            t: (ords, counts * self.idf_tfidf[t] / safe[ords])
-            for t, (ords, counts) in self.postings.items()
-        }
-
-        self._bm25_cache: dict[BM25Params, dict] = {}
 
     @property
     def n_articles(self) -> int:
         return len(self.article_ids)
 
-    def bm25_term_weights(self, params: BM25Params):
-        """Per-term arrays of idf-scaled saturated tf, cached per parameter set."""
-        cached = self._bm25_cache.get(params)
-        if cached is None:
+    @property
+    def postings(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per-term (ordinals, counts) views of the raw postings, for serialization."""
+        p = self.indptr
+        return {t: (self.ordinals[p[i]:p[i + 1]], self.counts[p[i]:p[i + 1]])
+                for t, i in self.vocabulary.term_ids.items()}
+
+    def _posting_terms(self) -> np.ndarray:
+        """Term id of every raw posting."""
+        return np.repeat(np.arange(self.vocabulary.size, dtype=np.int64), np.diff(self.indptr))
+
+    def _idf(self, formula) -> np.ndarray:
+        """Per-term idf from document frequency; math.log keeps it the same on every host."""
+        n = self.n_articles
+        return np.array([formula(n, int(df)) for df in np.diff(self.indptr)], dtype=np.float64)
+
+    def bm25_table(self, params: BM25Params) -> ImpactTable:
+        """Impacts idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)), cached per params."""
+        table = self._tables.get(params)
+        if table is None:
             k1, b = params.k1, params.b
             norm = k1 * (1.0 - b + b * self.doc_len / max(self.vocabulary.avgdl, 1e-12))
-            cached = {
-                t: (ords, self.idf_bm25[t] * counts * (k1 + 1.0) / (counts + norm[ords]))
-                for t, (ords, counts) in self.postings.items()
-            }
-            self._bm25_cache[params] = cached
-        return cached
+            idf = self._idf(lambda n, df: math.log(1.0 + (n - df + 0.5) / (df + 0.5)))
+            counts = self.counts
+            impacts = idf[self._posting_terms()] * counts * (k1 + 1.0) / (
+                counts + norm[self.ordinals])
+            table = self._tables[params] = self._impact_table(impacts)
+        return table
+
+    def tfidf_table(self) -> ImpactTable:
+        """Impacts tf * idf / |d|, idf = ln(N / df); all-zero articles stay zero."""
+        table = self._tables.get("TFIDF")
+        if table is None:
+            idf = self._idf(lambda n, df: math.log(n / df))
+            w = self.counts * idf[self._posting_terms()]
+            # per-article squared norms, summed in ascending term id
+            norms = np.sqrt(np.bincount(self.ordinals, weights=w * w, minlength=self.n_articles))
+            safe = np.where(norms > 0, norms, 1.0)
+            table = self._tables["TFIDF"] = self._impact_table(w / safe[self.ordinals], idf)
+        return table
+
+    def _impact_table(self, impacts, query_idf=None) -> ImpactTable:
+        df = np.diff(self.indptr)
+        dense = df * DENSE_SHARE >= self.n_articles
+        dense_slot = np.where(dense, np.cumsum(dense) - 1, -1)
+        terms = self._posting_terms()
+        head = dense[terms]
+        dense_rows = np.zeros((int(dense.sum()), self.n_articles))
+        dense_rows[dense_slot[terms[head]], self.ordinals[head]] = impacts[head]
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.where(dense, 0, df), out=indptr[1:])
+        return ImpactTable(
+            n_articles=self.n_articles, indptr=indptr, indices=self.ordinals[~head],
+            data=impacts[~head], dense_slot=dense_slot, dense_rows=dense_rows,
+            query_idf=query_idf,
+        )
 
 
 def build_index(articles, tok: Optional[TokenizerConfig] = None) -> ArticleIndex:
     return ArticleIndex(articles, tok)
 
 
+def score_block(token_lists: list[list[str]], index: ArticleIndex,
+                table: ImpactTable) -> np.ndarray:
+    """Scores of a block of tweets against every article, shape (B, n_articles).
+
+    Each tweet's tokens become its sorted unique term ids. Every score sums
+    its terms in one canonical order: CSR terms in ascending term id (one
+    bincount over row * N + ordinal), then dense terms in ascending term id.
+    A row's result therefore does not depend on the other rows of the block,
+    the block size, the worker count or the string hash seed.
+    """
+    n_rows, n, vocab = len(token_lists), table.n_articles, index.vocabulary.size
+    term_ids = index.vocabulary.term_ids
+    ids = np.array([term_ids.get(t, -1) for toks in token_lists for t in toks], dtype=np.int64)
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), [len(toks) for toks in token_lists])
+    known = ids >= 0
+    keys, tf = np.unique(rows[known] * vocab + ids[known], return_counts=True)
+    rows, ids = keys // vocab, keys % vocab
+
+    scale = None
+    if table.query_idf is not None:
+        w = tf * table.query_idf[ids]
+        # |q| sums w^2 in ascending term id; a zero query scores zero everywhere
+        q_norm = np.sqrt(np.bincount(rows, weights=w * w, minlength=n_rows))
+        keep = q_norm[rows] > 0
+        rows, ids = rows[keep], ids[keep]
+        scale = w[keep] / q_norm[rows]
+
+    slot = table.dense_slot[ids]
+    tail = slot < 0
+    starts = table.indptr[ids[tail]]
+    lens = table.indptr[ids[tail] + 1] - starts
+    ends = np.cumsum(lens)
+    pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lens), lens)
+    impacts = table.data[pos]
+    if scale is not None:
+        impacts = impacts * np.repeat(scale[tail], lens)
+    scores = np.bincount(np.repeat(rows[tail] * n, lens) + table.indices[pos],
+                         weights=impacts, minlength=n_rows * n)
+    # bincount of no postings returns integer zeros
+    scores = scores.astype(np.float64, copy=False).reshape(n_rows, n)
+
+    head = ~tail
+    dense = table.dense_rows
+    if scale is None:
+        for r, k in zip(rows[head].tolist(), slot[head].tolist()):
+            scores[r] += dense[k]
+    else:
+        for r, k, q in zip(rows[head].tolist(), slot[head].tolist(), scale[head].tolist()):
+            scores[r] += q * dense[k]
+    return scores
+
+
 def score_tfidf(tweet_tokens: list[str], index: ArticleIndex) -> np.ndarray:
     """Cosine between the tweet's TF-IDF vector and each article's; in [0, 1]."""
-    scores = np.zeros(index.n_articles)
-    counts = {t: c for t, c in term_counts(tweet_tokens).items() if t in index.vocabulary}
-    if not counts:
-        return scores
-    q_sq = 0.0
-    weights = {}
-    for t, c in counts.items():
-        w = c * index.idf_tfidf[t]
-        weights[t] = w
-        q_sq += w * w
-    if q_sq == 0.0:
-        return scores
-    q_norm = math.sqrt(q_sq)
-    for t, w in weights.items():
-        ords, doc_w = index.tfidf_postings[t]
-        scores[ords] += (w / q_norm) * doc_w
-    return scores
+    return score_block([tweet_tokens], index, index.tfidf_table())[0]
 
 
 def score_bm25(
     tweet_tokens: list[str], index: ArticleIndex, params: Optional[BM25Params] = None
 ) -> np.ndarray:
     """BM25 with the tweet as query; each unique query term contributes once."""
-    if params is None:
-        params = BM25Params()
-    weights = index.bm25_term_weights(params)
-    scores = np.zeros(index.n_articles)
-    for t in set(tweet_tokens):
-        entry = weights.get(t)
-        if entry is not None:
-            ords, w = entry
-            scores[ords] += w
-    return scores
+    return score_block([tweet_tokens], index, index.bm25_table(params or BM25Params()))[0]
 
 
 @dataclass
@@ -301,7 +374,6 @@ class MatchResult:
     tweet_id: str
     best_article_id: Optional[str]
     best_score: float
-    scores: Optional[np.ndarray] = None
 
 
 def best_match(scores: np.ndarray, index: ArticleIndex) -> tuple[str, float]:

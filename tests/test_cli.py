@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +104,16 @@ class TestIndexCommand:
         assert index.article_ids == ["a1", "a2", "a3"]
         assert index.vocabulary.n_docs == 3
 
+    @pytest.mark.parametrize("matcher", ["BM25", "TFIDF"])
+    def test_saved_index_scores_like_built_index(self, workspace, matcher):
+        tmp_path, config, out = workspace
+        assert cli.main(["--config", str(config), "--matcher", matcher, "match"]) == 0
+        built = (out / "matches.jsonl").read_bytes()
+        assert cli.main(["--config", str(config), "index"]) == 0
+        config.write_text(config.read_text() + f"index_path = {out / 'index.rmix'}\n")
+        assert cli.main(["--config", str(config), "--matcher", matcher, "match"]) == 0
+        assert (out / "matches.jsonl").read_bytes() == built
+
     def test_version_mismatch_rejected(self, workspace, tmp_path):
         _, config, out = workspace
         cli.main(["--config", str(config), "index"])
@@ -145,6 +159,17 @@ class TestMatchCommand:
         assert by_id["t1"]["label"] == "RUMOR" and by_id["t1"]["article_id"] == "a1"
         assert by_id["t3"]["label"] == "NONRUMOR" and by_id["t3"]["article_id"] is None
         assert by_id["t3"]["score"] == 0.0
+
+    @pytest.mark.parametrize("matcher", ["BM25", "TFIDF"])
+    def test_zero_evidence_tweet_goes_to_first_article(self, workspace, matcher):
+        # t3 has no indexed term: its all-zero row ties every article, and the
+        # first maximum is ordinal 0, which any threshold below 0 attributes
+        tmp_path, config, out = workspace
+        assert cli.main(["--config", str(config), "--matcher", matcher,
+                         "--threshold=-inf", "match"]) == 0
+        lines = [json.loads(l) for l in (out / "matches.jsonl").read_text().splitlines()]
+        assert lines[2] == {"tweet_id": "t3", "article_id": "a1", "score": 0.0,
+                            "label": "RUMOR"}
 
     def test_lexicon_matcher_has_no_attribution(self, workspace):
         tmp_path, config, out = workspace
@@ -297,3 +322,132 @@ class TestAnalyzeCommand:
         with open(out / "attribution.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["subject"] for r in rows} == {"CLINTON", "TRUMP"}
+
+
+class TestReproducibility:
+    @pytest.fixture
+    def zipf_workspace(self, tmp_path):
+        """A corpus large enough that float summation order shows in the scores."""
+        rng = random.Random(0x5EED5)
+        vocab = [f"w{i:03d}" for i in range(400)]
+        weights = [1.0 / (i + 1) for i in range(400)]
+        write_jsonl(tmp_path / "articles.jsonl", [
+            {"id": f"a{i}", "title": "", "body": " ".join(rng.choices(vocab, weights, k=60))}
+            for i in range(300)
+        ])
+        write_jsonl(tmp_path / "tweets.jsonl", [
+            {"id": f"t{i}", "user_id": "u", "group": "OTHER", "timestamp": 1462060800 + i,
+             "text": " ".join(rng.choices(vocab, weights, k=10))}
+            for i in range(3000)
+        ])
+        config = tmp_path / "run.conf"
+        config.write_text(
+            f"tweets = {tmp_path / 'tweets.jsonl'}\n"
+            f"articles = {tmp_path / 'articles.jsonl'}\n"
+            "threshold = 5.0\njobs = 1\nquiet = true\n"
+        )
+        return tmp_path, config
+
+    @pytest.mark.parametrize("matcher", ["BM25", "TFIDF"])
+    def test_hash_seed_does_not_change_bytes(self, zipf_workspace, matcher):
+        tmp_path, config = zipf_workspace
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"out{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "rumormatch.cli", "--config", str(config),
+                 "--matcher", matcher, "--out", str(out), "match"],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append((out / "matches.jsonl").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 3000
+
+    @pytest.mark.parametrize("matcher", ["BM25", "TFIDF"])
+    def test_block_size_does_not_change_bytes(self, zipf_workspace, matcher, monkeypatch):
+        tmp_path, config = zipf_workspace
+        results = []
+        for block in (1, 7, cli.BLOCK):
+            monkeypatch.setattr(cli, "BLOCK", block)
+            out = tmp_path / f"block{block}"
+            assert cli.main(["--config", str(config), "--matcher", matcher,
+                             "--out", str(out), "match"]) == 0
+            results.append((out / "matches.jsonl").read_bytes())
+        assert results[0] == results[1] == results[2]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("data", [b"", b"RM", b"RMIX"])
+    def test_truncated_index_exit_2(self, workspace, data, capsys):
+        tmp_path, config, out = workspace
+        index = tmp_path / "short.rmix"
+        index.write_bytes(data)
+        config.write_text(config.read_text() + f"index_path = {index}\n")
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert "not a rumormatch index file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        b'{"terms": []}',  # missing keys
+        b"[]",
+        b'{"article_ids": ["a1"], "empty_article_ids": [], "doc_len": [1], "avgdl": 1.0,'
+        b' "terms": ["x"], "postings": []}',
+        b"\xff",
+    ])
+    def test_malformed_index_payload_exit_2(self, workspace, payload, capsys):
+        tmp_path, config, out = workspace
+        index = tmp_path / "malformed.rmix"
+        index.write_bytes(cli.INDEX_MAGIC + bytes([cli.INDEX_VERSION]) + payload)
+        config.write_text(config.read_text() + f"index_path = {index}\n")
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert "malformed index payload" in capsys.readouterr().err
+
+    def test_short_vector_row_exit_2(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        emb = tmp_path / "short.vec"
+        emb.write_text("2 3\nclinton 1 0 0\ntrump 0 1\n")
+        config.write_text(config.read_text() + f"embeddings = {emb}\nmatcher = EMBEDDING\n")
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "expected 3 components, got 2" in err and "internal" not in err
+
+
+class TestAtomicWrites:
+    def test_failure_leaves_nothing_behind(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            with cli.atomic_write_text(target) as tmp:
+                with open(tmp, "w") as fh:
+                    fh.write("partial")
+                raise RuntimeError("writer failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_match_keeps_previous_output(self, workspace, monkeypatch):
+        tmp_path, config, out = workspace
+        assert cli.main(["--config", str(config), "match"]) == 0
+        before = (out / "matches.jsonl").read_bytes()
+
+        def fail(chunk):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(cli, "_score_chunk", fail)
+        with pytest.raises(RuntimeError):
+            cli.main(["--config", str(config), "match"])
+        assert (out / "matches.jsonl").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["matches.jsonl"]
+
+    def test_failed_analysis_leaves_no_partial_csv(self, workspace, monkeypatch):
+        tmp_path, config, out = workspace
+        assert cli.main(["--config", str(config), "match"]) == 0
+
+        def fail(rows, path):
+            with open(path, "w") as fh:
+                fh.write("group,window")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.analysis, "write_group_ratios", fail)
+        with pytest.raises(OSError):
+            cli.main(["--config", str(config), "analyze", "ratio"])
+        assert sorted(p.name for p in out.iterdir()) == ["matches.jsonl"]
