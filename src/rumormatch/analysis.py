@@ -2,8 +2,9 @@
 concentration and ranking, keyword breakdowns, candidate content attribution,
 and rumor timelines with peak detection.
 
-All functions are pure over (tweets, detections, parameters); input ordering
-never changes a result.
+Every analysis reads one Accumulator, fed one tweet at a time, so a single
+pass over the tweets serves them all. The module functions are pure over
+(tweets, detections, parameters); input ordering never changes a result.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import Group, RumorArticle, Subject, Tweet
 from .errors import (
@@ -56,6 +57,132 @@ def _in_window(tweet: Tweet, window: Optional[TimeWindow]) -> bool:
     return window is None or tweet.timestamp in window
 
 
+class Accumulator:
+    """The counters every analysis reads, fed one tweet at a time.
+
+    Counts are kept per (group, in window), per user, per (group, article)
+    and per timeline bin, never per tweet, so a pass over any number of
+    tweets keeps it small. ``window`` splits the group ratios into entire
+    and windowed and bounds the timeline; every other reading covers all
+    tweets fed. A rumor without an article (LEXICON) counts everywhere but
+    in the content attribution.
+    """
+
+    def __init__(
+        self,
+        window: TimeWindow = ELECTION_WINDOW,
+        bin_width: int = 86400,
+        keywords: Sequence[str] = (),
+    ):
+        if bin_width <= 0:
+            raise ValueError("bin_width must be positive")
+        self.window = window
+        self.bin_width = bin_width
+        self.keywords = list(keywords)
+        self.wanted = frozenset(k.lower() for k in keywords)
+        self.group_tweets: Counter[tuple[Group, bool]] = Counter()
+        self.group_rumors: Counter[tuple[Group, bool]] = Counter()
+        self.user_tweets: Counter[str] = Counter()
+        self.user_rumors: Counter[str] = Counter()
+        self.article_rumors: Counter[tuple[Group, Optional[str]]] = Counter()
+        self.bin_rumors: Counter[int] = Counter()
+        self.keyword_counts = {k: [0, 0] for k in self.wanted}
+
+    def add(
+        self, tweet: Tweet, rumor: bool, article_id: Optional[str] = None,
+        hits: Iterable[str] = (),
+    ) -> None:
+        """Count one tweet; ``hits`` are the wanted keywords among its tokens."""
+        in_window = tweet.timestamp in self.window
+        key = (tweet.group, in_window)
+        self.group_tweets[key] += 1
+        self.user_tweets[tweet.user_id] += 1
+        for k in hits:
+            self.keyword_counts[k][0 if rumor else 1] += 1
+        if rumor:
+            self.group_rumors[key] += 1
+            self.user_rumors[tweet.user_id] += 1
+            self.article_rumors[tweet.group, article_id] += 1
+            if in_window:
+                self.bin_rumors[(tweet.timestamp - self.window.start) // self.bin_width] += 1
+
+    def groups(self) -> list[Group]:
+        """The follower groups seen, in name order."""
+        return sorted({g for g, _ in self.group_tweets}, key=lambda g: g.value)
+
+    def group_ratio(self, group: Group, windowed: bool = False) -> float:
+        keys = [(group, True)] if windowed else [(group, True), (group, False)]
+        total = sum(self.group_tweets[k] for k in keys)
+        if total == 0:
+            raise EmptyDenominatorError(f"no tweets for group {group.value} in scope")
+        return sum(self.group_rumors[k] for k in keys) / total
+
+    def user_concentration(self, top_fraction: float) -> float:
+        if not 0.0 < top_fraction <= 1.0:
+            raise ValueError("top_fraction must be in (0, 1]")
+        total_rumors = sum(self.user_rumors.values())
+        if total_rumors == 0:
+            raise NoRumorsError("no rumor tweets in scope")
+        ranked = sorted(self.user_tweets, key=lambda u: (-self.user_rumors[u], u))
+        top_n = math.ceil(top_fraction * len(ranked))
+        return sum(self.user_rumors[u] for u in ranked[:top_n]) / total_rumors
+
+    def user_ranking(self, top_n: int) -> list[tuple[str, int, int, float]]:
+        rows = [
+            (user, self.user_rumors[user], total, self.user_rumors[user] / total)
+            for user, total in self.user_tweets.items()
+        ]
+        rows.sort(key=lambda r: (-r[3], -r[1], r[0]))
+        return rows[:top_n]
+
+    def keyword_breakdown(self) -> dict[str, tuple[int, int]]:
+        return {k.lower(): tuple(self.keyword_counts[k.lower()]) for k in self.keywords}
+
+    def content_attribution(
+        self, articles: list[RumorArticle], group: Group,
+        subjects: Optional[list[Subject]] = None,
+    ) -> dict[Subject, float]:
+        subjects = subjects or [Subject.CLINTON, Subject.TRUMP]
+        article_subjects = {a.id: a.subjects for a in articles}
+        subject_article_count = Counter()
+        for a in articles:
+            for s in a.subjects:
+                subject_article_count[s] += 1
+        for s in subjects:
+            if subject_article_count[s] == 0:
+                raise ZeroArticlesForSubjectError(s.value)
+        tweet_counts: Counter[Subject] = Counter()
+        for (g, article_id), n in self.article_rumors.items():
+            if g is group:
+                for s in article_subjects.get(article_id, frozenset()):
+                    tweet_counts[s] += n
+        return {s: tweet_counts[s] / subject_article_count[s] for s in subjects}
+
+    def timeline(self) -> list[tuple[int, int]]:
+        start, width = self.window.start, self.bin_width
+        n_bins = math.ceil((self.window.end - start) / width)
+        return [(start + i * width, self.bin_rumors[i]) for i in range(n_bins)]
+
+
+def _accumulate(
+    tweets: Iterable[Tweet],
+    detections: Mapping[str, Detection],
+    scope: Optional[TimeWindow] = None,
+    tok: Optional[TokenizerConfig] = None,
+    **params,
+) -> Accumulator:
+    """An accumulator fed the tweets in scope; with ``tok``, keyword hits too."""
+    acc = Accumulator(**params)
+    for t in tweets:
+        if not _in_window(t, scope):
+            continue
+        det = detections.get(t.id)
+        rumor = det is not None and det.is_rumor
+        hits = acc.wanted.intersection(tokenize(t.text, tok)) if tok else ()
+        acc.add(t, rumor, det.article_id if rumor else None, hits)
+    return acc
+
+
 def group_rumor_ratio(
     tweets: list[Tweet],
     detections: Mapping[str, Detection],
@@ -63,16 +190,7 @@ def group_rumor_ratio(
     window: Optional[TimeWindow] = None,
 ) -> float:
     """Share of a follower group's tweets detected as rumors, optionally windowed."""
-    total = rumors = 0
-    for t in tweets:
-        if t.group is not group or not _in_window(t, window):
-            continue
-        total += 1
-        det = detections.get(t.id)
-        rumors += det is not None and det.is_rumor
-    if total == 0:
-        raise EmptyDenominatorError(f"no tweets for group {group.value} in scope")
-    return rumors / total
+    return _accumulate(tweets, detections, window).group_ratio(group)
 
 
 def user_concentration(
@@ -87,23 +205,7 @@ def user_concentration(
     ascending); the top ceil(top_fraction * n_users) are counted, where
     n_users covers every user with at least one tweet in scope.
     """
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError("top_fraction must be in (0, 1]")
-    rumor_counts: Counter[str] = Counter()
-    users = set()
-    for t in tweets:
-        if not _in_window(t, window):
-            continue
-        users.add(t.user_id)
-        det = detections.get(t.id)
-        if det is not None and det.is_rumor:
-            rumor_counts[t.user_id] += 1
-    total_rumors = sum(rumor_counts.values())
-    if total_rumors == 0:
-        raise NoRumorsError("no rumor tweets in scope")
-    ranked = sorted(users, key=lambda u: (-rumor_counts[u], u))
-    top_n = math.ceil(top_fraction * len(users))
-    return sum(rumor_counts[u] for u in ranked[:top_n]) / total_rumors
+    return _accumulate(tweets, detections, window).user_concentration(top_fraction)
 
 
 def user_rumor_ratio_ranking(
@@ -117,21 +219,7 @@ def user_rumor_ratio_ranking(
     Returns (user_id, rumor_count, total_count, ratio), sorted by ratio
     descending, ties by rumor_count descending then user_id ascending.
     """
-    totals: Counter[str] = Counter()
-    rumors: Counter[str] = Counter()
-    for t in tweets:
-        if not _in_window(t, window):
-            continue
-        totals[t.user_id] += 1
-        det = detections.get(t.id)
-        if det is not None and det.is_rumor:
-            rumors[t.user_id] += 1
-    rows = [
-        (user, rumors[user], total, rumors[user] / total)
-        for user, total in totals.items()
-    ]
-    rows.sort(key=lambda r: (-r[3], -r[1], r[0]))
-    return rows[:top_n]
+    return _accumulate(tweets, detections, window).user_ranking(top_n)
 
 
 def keyword_breakdown(
@@ -145,18 +233,8 @@ def keyword_breakdown(
     Counts tweets, not occurrences; a tweet containing k of the keywords
     contributes to k cells.
     """
-    tok = tok or TokenizerConfig()
-    wanted = {k.lower() for k in keywords}
-    counts = {k.lower(): [0, 0] for k in keywords}
-    for t in tweets:
-        present = wanted.intersection(tokenize(t.text, tok))
-        if not present:
-            continue
-        det = detections.get(t.id)
-        slot = 0 if (det is not None and det.is_rumor) else 1
-        for k in present:
-            counts[k][slot] += 1
-    return {k.lower(): (c[0], c[1]) for k, c in ((k, counts[k.lower()]) for k in keywords)}
+    acc = _accumulate(tweets, detections, tok=tok or TokenizerConfig(), keywords=keywords)
+    return acc.keyword_breakdown()
 
 
 def content_attribution(
@@ -171,26 +249,8 @@ def content_attribution(
 
     A tweet matched to a multi-subject article counts once per subject.
     """
-    subjects = subjects or [Subject.CLINTON, Subject.TRUMP]
-    article_subjects = {a.id: a.subjects for a in articles}
-    subject_article_count = Counter()
-    for a in articles:
-        for s in a.subjects:
-            subject_article_count[s] += 1
-    for s in subjects:
-        if subject_article_count[s] == 0:
-            raise ZeroArticlesForSubjectError(s.value)
-
-    tweet_counts: Counter[Subject] = Counter()
-    for t in tweets:
-        if t.group is not group or not _in_window(t, window):
-            continue
-        det = detections.get(t.id)
-        if det is None or not det.is_rumor:
-            continue
-        for s in article_subjects.get(det.article_id, frozenset()):
-            tweet_counts[s] += 1
-    return {s: tweet_counts[s] / subject_article_count[s] for s in subjects}
+    return _accumulate(tweets, detections, window).content_attribution(
+        articles, group, subjects)
 
 
 def timeline(
@@ -200,17 +260,7 @@ def timeline(
     window: TimeWindow,
 ) -> list[tuple[int, int]]:
     """Rumor-tweet counts per half-open bin tiling [window.start, window.end)."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    n_bins = math.ceil((window.end - window.start) / bin_width)
-    counts = [0] * n_bins
-    for t in tweets:
-        if t.timestamp not in window:
-            continue
-        det = detections.get(t.id)
-        if det is not None and det.is_rumor:
-            counts[(t.timestamp - window.start) // bin_width] += 1
-    return [(window.start + i * bin_width, c) for i, c in enumerate(counts)]
+    return _accumulate(tweets, detections, window=window, bin_width=bin_width).timeline()
 
 
 def detect_peaks(series: list[int], k: float = 2.0) -> list[int]:

@@ -1,27 +1,34 @@
 """Command-line entry point: index, match, eval, analyze, all.
 
 Runs are driven by a flat key=value config file; a handful of flags override
-config keys one-for-one. All outputs are written atomically (temp file +
-rename) so a failed run never leaves a truncated artifact.
+config keys one-for-one. Every command that scores tweets does so through one
+in-order stream (run_match) whose results feed matches.jsonl, the evaluation
+and the analysis accumulator; `all` reads, tokenizes and scores each tweet
+once. All outputs are written atomically (temp file + rename) so a failed run
+never leaves a truncated artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
+import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Container, Optional
 
 import numpy as np
 
 from . import analysis, corpus, evaluation, matchers, textpipe
-from .analysis import Detection, TimeWindow
-from .corpus import Group, Label, Subject
+from .analysis import TimeWindow
+from .corpus import Label, LabeledTweet
 from .errors import (
     AllEmptyAfterTokenizeError,
     CorpusError,
@@ -141,6 +148,12 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
     return config
 
 
+def _umask() -> int:
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 @contextlib.contextmanager
 def atomic_write_text(path):
     """Yield a temp path beside `path` to write the output to.
@@ -156,6 +169,8 @@ def atomic_write_text(path):
     os.close(fd)
     try:
         yield tmp
+        # mkstemp creates 0600; give the output the mode open() would have
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -215,155 +230,218 @@ def _require_file(path, what):
     return path
 
 
-def _get_index(config: RunConfig) -> matchers.ArticleIndex:
+def _load_articles(config: RunConfig) -> list[corpus.RumorArticle]:
+    return corpus.load_articles(_require_file(config.articles, "articles"))
+
+
+def _get_index(config: RunConfig, articles=None) -> matchers.ArticleIndex:
+    """The saved index at index_path if there is one, else one built from the articles."""
     if config.index_path and os.path.exists(config.index_path):
         return load_index(config.index_path)
-    articles = corpus.load_articles(_require_file(config.articles, "articles"))
+    if articles is None:
+        articles = _load_articles(config)
     return matchers.build_index(articles, config.tokenizer_config())
 
 
 # ---------------------------------------------------------------------------
-# batch matching (worker globals set up via fork)
+# the scoring stream (worker state set up via fork)
 
-_WORKER = {}
 CHUNK = 2000  # tweets per worker task
 BLOCK = 64  # tweets per score_block call
+PROGRESS_S = 10.0  # seconds between progress lines on stderr
 
 
-def _init_worker(index, tok, matcher, table, threshold, emb_table, art_vecs, lexicon):
-    _WORKER.update(
-        index=index, tok=tok, matcher=matcher, table=table, threshold=threshold,
-        emb_table=emb_table, art_vecs=art_vecs, lexicon=lexicon,
-    )
+@dataclass
+class Scorer:
+    """Everything a worker needs to score tweets with one matcher."""
+
+    matcher: str
+    tok: textpipe.TokenizerConfig
+    threshold: float
+    wanted: frozenset[str] = frozenset()  # keywords whose hits the stream reports
+    index: Optional[matchers.ArticleIndex] = None
+    table: Optional[matchers.ImpactTable] = None
+    emb_table: Optional[matchers.EmbeddingTable] = None
+    art_vecs: Optional[np.ndarray] = None
+    norms: Optional[tuple[np.ndarray, np.ndarray]] = None
+    lexicon: Optional[matchers.LexiconPatternSet] = None
 
 
-def _match_line(tweet_id, article_id, score, label) -> str:
+def make_scorer(config: RunConfig, articles=None, index=None,
+                wanted: frozenset[str] = frozenset()) -> Scorer:
+    """Set up config.matcher, reusing the articles and index when given."""
+    matcher = config.matcher.upper()
+    if matcher not in MATCHERS:
+        raise ValueError(f"unknown matcher {config.matcher!r}")
+    scorer = Scorer(matcher, config.tokenizer_config(), config.threshold, wanted)
+    if matcher == "LEXICON":
+        scorer.lexicon = (
+            matchers.load_lexicon(config.lexicon) if config.lexicon
+            else matchers.default_lexicon()
+        )
+        return scorer
+    if articles is None and matcher == "EMBEDDING":
+        articles = _load_articles(config)  # embedded below; indexed unless an index is saved
+    if index is None:
+        index = _get_index(config, articles)
+    scorer.index = index
+    if matcher == "BM25":
+        scorer.table = index.bm25_table(config.bm25_params())
+    elif matcher == "TFIDF":
+        scorer.table = index.tfidf_table()
+    elif matcher == "EMBEDDING":
+        scorer.emb_table = matchers.load_embeddings(_require_file(config.embeddings, "embeddings"))
+        scorer.art_vecs = matchers.embed_articles(articles, scorer.emb_table, scorer.tok)
+    else:  # DOCVEC
+        doc_vectors = _require_file(config.doc_vectors, "doc_vectors")
+        scorer.emb_table = matchers.load_embeddings(doc_vectors)
+        scorer.art_vecs = matchers.article_vectors_from_file(index.article_ids, doc_vectors)
+    if scorer.art_vecs is not None:
+        scorer.norms = matchers.article_norms(scorer.art_vecs)
+    return scorer
+
+
+_SCORER: Optional[Scorer] = None
+
+
+def _init_worker(scorer: Scorer) -> None:
+    global _SCORER
+    _SCORER = scorer
+
+
+def _match_line(tweet_id, article_id, score, rumor) -> str:
     return json.dumps(
         {"tweet_id": tweet_id, "article_id": article_id, "score": score,
-         "label": label.value},
+         "label": (Label.RUMOR if rumor else Label.NONRUMOR).value},
         ensure_ascii=False,
     )
 
 
-def _score_chunk(chunk) -> str:
-    """chunk: list of (tweet_id, text). Returns its output lines in input order."""
-    index = _WORKER["index"]
-    tok = _WORKER["tok"]
-    matcher = _WORKER["matcher"]
-    if matcher == "LEXICON":
-        hits = [matchers.match_lexicon(text, _WORKER["lexicon"]) for _, text in chunk]
-        return "".join(
-            _match_line(tweet_id, None, 1.0 if hit else 0.0,
-                        Label.RUMOR if hit else Label.NONRUMOR) + "\n"
-            for (tweet_id, _), hit in zip(chunk, hits)
-        )
+def _score_chunk(chunk):
+    """chunk: list of (tweet_id, text).
 
-    best = []  # per tweet: (best article id or None if undefined, best score)
-    if matcher in ("BM25", "TFIDF"):
-        for start in range(0, len(chunk), BLOCK):
-            tokens = [textpipe.tokenize(text, tok) for _, text in chunk[start:start + BLOCK]]
-            scores = matchers.score_block(tokens, index, _WORKER["table"])
-            ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
-            top = scores[np.arange(len(tokens)), ordinals]
-            best.extend((index.article_ids[o], s)
-                        for o, s in zip(ordinals.tolist(), top.tolist()))
-    else:  # EMBEDDING / DOCVEC
-        for tweet_id, text in chunk:
-            # document-vector file carries per-tweet vectors keyed by tweet id;
-            # a single-id "token" list reuses the embedding degenerate handling
-            tokens = [tweet_id] if matcher == "DOCVEC" else textpipe.tokenize(text, tok)
-            scores, defined = matchers.score_embedding(
-                tokens, _WORKER["art_vecs"], _WORKER["emb_table"]
-            )
-            best.append(matchers.best_match(scores, index) if defined else (None, 0.0))
-
-    threshold = _WORKER["threshold"]
-    lines = []
-    for (tweet_id, _), (article_id, score) in zip(chunk, best):
-        rumor = article_id is not None and score > threshold  # strictly above h
-        lines.append(_match_line(tweet_id, article_id if rumor else None, score,
-                                 Label.RUMOR if rumor else Label.NONRUMOR) + "\n")
-    return "".join(lines)
-
-
-def _chunks(items, size):
-    for i in range(0, len(items), size):
-        yield items[i : i + size]
-
-
-def run_match(config: RunConfig, tweets: list[corpus.Tweet], out_path) -> None:
-    """Score every tweet, classify at the configured threshold, write JSONL.
-
-    Output order equals input order regardless of worker count, so parallel
-    and serial runs produce identical bytes. Lines are streamed to the
-    output's temp file one chunk at a time.
+    Returns, in input order: the chunk's matches.jsonl lines; one
+    (article_id, score, rumor) per tweet, as on its line; and the wanted
+    keywords among each tweet's tokens (None when no keyword is wanted).
     """
-    matcher = config.matcher.upper()
-    if matcher not in MATCHERS:
-        raise ValueError(f"unknown matcher {config.matcher!r}")
-    tok = config.tokenizer_config()
-    index = table = emb_table = art_vecs = lexicon = None
-    if matcher == "LEXICON":
-        lexicon = (
-            matchers.load_lexicon(config.lexicon) if config.lexicon
-            else matchers.default_lexicon()
-        )
+    s = _SCORER
+    tokens = None
+    if s.matcher in ("BM25", "TFIDF", "EMBEDDING") or s.wanted:
+        tokens = [textpipe.tokenize(text, s.tok) for _, text in chunk]
+
+    if s.matcher == "LEXICON":
+        matched = (matchers.match_lexicon(text, s.lexicon) for _, text in chunk)
+        results = [(None, 1.0 if m else 0.0, m) for m in matched]
     else:
-        index = _get_index(config)
-        if matcher == "BM25":
-            table = index.bm25_table(config.bm25_params())
-        elif matcher == "TFIDF":
-            table = index.tfidf_table()
-        elif matcher == "EMBEDDING":
-            emb_table = matchers.load_embeddings(_require_file(config.embeddings, "embeddings"))
-            articles = corpus.load_articles(_require_file(config.articles, "articles"))
-            art_vecs = matchers.embed_articles(articles, emb_table, tok)
-        else:  # DOCVEC
-            emb_table = matchers.load_embeddings(_require_file(config.doc_vectors, "doc_vectors"))
-            art_vecs = matchers.article_vectors_from_file(
-                index.article_ids, _require_file(config.doc_vectors, "doc_vectors")
-            )
+        found = []  # per tweet: (best article id or None if undefined, best score)
+        if s.matcher in ("BM25", "TFIDF"):
+            for start in range(0, len(chunk), BLOCK):
+                block = tokens[start:start + BLOCK]
+                scores = matchers.score_block(block, s.index, s.table)
+                ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
+                top = scores[np.arange(len(block)), ordinals]
+                found.extend((s.index.article_ids[o], v)
+                             for o, v in zip(ordinals.tolist(), top.tolist()))
+        else:  # EMBEDDING / DOCVEC
+            for i, (tweet_id, _) in enumerate(chunk):
+                # the document-vector file carries per-tweet vectors keyed by tweet id;
+                # a single-id "token" list reuses the embedding degenerate handling
+                query = [tweet_id] if s.matcher == "DOCVEC" else tokens[i]
+                scores, defined = matchers.score_embedding(query, s.art_vecs, s.emb_table, s.norms)
+                found.append(matchers.best_match(scores, s.index) if defined else (None, 0.0))
+        results = []
+        for article_id, score in found:
+            rumor = article_id is not None and score > s.threshold  # strictly above h
+            results.append((article_id if rumor else None, score, rumor))
 
-    items = [(t.id, t.text) for t in tweets]
+    text = "".join(_match_line(tweet_id, *r) + "\n" for (tweet_id, _), r in zip(chunk, results))
+    hits = [s.wanted.intersection(t) for t in tokens] if s.wanted else None
+    return text, results, hits
+
+
+def _batches(items, size):
+    it = iter(items)
+    while batch := list(itertools.islice(it, size)):
+        yield batch
+
+
+def _scored_chunks(jobs: int, scorer: Scorer, tweets):
+    """Yield (chunk of tweets, its _score_chunk result) in input order.
+
+    With more than one job and more than one chunk, forked workers score at
+    most 2 * jobs chunks ahead of the consumer, so tweets are read only as
+    fast as their results are used.
+    """
+    chunks = _batches(tweets, CHUNK)
+    first = list(itertools.islice(chunks, 2))
+    if jobs <= 1 or len(first) < 2:
+        _init_worker(scorer)
+        for chunk in itertools.chain(first, chunks):
+            yield chunk, _score_chunk([(t.id, t.text) for t in chunk])
+        return
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(jobs, initializer=_init_worker, initargs=(scorer,)) as pool:
+        pending = collections.deque()
+        for chunk in itertools.chain(first, chunks):
+            items = [(t.id, t.text) for t in chunk]
+            pending.append((chunk, pool.apply_async(_score_chunk, (items,))))
+            if len(pending) > 2 * jobs:
+                done, result = pending.popleft()
+                yield done, result.get()
+        while pending:
+            done, result = pending.popleft()
+            yield done, result.get()
+
+
+def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scorer] = None,
+              labeled: Container[str] = frozenset(),
+              acc: Optional[analysis.Accumulator] = None) -> dict[str, tuple]:
+    """Score every tweet once, in input order, and hand each result on.
+
+    Each tweet's matches.jsonl line goes to ``out_path`` (if given), its
+    detection and keyword hits to ``acc`` (if given), and for the tweet ids
+    in ``labeled`` its (article_id, score, rumor) to the returned dict.
+    ``tweets`` may be any iterable of Tweet; nothing is kept per tweet but
+    the labeled results. Output order equals input order regardless of
+    worker count, so parallel and serial runs produce identical bytes.
+    """
+    if scorer is None:
+        scorer = make_scorer(config)
     jobs = config.jobs or (os.cpu_count() or 1)
-    init_args = (index, tok, matcher, table, config.threshold, emb_table, art_vecs, lexicon)
-
-    done = 0
+    kept = {}
+    done, last = 0, time.monotonic()
     with contextlib.ExitStack() as stack:
-        tmp = stack.enter_context(atomic_write_text(out_path))
-        fh = stack.enter_context(open(tmp, "w", encoding="utf-8", newline=""))
-        if jobs <= 1 or len(items) <= CHUNK:
-            _init_worker(*init_args)
-            texts = map(_score_chunk, _chunks(items, CHUNK))
-        else:
-            ctx = multiprocessing.get_context("fork")
-            pool = stack.enter_context(
-                ctx.Pool(jobs, initializer=_init_worker, initargs=init_args))
-            texts = pool.imap(_score_chunk, _chunks(items, CHUNK))
-        for chunk, text in zip(_chunks(items, CHUNK), texts):
-            fh.write(text)
+        write = None
+        if out_path is not None:
+            tmp = stack.enter_context(atomic_write_text(out_path))
+            write = stack.enter_context(open(tmp, "w", encoding="utf-8", newline="")).write
+        stream = stack.enter_context(contextlib.closing(_scored_chunks(jobs, scorer, tweets)))
+        for chunk, (text, results, hits) in stream:
+            if write:
+                write(text)
+            if labeled:
+                kept.update((t.id, r) for t, r in zip(chunk, results) if t.id in labeled)
+            if acc is not None:
+                hits = hits or itertools.repeat(())
+                for t, (article_id, _, rumor), h in zip(chunk, results, hits):
+                    acc.add(t, rumor, article_id, h)
             done += len(chunk)
-            _progress(config, done)
+            if not config.quiet and time.monotonic() - last >= PROGRESS_S:
+                print(f"matched {done:,} tweets", file=sys.stderr)
+                last = time.monotonic()
+    return kept
 
 
-def _progress(config, done):
-    if not config.quiet and done % 1_000_000 == 0:
-        print(f"matched {done:,} tweets", file=sys.stderr)
-
-
-def load_detections(path) -> dict[str, Detection]:
+def load_detections(path) -> dict[str, Optional[str]]:
+    """The RUMOR lines of a matches.jsonl: tweet id -> article id (None for LEXICON)."""
     detections = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            is_rumor = obj["label"] == "RUMOR"
-            detections[obj["tweet_id"]] = Detection(
-                tweet_id=obj["tweet_id"],
-                is_rumor=is_rumor,
-                article_id=obj.get("article_id") if is_rumor else None,
-            )
+            if obj["label"] == Label.RUMOR.value:
+                detections[obj["tweet_id"]] = obj.get("article_id")
     return detections
 
 
@@ -371,87 +449,77 @@ def load_detections(path) -> dict[str, Detection]:
 # subcommands
 
 
-def cmd_index(config: RunConfig) -> None:
-    articles = corpus.load_articles(_require_file(config.articles, "articles"))
+def cmd_index(config: RunConfig, articles=None) -> matchers.ArticleIndex:
+    """Build the index, save it, and return it for the rest of the run."""
+    if articles is None:
+        articles = _load_articles(config)
     index = matchers.build_index(articles, config.tokenizer_config())
     out = config.index_path or os.path.join(config.out, "index.rmix")
     save_index(index, out)
     if not config.quiet:
         print(f"indexed {index.n_articles} articles -> {out}", file=sys.stderr)
+    return index
 
 
 def cmd_match(config: RunConfig) -> None:
-    tweets = corpus.load_tweets(_require_file(config.tweets, "tweets"))
+    tweets = corpus.iter_tweets(_require_file(config.tweets, "tweets"))
     run_match(config, tweets, os.path.join(config.out, "matches.jsonl"))
 
 
-def _scores_for_labeled(config, tweets_by_id, labels):
-    """Per-tweet best score and best article for the labeled set."""
-    tweets = [tweets_by_id[l.tweet_id] for l in labels]
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "matches.jsonl")
-        run_match(config, tweets, out)
-        scores = {}
-        best_articles = {}
-        with open(out, encoding="utf-8") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                scores[obj["tweet_id"]] = obj["score"]
-                best_articles[obj["tweet_id"]] = obj["article_id"]
-    return scores, best_articles
+def _read_labels(config: RunConfig, articles) -> list[LabeledTweet]:
+    return corpus.read_labels(_require_file(config.labels, "labels"), {a.id for a in articles})
+
+
+def _write_classify(config: RunConfig, labels, results) -> None:
+    """pr_curve.csv and max_f1.csv from the labeled tweets' (article, score, rumor)."""
+    if config.matcher.upper() == "LEXICON":
+        point = evaluation.fixed_point_eval(
+            {tid: rumor for tid, (_, _, rumor) in results.items()}, labels)
+        points, best = [point], point
+    else:
+        result = evaluation.sweep({tid: score for tid, (_, score, _) in results.items()}, labels)
+        points, best = result.points, result.max_f1_point
+    with atomic_write_text(os.path.join(config.out, "pr_curve.csv")) as tmp:
+        evaluation.write_pr_curve(points, tmp)
+    with atomic_write_text(os.path.join(config.out, "max_f1.csv")) as tmp:
+        evaluation.write_pr_curve([best], tmp)
 
 
 def cmd_eval(config: RunConfig, task: str) -> None:
-    loaded = corpus.load_corpus(
-        _require_file(config.tweets, "tweets"),
-        _require_file(config.articles, "articles"),
-        _require_file(config.labels, "labels"),
-    )
-    labels = loaded.labels
+    tweets_path = _require_file(config.tweets, "tweets")
+    articles = _load_articles(config)
+    labels = _read_labels(config, articles)
+    wanted = {l.tweet_id for l in labels}
+    # only the labeled tweets are held: they are scored once per matcher
+    tweets = [t for t in corpus.iter_tweets(tweets_path) if t.id in wanted]
+    corpus.check_label_tweets(labels, {t.id for t in tweets})
     os.makedirs(config.out, exist_ok=True)
     matcher = config.matcher.upper()
 
     if task == "CLASSIFY":
-        if matcher == "LEXICON":
-            lexicon = (
-                matchers.load_lexicon(config.lexicon) if config.lexicon
-                else matchers.default_lexicon()
-            )
-            predictions = {
-                l.tweet_id: matchers.match_lexicon(
-                    loaded.tweets_by_id[l.tweet_id].text, lexicon
-                )
-                for l in labels
-            }
-            point = evaluation.fixed_point_eval(predictions, labels)
-            with atomic_write_text(os.path.join(config.out, "pr_curve.csv")) as tmp:
-                evaluation.write_pr_curve([point], tmp)
-            with atomic_write_text(os.path.join(config.out, "max_f1.csv")) as tmp:
-                evaluation.write_pr_curve([point], tmp)
-            return
-        scores, _ = _scores_for_labeled(config, loaded.tweets_by_id, labels)
-        result = evaluation.sweep(scores, labels)
-        with atomic_write_text(os.path.join(config.out, "pr_curve.csv")) as tmp:
-            evaluation.write_pr_curve(result.points, tmp)
-        with atomic_write_text(os.path.join(config.out, "max_f1.csv")) as tmp:
-            evaluation.write_pr_curve([result.max_f1_point], tmp)
+        results = run_match(config, tweets, scorer=make_scorer(config, articles), labeled=wanted)
+        _write_classify(config, labels, results)
         return
 
     # IDENTIFY
     rumor_labels = [l for l in labels if l.label is Label.RUMOR]
+    rumor_ids = {l.tweet_id for l in rumor_labels}
+    tweets = [t for t in tweets if t.id in rumor_ids]
     names = list(VECTOR_MATCHERS) if matcher == "ALL" else [matcher]
+    index = None if matcher == "LEXICON" else _get_index(config, articles)
     rows = []
     for name in names:
         if name == "EMBEDDING" and not config.embeddings:
             continue
         if name == "DOCVEC" and not config.doc_vectors:
             continue
-        # threshold -inf: identification needs the argmax article on every line
-        sub = _clone_config(config, matcher=name, threshold=float("-inf"))
-        _, best_articles = _scores_for_labeled(sub, loaded.tweets_by_id, rumor_labels)
+        # threshold -inf: identification needs the argmax article of every tweet
+        sub = dataclasses.replace(config, matcher=name, threshold=float("-inf"))
+        results = run_match(sub, tweets, scorer=make_scorer(sub, articles, index),
+                            labeled=rumor_ids)
         matches = {
-            tid: matchers.MatchResult(tid, aid, 0.0)
-            for tid, aid in best_articles.items()
+            tid: matchers.MatchResult(tid, article_id, score)
+            for tid, (article_id, score, _) in results.items()
         }
         accuracy = evaluation.identification_accuracy(matches, rumor_labels)
         rows.append((name, accuracy, len(rumor_labels)))
@@ -459,70 +527,90 @@ def cmd_eval(config: RunConfig, task: str) -> None:
         evaluation.write_identification_report(rows, tmp)
 
 
-def _clone_config(config: RunConfig, **changes) -> RunConfig:
-    import copy
-
-    clone = copy.copy(config)
-    for k, v in changes.items():
-        setattr(clone, k, v)
-    return clone
-
-
 ANALYSES = ("ratio", "users", "keywords", "attribution", "timeline")
 
 
-def cmd_analyze(config: RunConfig, which: list[str]) -> None:
-    matches_path = os.path.join(config.out, "matches.jsonl")
-    _require_file(matches_path, "matches")
-    tweets = corpus.load_tweets(_require_file(config.tweets, "tweets"))
-    detections = load_detections(matches_path)
-    window = config.window()
+def _accumulator(config: RunConfig) -> analysis.Accumulator:
+    return analysis.Accumulator(config.window(), config.bin_width, config.keywords)
+
+
+def _write_analyses(config: RunConfig, acc: analysis.Accumulator, which, articles=None) -> None:
+    """Write the selected analyses, in ANALYSES order, from one filled accumulator."""
     os.makedirs(config.out, exist_ok=True)
-    groups = sorted({t.group for t in tweets}, key=lambda g: g.value)
+    groups = acc.groups()
 
     if "ratio" in which:
         rows = []
         for group in groups:
-            rows.append((group, "entire", analysis.group_rumor_ratio(
-                tweets, detections, group)))
-            rows.append((group, "election", analysis.group_rumor_ratio(
-                tweets, detections, group, window)))
+            rows.append((group, "entire", acc.group_ratio(group)))
+            rows.append((group, "election", acc.group_ratio(group, windowed=True)))
         with atomic_write_text(os.path.join(config.out, "group_ratio.csv")) as tmp:
             analysis.write_group_ratios(rows, tmp)
 
     if "users" in which:
-        conc = [
-            (f, analysis.user_concentration(tweets, detections, f))
-            for f in config.top_fractions
-        ]
+        conc = [(f, acc.user_concentration(f)) for f in config.top_fractions]
         with atomic_write_text(os.path.join(config.out, "concentration.csv")) as tmp:
             analysis.write_concentration(conc, tmp)
-        ranking = analysis.user_rumor_ratio_ranking(tweets, detections, config.top_n)
         with atomic_write_text(os.path.join(config.out, "user_ranking.csv")) as tmp:
-            analysis.write_user_ranking(ranking, tmp)
+            analysis.write_user_ranking(acc.user_ranking(config.top_n), tmp)
 
     if "keywords" in which and config.keywords:
-        breakdown = analysis.keyword_breakdown(
-            tweets, detections, config.keywords, config.tokenizer_config()
-        )
         with atomic_write_text(os.path.join(config.out, "keywords.csv")) as tmp:
-            analysis.write_keywords(breakdown, tmp)
+            analysis.write_keywords(acc.keyword_breakdown(), tmp)
 
     if "attribution" in which:
-        articles = corpus.load_articles(_require_file(config.articles, "articles"))
+        if articles is None:
+            articles = _load_articles(config)
         rows = []
         for group in groups:
-            values = analysis.content_attribution(tweets, detections, articles, group)
+            values = acc.content_attribution(articles, group)
             for subject, value in sorted(values.items(), key=lambda kv: kv[0].value):
                 rows.append((group, subject, value))
         with atomic_write_text(os.path.join(config.out, "attribution.csv")) as tmp:
             analysis.write_attribution(rows, tmp)
 
     if "timeline" in which:
-        bins = analysis.timeline(tweets, detections, config.bin_width, window)
+        bins = acc.timeline()
         peaks = analysis.detect_peaks([c for _, c in bins], config.peak_k) if bins else []
         with atomic_write_text(os.path.join(config.out, "timeline.csv")) as tmp:
             analysis.write_timeline(bins, peaks, tmp)
+
+
+def cmd_analyze(config: RunConfig, which: list[str]) -> None:
+    matches_path = os.path.join(config.out, "matches.jsonl")
+    _require_file(matches_path, "matches")
+    tweets_path = _require_file(config.tweets, "tweets")
+    detections = load_detections(matches_path)
+    acc = _accumulator(config)
+    tok = config.tokenizer_config() if "keywords" in which and acc.wanted else None
+    for t in corpus.iter_tweets(tweets_path):
+        hits = acc.wanted.intersection(textpipe.tokenize(t.text, tok)) if tok else ()
+        acc.add(t, t.id in detections, detections.get(t.id), hits)
+    _write_analyses(config, acc, which)
+
+
+def cmd_all(config: RunConfig) -> None:
+    """index, match, eval classify (with labels) and every analysis in one pass.
+
+    The articles are read and indexed once; each tweet is read, tokenized
+    and scored once, and its result feeds matches.jsonl, the labeled scores
+    and the analysis accumulator. The files are the bytes the four commands
+    write when run one after another.
+    """
+    articles = _load_articles(config)
+    index = cmd_index(config, articles)
+    labels = _read_labels(config, articles) if config.labels else None
+    acc = _accumulator(config)
+    results = run_match(
+        config, corpus.iter_tweets(_require_file(config.tweets, "tweets")),
+        os.path.join(config.out, "matches.jsonl"),
+        scorer=make_scorer(config, articles, index, acc.wanted),
+        labeled={l.tweet_id for l in labels or ()}, acc=acc,
+    )
+    if labels is not None:
+        corpus.check_label_tweets(labels, results)
+        _write_classify(config, labels, results)
+    _write_analyses(config, acc, ANALYSES, articles)
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +661,8 @@ def main(argv=None) -> int:
         elif args.command == "analyze":
             cmd_analyze(config, args.which or list(ANALYSES))
         elif args.command == "all":
-            cmd_index(config)
-            cmd_match(config)
-            if config.labels:
-                cmd_eval(config, "CLASSIFY")
-            cmd_analyze(config, list(ANALYSES))
-    except (FileNotFoundError, CorpusError, InputFormatError, ValueError) as exc:
+            cmd_all(config)
+    except (OSError, CorpusError, InputFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EmptyCorpusError, AllEmptyAfterTokenizeError,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Container, Iterator, Optional
 
 from .errors import (
     DanglingArticleRefError,
@@ -100,9 +100,12 @@ def _require(obj, key, path, line_no):
     return obj[key]
 
 
-def load_tweets(path) -> list[Tweet]:
-    """Parse tweets.jsonl; preserves file order."""
-    tweets = []
+def iter_tweets(path) -> Iterator[Tweet]:
+    """Parse tweets.jsonl one tweet at a time, in file order.
+
+    Fails at the first malformed line or duplicate id; a caller that stops
+    early has only validated the lines it read.
+    """
     seen = set()
     for line_no, obj in _iter_jsonl(path):
         tid = str(_require(obj, "id", path, line_no))
@@ -121,16 +124,18 @@ def load_tweets(path) -> list[Tweet]:
         ts = _require(obj, "timestamp", path, line_no)
         if not isinstance(ts, int):
             raise MalformedLineError(path, line_no, "timestamp must be an integer")
-        tweets.append(
-            Tweet(
-                id=tid,
-                user_id=str(_require(obj, "user_id", path, line_no)),
-                group=group,
-                timestamp=ts,
-                text=text,
-            )
+        yield Tweet(
+            id=tid,
+            user_id=str(_require(obj, "user_id", path, line_no)),
+            group=group,
+            timestamp=ts,
+            text=text,
         )
-    return tweets
+
+
+def load_tweets(path) -> list[Tweet]:
+    """Parse tweets.jsonl; preserves file order."""
+    return list(iter_tweets(path))
 
 
 def load_articles(path) -> list[RumorArticle]:
@@ -164,8 +169,12 @@ def load_articles(path) -> list[RumorArticle]:
     return articles
 
 
-def load_labels(path, corpus: Corpus) -> list[LabeledTweet]:
-    """Parse labels.jsonl, checking every reference against the loaded corpus."""
+def read_labels(path, article_ids: Container[str]) -> list[LabeledTweet]:
+    """Parse labels.jsonl, checking every article reference.
+
+    Tweet references are left to check_label_tweets, so that a caller can
+    check them against tweets it streams instead of holding.
+    """
     labels = []
     for line_no, obj in _iter_jsonl(path):
         tweet_id = str(_require(obj, "tweet_id", path, line_no))
@@ -174,18 +183,30 @@ def load_labels(path, corpus: Corpus) -> list[LabeledTweet]:
         except ValueError as exc:
             raise MalformedLineError(path, line_no, str(exc)) from exc
         article_id = obj.get("article_id")
-        if tweet_id not in corpus.tweets_by_id:
-            raise DanglingTweetRefError(tweet_id)
         if label is Label.RUMOR:
             if article_id is None:
                 raise RumorWithoutArticleError(tweet_id)
-            if article_id not in corpus.articles_by_id:
+            if article_id not in article_ids:
                 raise DanglingArticleRefError(article_id)
         elif article_id is not None:
             raise RumorWithoutArticleError(
                 tweet_id, f"nonrumor label for tweet {tweet_id!r} carries an article_id"
             )
         labels.append(LabeledTweet(tweet_id=tweet_id, label=label, article_id=article_id))
+    return labels
+
+
+def check_label_tweets(labels: list[LabeledTweet], tweet_ids: Container[str]) -> None:
+    """Raise DanglingTweetRefError for the first label whose tweet is not in tweet_ids."""
+    for l in labels:
+        if l.tweet_id not in tweet_ids:
+            raise DanglingTweetRefError(l.tweet_id)
+
+
+def load_labels(path, corpus: Corpus) -> list[LabeledTweet]:
+    """Parse labels.jsonl, checking every reference against the loaded corpus."""
+    labels = read_labels(path, corpus.articles_by_id)
+    check_label_tweets(labels, corpus.tweets_by_id)
     return labels
 
 

@@ -315,14 +315,24 @@ def article_vectors_from_file(article_ids, path) -> np.ndarray:
     return out
 
 
+def article_norms(article_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The divisor score_embedding uses per article (its L2 norm, 1 where that
+    is 0) and the mask of zero-norm articles, which score 0."""
+    a_norms = np.linalg.norm(article_vectors, axis=1)
+    return np.where(a_norms > 0, a_norms, 1.0), a_norms == 0
+
+
 def score_embedding(
-    tweet_tokens: list[str], article_vectors: np.ndarray, table: EmbeddingTable
+    tweet_tokens: list[str], article_vectors: np.ndarray, table: EmbeddingTable,
+    norms: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, bool]:
     """Cosine of mean tweet vector against each article vector.
 
     Returns (scores, defined). When the tweet has no in-vocabulary tokens or
     averages to the zero vector, all scores are 0 and defined is False
-    (UNDEFINED_REPRESENTATION).
+    (UNDEFINED_REPRESENTATION). ``norms`` is ``article_norms(article_vectors)``,
+    computed once by a caller that scores many tweets; the scores are the
+    same bits either way.
     """
     if article_vectors.ndim != 2 or article_vectors.shape[1] != table.dim:
         raise DimMismatchError(
@@ -333,10 +343,9 @@ def score_embedding(
     if q is None:
         return np.zeros(n), False
     q_norm = np.linalg.norm(q)
-    a_norms = np.linalg.norm(article_vectors, axis=1)
-    safe = np.where(a_norms > 0, a_norms, 1.0)
+    safe, zero = norms if norms is not None else article_norms(article_vectors)
     scores = (article_vectors @ q) / (safe * q_norm)
-    scores[a_norms == 0] = 0.0
+    scores[zero] = 0.0
     return scores, True
 
 

@@ -16,6 +16,7 @@ from rumormatch.analysis import (
     user_rumor_ratio_ranking,
 )
 from rumormatch.corpus import Group, Subject
+from rumormatch.textpipe import tokenize
 from rumormatch.errors import (
     EmptyDenominatorError,
     NoRumorsError,
@@ -278,3 +279,29 @@ class TestOrderIndependence:
             user_rumor_ratio_ranking(reversed_tweets, DETECTIONS, 5)
         assert timeline(TWEETS, DETECTIONS, DAY, WEEK_WINDOW) == \
             timeline(reversed_tweets, DETECTIONS, DAY, WEEK_WINDOW)
+
+
+class TestAccumulator:
+    def test_one_pass_feeds_every_analysis(self):
+        acc = analysis.Accumulator(WEEK_WINDOW, DAY, ["clinton", "Email"])
+        for t in TWEETS:
+            det = DETECTIONS[t.id]
+            acc.add(t, det.is_rumor, det.article_id, acc.wanted.intersection(tokenize(t.text)))
+        assert acc.groups() == [Group.CLINTON_FOLLOWER, Group.TRUMP_FOLLOWER]
+        assert acc.group_ratio(Group.CLINTON_FOLLOWER) == 3 / 10
+        assert acc.group_ratio(Group.CLINTON_FOLLOWER, windowed=True) == 2 / 6
+        assert acc.group_ratio(Group.TRUMP_FOLLOWER) == 4 / 14
+        assert acc.group_ratio(Group.TRUMP_FOLLOWER, windowed=True) == 3 / 8
+        with pytest.raises(EmptyDenominatorError):
+            acc.group_ratio(Group.OTHER)
+        assert acc.user_concentration(0.1) == 4 / 7
+        assert acc.user_ranking(10) == [("u2", 4, 8, 0.5), ("u1", 3, 10, 0.3), ("u3", 0, 6, 0.0)]
+        # clinton: rumors t1,t2,t3,t13; nonrumors t6,t8. email: rumor t2; nonrumors t4,t10
+        assert acc.keyword_breakdown() == {"clinton": (4, 2), "email": (1, 2)}
+        assert acc.content_attribution(ARTICLES, Group.CLINTON_FOLLOWER) == {
+            Subject.CLINTON: 3 / 3, Subject.TRUMP: 1 / 2}
+        assert [c for _, c in acc.timeline()] == [3, 2, 0, 0, 0, 0, 0]
+
+    def test_bin_width_must_be_positive(self):
+        with pytest.raises(ValueError):
+            analysis.Accumulator(WEEK_WINDOW, 0)

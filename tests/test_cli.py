@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 
@@ -414,7 +415,75 @@ class TestInputErrors:
         assert "expected 3 components, got 2" in err and "internal" not in err
 
 
+    def test_out_under_a_regular_file_exit_2(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert cli.main(["--config", str(config), "--out", str(blocker / "out"),
+                         "match"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestAllCommand:
+    @pytest.mark.parametrize("matcher,jobs", [("BM25", 1), ("BM25", 2), ("TFIDF", 2),
+                                              ("LEXICON", 1)])
+    def test_same_bytes_as_the_commands_in_sequence(self, workspace, monkeypatch,
+                                                    matcher, jobs):
+        tmp_path, config, out = workspace
+        config.write_text(config.read_text() + "keywords = clinton, Hoax, trump\n")
+        monkeypatch.setattr(cli, "CHUNK", 1)  # several chunks, so that jobs 2 forks workers
+        base = ["--config", str(config), "--matcher", matcher, "--threshold", "0.5",
+                "--jobs", str(jobs)]
+        seq = tmp_path / "seq"
+        commands = (["index"], ["match"], ["eval", "classify"], ["analyze", *cli.ANALYSES])
+        for command in commands:
+            assert cli.main(base + ["--out", str(seq)] + command) == 0
+        assert cli.main(base + ["all"]) == 0
+        names = sorted(p.name for p in seq.iterdir())
+        assert names == sorted(p.name for p in out.iterdir())
+        assert {"index.rmix", "matches.jsonl", "max_f1.csv", "keywords.csv",
+                "timeline.csv"} <= set(names)
+        for name in names:
+            assert (out / name).read_bytes() == (seq / name).read_bytes(), name
+
+    def test_duplicate_tweet_id_exit_2(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        write_jsonl(tmp_path / "tweets.jsonl", TWEETS + [TWEETS[1]])
+        assert cli.main(["--config", str(config), "all"]) == cli.EXIT_INPUT
+        assert "'t2'" in capsys.readouterr().err
+
+    def test_dangling_label_exit_2(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        write_jsonl(tmp_path / "labels.jsonl", LABELS + [{"tweet_id": "t9", "label": "NONRUMOR"}])
+        assert cli.main(["--config", str(config), "all"]) == cli.EXIT_INPUT
+        assert "'t9'" in capsys.readouterr().err
+
+
+class TestProgress:
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_progress_lines_on_stderr(self, workspace, monkeypatch, capsys, quiet):
+        tmp_path, config, out = workspace
+        config.write_text(config.read_text().replace("quiet = true", f"quiet = {quiet}"))
+        monkeypatch.setattr(cli, "PROGRESS_S", 0.0)
+        monkeypatch.setattr(cli, "CHUNK", 2)
+        assert cli.main(["--config", str(config), "match"]) == 0
+        lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("matched")]
+        assert lines == ([] if quiet else ["matched 2 tweets", "matched 4 tweets"])
+
+
 class TestAtomicWrites:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_mode_follows_umask(self, workspace, umask, mode):
+        tmp_path, config, out = workspace
+        old = os.umask(umask)
+        try:
+            assert cli.main(["--config", str(config), "all"]) == 0
+        finally:
+            os.umask(old)
+        for p in out.iterdir():
+            assert stat.S_IMODE(p.stat().st_mode) == mode, p.name
+
+
     def test_failure_leaves_nothing_behind(self, tmp_path):
         target = tmp_path / "out.csv"
         with pytest.raises(RuntimeError):
@@ -448,6 +517,5 @@ class TestAtomicWrites:
             raise OSError("disk full")
 
         monkeypatch.setattr(cli.analysis, "write_group_ratios", fail)
-        with pytest.raises(OSError):
-            cli.main(["--config", str(config), "analyze", "ratio"])
+        assert cli.main(["--config", str(config), "analyze", "ratio"]) == cli.EXIT_INPUT
         assert sorted(p.name for p in out.iterdir()) == ["matches.jsonl"]

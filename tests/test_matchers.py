@@ -226,6 +226,26 @@ class TestEmbedding:
         assert defined
         assert scores[0] == 0.0
 
+    def test_cached_norms_give_the_per_call_bits(self, rng):
+        dim = 8
+        vocab = {f"w{i}": np.array([rng.gauss(0, 1) for _ in range(dim)]) for i in range(40)}
+        table = EmbeddingTable(dim=dim, vectors=vocab)
+        article_vectors = np.array([[rng.gauss(0, 1) for _ in range(dim)] for _ in range(30)])
+        article_vectors[[3, 17]] = 0.0  # zero-norm articles score 0
+        norms = matchers.article_norms(article_vectors)
+        for _ in range(50):
+            tokens = rng.sample(sorted(vocab), 5)
+            cached, defined = score_embedding(tokens, article_vectors, table, norms)
+            # the expression evaluated per tweet before the norms were cached
+            q = np.mean([vocab[t] for t in tokens], axis=0)
+            a_norms = np.linalg.norm(article_vectors, axis=1)
+            safe = np.where(a_norms > 0, a_norms, 1.0)
+            expected = (article_vectors @ q) / (safe * np.linalg.norm(q))
+            expected[a_norms == 0] = 0.0
+            assert defined and cached.tobytes() == expected.tobytes()
+            fresh, _ = score_embedding(tokens, article_vectors, table)
+            assert fresh.tobytes() == expected.tobytes()
+
     def test_word2vec_file_round_trip(self, tmp_path, table):
         p = tmp_path / "vectors.txt"
         lines = ["3 3"]
