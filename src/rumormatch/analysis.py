@@ -9,11 +9,9 @@ pass over the tweets serves them all. The module functions are pure over
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import Group, RumorArticle, Subject, Tweet
@@ -283,59 +281,3 @@ def detect_peaks(series: list[int], k: float = 2.0) -> list[int]:
         if left_ok and right_ok:
             peaks.append(i)
     return peaks
-
-
-def _iso(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def write_group_ratios(rows, path):
-    """rows: (group, window label, ratio)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "window", "ratio"])
-        for group, label, ratio in rows:
-            writer.writerow([group.value, label, repr(ratio)])
-
-
-def write_concentration(rows, path):
-    """rows: (top fraction, rumor share)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "share"])
-        for fraction, share in rows:
-            writer.writerow([repr(fraction), repr(share)])
-
-
-def write_user_ranking(rows, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "rumor_count", "total_count", "ratio"])
-        for user, rumor_count, total, ratio in rows:
-            writer.writerow([user, rumor_count, total, repr(ratio)])
-
-
-def write_keywords(breakdown: dict[str, tuple[int, int]], path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["keyword", "rumor_count", "nonrumor_count"])
-        for keyword, (rumor, nonrumor) in breakdown.items():
-            writer.writerow([keyword, rumor, nonrumor])
-
-
-def write_attribution(rows, path):
-    """rows: (group, subject, normalized value)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "subject", "value"])
-        for group, subject, value in rows:
-            writer.writerow([group.value, subject.value, repr(value)])
-
-
-def write_timeline(bins, peaks, path):
-    peak_set = set(peaks)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start_iso8601", "count", "is_peak"])
-        for i, (start, count) in enumerate(bins):
-            writer.writerow([_iso(start), count, str(i in peak_set).lower()])

@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import csv
 import dataclasses
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -55,6 +57,7 @@ INDEX_VERSION = 1
 
 MATCHERS = ("TFIDF", "BM25", "EMBEDDING", "DOCVEC", "LEXICON")
 VECTOR_MATCHERS = ("TFIDF", "BM25", "EMBEDDING", "DOCVEC")
+POSTINGS_MATCHERS = ("TFIDF", "BM25")  # the matchers that score through an ArticleIndex
 
 
 @dataclass
@@ -178,6 +181,18 @@ def atomic_write_text(path):
         raise
 
 
+def write_csv(path, header, rows) -> None:
+    """Write one CSV output atomically: the header, then one line per row.
+
+    csv.writer writes a float as its repr, an int as its digits and a
+    str-Enum as its value, so rows hold raw values.
+    """
+    with atomic_write_text(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_index(index: matchers.ArticleIndex, path):
     """Versioned binary: magic + version byte + canonical JSON payload."""
     terms = [None] * index.vocabulary.size
@@ -259,6 +274,7 @@ class Scorer:
     tok: textpipe.TokenizerConfig
     threshold: float
     wanted: frozenset[str] = frozenset()  # keywords whose hits the stream reports
+    article_ids: list[str] = field(default_factory=list)  # one per score column
     index: Optional[matchers.ArticleIndex] = None
     table: Optional[matchers.ImpactTable] = None
     emb_table: Optional[matchers.EmbeddingTable] = None
@@ -269,7 +285,11 @@ class Scorer:
 
 def make_scorer(config: RunConfig, articles=None, index=None,
                 wanted: frozenset[str] = frozenset()) -> Scorer:
-    """Set up config.matcher, reusing the articles and index when given."""
+    """Set up config.matcher, reusing the articles and index when given.
+
+    Only BM25 and TF-IDF use the index (the saved one at index_path, if any).
+    EMBEDDING and DOCVEC score the articles they embed, in file order.
+    """
     matcher = config.matcher.upper()
     if matcher not in MATCHERS:
         raise ValueError(f"unknown matcher {config.matcher!r}")
@@ -280,24 +300,25 @@ def make_scorer(config: RunConfig, articles=None, index=None,
             else matchers.default_lexicon()
         )
         return scorer
-    if articles is None and matcher == "EMBEDDING":
-        articles = _load_articles(config)  # embedded below; indexed unless an index is saved
-    if index is None:
-        index = _get_index(config, articles)
-    scorer.index = index
-    if matcher == "BM25":
-        scorer.table = index.bm25_table(config.bm25_params())
-    elif matcher == "TFIDF":
-        scorer.table = index.tfidf_table()
-    elif matcher == "EMBEDDING":
+    if matcher in POSTINGS_MATCHERS:
+        scorer.index = index or _get_index(config, articles)
+        scorer.article_ids = scorer.index.article_ids
+        scorer.table = (scorer.index.bm25_table(config.bm25_params()) if matcher == "BM25"
+                        else scorer.index.tfidf_table())
+        return scorer
+    if articles is None:
+        articles = _load_articles(config)
+    if not articles:
+        raise EmptyCorpusError("no articles to match against")
+    scorer.article_ids = [a.id for a in articles]
+    if matcher == "EMBEDDING":
         scorer.emb_table = matchers.load_embeddings(_require_file(config.embeddings, "embeddings"))
         scorer.art_vecs = matchers.embed_articles(articles, scorer.emb_table, scorer.tok)
-    else:  # DOCVEC
-        doc_vectors = _require_file(config.doc_vectors, "doc_vectors")
-        scorer.emb_table = matchers.load_embeddings(doc_vectors)
-        scorer.art_vecs = matchers.article_vectors_from_file(index.article_ids, doc_vectors)
-    if scorer.art_vecs is not None:
-        scorer.norms = matchers.article_norms(scorer.art_vecs)
+    else:  # DOCVEC: one file holds the article and the tweet vectors, keyed by id
+        scorer.emb_table = matchers.load_embeddings(_require_file(config.doc_vectors, "doc_vectors"))
+        zero = np.zeros(scorer.emb_table.dim)
+        scorer.art_vecs = np.array([scorer.emb_table.vectors.get(a.id, zero) for a in articles])
+    scorer.norms = matchers.article_norms(scorer.art_vecs)
     return scorer
 
 
@@ -317,6 +338,20 @@ def _match_line(tweet_id, article_id, score, rumor) -> str:
     )
 
 
+def _block_scores(s: Scorer, block, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n_articles) scores of a block of (tweet_id, text) and the mask of
+    rows whose representation is defined (always, for BM25 and TF-IDF)."""
+    if s.table is not None:
+        scores = matchers.score_block(tokens, s.index, s.table)
+        return scores, np.ones(len(block), dtype=bool)
+    if s.matcher == "EMBEDDING":
+        rows = [matchers.score_embedding(t, s.art_vecs, s.emb_table, s.norms) for t in tokens]
+    else:  # DOCVEC: the tweet's own vector, looked up by its id
+        rows = [matchers.cosine_scores(s.emb_table.vectors.get(tweet_id), s.art_vecs, s.norms)
+                for tweet_id, _ in block]
+    return np.array([r for r, _ in rows]), np.array([d for _, d in rows])
+
+
 def _score_chunk(chunk):
     """chunk: list of (tweet_id, text).
 
@@ -333,26 +368,15 @@ def _score_chunk(chunk):
         matched = (matchers.match_lexicon(text, s.lexicon) for _, text in chunk)
         results = [(None, 1.0 if m else 0.0, m) for m in matched]
     else:
-        found = []  # per tweet: (best article id or None if undefined, best score)
-        if s.matcher in ("BM25", "TFIDF"):
-            for start in range(0, len(chunk), BLOCK):
-                block = tokens[start:start + BLOCK]
-                scores = matchers.score_block(block, s.index, s.table)
-                ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
-                top = scores[np.arange(len(block)), ordinals]
-                found.extend((s.index.article_ids[o], v)
-                             for o, v in zip(ordinals.tolist(), top.tolist()))
-        else:  # EMBEDDING / DOCVEC
-            for i, (tweet_id, _) in enumerate(chunk):
-                # the document-vector file carries per-tweet vectors keyed by tweet id;
-                # a single-id "token" list reuses the embedding degenerate handling
-                query = [tweet_id] if s.matcher == "DOCVEC" else tokens[i]
-                scores, defined = matchers.score_embedding(query, s.art_vecs, s.emb_table, s.norms)
-                found.append(matchers.best_match(scores, s.index) if defined else (None, 0.0))
         results = []
-        for article_id, score in found:
-            rumor = article_id is not None and score > s.threshold  # strictly above h
-            results.append((article_id if rumor else None, score, rumor))
+        for start in range(0, len(chunk), BLOCK):
+            block_tokens = tokens[start:start + BLOCK] if tokens else None
+            scores, defined = _block_scores(s, chunk[start:start + BLOCK], block_tokens)
+            ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
+            top = scores[np.arange(len(scores)), ordinals]
+            for o, v, d in zip(ordinals.tolist(), top.tolist(), defined.tolist()):
+                rumor = d and v > s.threshold  # strictly above h; undefined is never a rumor
+                results.append((s.article_ids[o] if rumor else None, v if d else 0.0, rumor))
 
     text = "".join(_match_line(tweet_id, *r) + "\n" for (tweet_id, _), r in zip(chunk, results))
     hits = [s.wanted.intersection(t) for t in tokens] if s.wanted else None
@@ -435,13 +459,10 @@ def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scor
 def load_detections(path) -> dict[str, Optional[str]]:
     """The RUMOR lines of a matches.jsonl: tweet id -> article id (None for LEXICON)."""
     detections = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if obj["label"] == Label.RUMOR.value:
-                detections[obj["tweet_id"]] = obj.get("article_id")
+    for line_no, obj in corpus._iter_jsonl(path):
+        tweet_id = corpus._require(obj, "tweet_id", path, line_no)
+        if corpus._require(obj, "label", path, line_no) == Label.RUMOR.value:
+            detections[tweet_id] = obj.get("article_id")
     return detections
 
 
@@ -470,6 +491,15 @@ def _read_labels(config: RunConfig, articles) -> list[LabeledTweet]:
     return corpus.read_labels(_require_file(config.labels, "labels"), {a.id for a in articles})
 
 
+PR_HEADER = ("threshold", "precision", "recall", "f1")
+
+
+def pr_rows(points: list[evaluation.PRPoint]) -> list[tuple]:
+    """PR points as CSV rows; a fixed (threshold-free) point carries 'fixed'."""
+    return [("fixed" if math.isnan(p.threshold) else p.threshold, p.precision, p.recall, p.f1)
+            for p in points]
+
+
 def _write_classify(config: RunConfig, labels, results) -> None:
     """pr_curve.csv and max_f1.csv from the labeled tweets' (article, score, rumor)."""
     if config.matcher.upper() == "LEXICON":
@@ -479,10 +509,8 @@ def _write_classify(config: RunConfig, labels, results) -> None:
     else:
         result = evaluation.sweep({tid: score for tid, (_, score, _) in results.items()}, labels)
         points, best = result.points, result.max_f1_point
-    with atomic_write_text(os.path.join(config.out, "pr_curve.csv")) as tmp:
-        evaluation.write_pr_curve(points, tmp)
-    with atomic_write_text(os.path.join(config.out, "max_f1.csv")) as tmp:
-        evaluation.write_pr_curve([best], tmp)
+    write_csv(os.path.join(config.out, "pr_curve.csv"), PR_HEADER, pr_rows(points))
+    write_csv(os.path.join(config.out, "max_f1.csv"), PR_HEADER, pr_rows([best]))
 
 
 def cmd_eval(config: RunConfig, task: str) -> None:
@@ -506,7 +534,7 @@ def cmd_eval(config: RunConfig, task: str) -> None:
     rumor_ids = {l.tweet_id for l in rumor_labels}
     tweets = [t for t in tweets if t.id in rumor_ids]
     names = list(VECTOR_MATCHERS) if matcher == "ALL" else [matcher]
-    index = None if matcher == "LEXICON" else _get_index(config, articles)
+    index = _get_index(config, articles) if set(names) & set(POSTINGS_MATCHERS) else None
     rows = []
     for name in names:
         if name == "EMBEDDING" and not config.embeddings:
@@ -523,8 +551,8 @@ def cmd_eval(config: RunConfig, task: str) -> None:
         }
         accuracy = evaluation.identification_accuracy(matches, rumor_labels)
         rows.append((name, accuracy, len(rumor_labels)))
-    with atomic_write_text(os.path.join(config.out, "identification.csv")) as tmp:
-        evaluation.write_identification_report(rows, tmp)
+    write_csv(os.path.join(config.out, "identification.csv"),
+              ("matcher", "accuracy", "n_evaluated"), rows)
 
 
 ANALYSES = ("ratio", "users", "keywords", "attribution", "timeline")
@@ -537,6 +565,7 @@ def _accumulator(config: RunConfig) -> analysis.Accumulator:
 def _write_analyses(config: RunConfig, acc: analysis.Accumulator, which, articles=None) -> None:
     """Write the selected analyses, in ANALYSES order, from one filled accumulator."""
     os.makedirs(config.out, exist_ok=True)
+    out = config.out
     groups = acc.groups()
 
     if "ratio" in which:
@@ -544,19 +573,18 @@ def _write_analyses(config: RunConfig, acc: analysis.Accumulator, which, article
         for group in groups:
             rows.append((group, "entire", acc.group_ratio(group)))
             rows.append((group, "election", acc.group_ratio(group, windowed=True)))
-        with atomic_write_text(os.path.join(config.out, "group_ratio.csv")) as tmp:
-            analysis.write_group_ratios(rows, tmp)
+        write_csv(os.path.join(out, "group_ratio.csv"), ("group", "window", "ratio"), rows)
 
     if "users" in which:
-        conc = [(f, acc.user_concentration(f)) for f in config.top_fractions]
-        with atomic_write_text(os.path.join(config.out, "concentration.csv")) as tmp:
-            analysis.write_concentration(conc, tmp)
-        with atomic_write_text(os.path.join(config.out, "user_ranking.csv")) as tmp:
-            analysis.write_user_ranking(acc.user_ranking(config.top_n), tmp)
+        write_csv(os.path.join(out, "concentration.csv"), ("fraction", "share"),
+                  [(f, acc.user_concentration(f)) for f in config.top_fractions])
+        write_csv(os.path.join(out, "user_ranking.csv"),
+                  ("user_id", "rumor_count", "total_count", "ratio"),
+                  acc.user_ranking(config.top_n))
 
     if "keywords" in which and config.keywords:
-        with atomic_write_text(os.path.join(config.out, "keywords.csv")) as tmp:
-            analysis.write_keywords(acc.keyword_breakdown(), tmp)
+        write_csv(os.path.join(out, "keywords.csv"), ("keyword", "rumor_count", "nonrumor_count"),
+                  [(k, *counts) for k, counts in acc.keyword_breakdown().items()])
 
     if "attribution" in which:
         if articles is None:
@@ -566,14 +594,15 @@ def _write_analyses(config: RunConfig, acc: analysis.Accumulator, which, article
             values = acc.content_attribution(articles, group)
             for subject, value in sorted(values.items(), key=lambda kv: kv[0].value):
                 rows.append((group, subject, value))
-        with atomic_write_text(os.path.join(config.out, "attribution.csv")) as tmp:
-            analysis.write_attribution(rows, tmp)
+        write_csv(os.path.join(out, "attribution.csv"), ("group", "subject", "value"), rows)
 
     if "timeline" in which:
         bins = acc.timeline()
-        peaks = analysis.detect_peaks([c for _, c in bins], config.peak_k) if bins else []
-        with atomic_write_text(os.path.join(config.out, "timeline.csv")) as tmp:
-            analysis.write_timeline(bins, peaks, tmp)
+        peaks = set(analysis.detect_peaks([c for _, c in bins], config.peak_k) if bins else ())
+        write_csv(os.path.join(out, "timeline.csv"), ("bin_start_iso8601", "count", "is_peak"),
+                  [(time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(start)), count,
+                    "true" if i in peaks else "false")
+                   for i, (start, count) in enumerate(bins)])
 
 
 def cmd_analyze(config: RunConfig, which: list[str]) -> None:
@@ -634,7 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p = sub.add_parser("eval", help="run an evaluation protocol")
     eval_p.add_argument("task", choices=["classify", "identify"])
     analyze_p = sub.add_parser("analyze", help="corpus analyses over match output")
-    analyze_p.add_argument("which", nargs="*", choices=ANALYSES, default=list(ANALYSES))
+    # no `choices`: argparse would check the list default against them as one value
+    analyze_p.add_argument("which", nargs="*", default=list(ANALYSES),
+                           help=f"analyses to run (default: all of {', '.join(ANALYSES)})")
     sub.add_parser("all", help="index + match + classify eval + all analyses")
     return parser
 
@@ -659,7 +690,11 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             cmd_eval(config, args.task.upper())
         elif args.command == "analyze":
-            cmd_analyze(config, args.which or list(ANALYSES))
+            unknown = [w for w in args.which if w not in ANALYSES]
+            if unknown:
+                raise ValueError(f"unknown analysis {unknown[0]!r} "
+                                 f"(choose from {', '.join(ANALYSES)})")
+            cmd_analyze(config, args.which)
         elif args.command == "all":
             cmd_all(config)
     except (OSError, CorpusError, InputFormatError, ValueError) as exc:

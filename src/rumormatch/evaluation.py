@@ -8,8 +8,6 @@ disagree on this convention.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -139,27 +137,3 @@ def operating_point(result: SweepResult, min_precision: float) -> PRPoint:
             f"no sweep point reaches precision {min_precision}"
         )
     return max(eligible, key=lambda p: p.recall)
-
-
-def _threshold_cell(threshold: float) -> str:
-    return "fixed" if math.isnan(threshold) else repr(threshold)
-
-
-def write_pr_curve(points: list[PRPoint], path) -> None:
-    """CSV export, descending-threshold order; fixed points carry 'fixed'."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "precision", "recall", "f1"])
-        for p in points:
-            writer.writerow(
-                [_threshold_cell(p.threshold), repr(p.precision), repr(p.recall), repr(p.f1)]
-            )
-
-
-def write_identification_report(rows: list[tuple[str, float, int]], path) -> None:
-    """rows: (matcher name, accuracy, number of rumor tweets evaluated)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["matcher", "accuracy", "n_evaluated"])
-        for matcher, accuracy, n in rows:
-            writer.writerow([matcher, repr(accuracy), n])

@@ -76,9 +76,9 @@ class ArticleIndex:
     def __init__(self, articles: list[RumorArticle], tok: Optional[TokenizerConfig] = None):
         if not articles:
             raise EmptyCorpusError("no articles to index")
-        self.tokenizer_config = tok or TokenizerConfig()
+        tok = tok or TokenizerConfig()
         self.article_ids = [a.id for a in articles]
-        docs = [tokenize(a.body, self.tokenizer_config) for a in articles]
+        docs = [tokenize(a.body, tok) for a in articles]
         if all(not d for d in docs):
             raise AllEmptyAfterTokenizeError("every article tokenized to empty")
         self.empty_article_ids = [a.id for a, d in zip(articles, docs) if not d]
@@ -104,7 +104,6 @@ class ArticleIndex:
         from .textpipe import Vocabulary  # local to avoid shadowing module import
 
         index = cls.__new__(cls)
-        index.tokenizer_config = None  # not needed once postings exist
         index.article_ids = list(article_ids)
         index.empty_article_ids = list(empty_article_ids)
         index.doc_len = np.asarray(doc_len, dtype=np.float64)
@@ -285,14 +284,9 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def embed_tokens(tokens: list[str], table: EmbeddingTable) -> Optional[np.ndarray]:
-    """Mean of the table vectors of in-vocabulary tokens; None when undefined."""
+    """Mean of the table vectors of in-vocabulary tokens; None when there are none."""
     vecs = [table.vectors[t] for t in tokens if t in table.vectors]
-    if not vecs:
-        return None
-    mean = np.mean(vecs, axis=0)
-    if not np.any(mean):
-        return None
-    return mean
+    return np.mean(vecs, axis=0) if vecs else None
 
 
 def embed_articles(articles, table: EmbeddingTable, tok=None) -> np.ndarray:
@@ -305,21 +299,32 @@ def embed_articles(articles, table: EmbeddingTable, tok=None) -> np.ndarray:
     return out
 
 
-def article_vectors_from_file(article_ids, path) -> np.ndarray:
-    """Doc2Vec pathway: per-article vectors keyed by article id, same file format."""
-    table = load_embeddings(path)
-    out = np.zeros((len(article_ids), table.dim))
-    for i, aid in enumerate(article_ids):
-        if aid in table.vectors:
-            out[i] = table.vectors[aid]
-    return out
-
-
 def article_norms(article_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The divisor score_embedding uses per article (its L2 norm, 1 where that
+    """The divisor cosine_scores uses per article (its L2 norm, 1 where that
     is 0) and the mask of zero-norm articles, which score 0."""
     a_norms = np.linalg.norm(article_vectors, axis=1)
     return np.where(a_norms > 0, a_norms, 1.0), a_norms == 0
+
+
+def cosine_scores(
+    q: Optional[np.ndarray], article_vectors: np.ndarray,
+    norms: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> tuple[np.ndarray, bool]:
+    """Cosine of the query vector ``q`` against each article vector.
+
+    Returns (scores, defined). When ``q`` is None or the zero vector, all
+    scores are 0 and defined is False (UNDEFINED_REPRESENTATION); a
+    zero-norm article scores 0. ``norms`` is ``article_norms(article_vectors)``,
+    computed once by a caller that scores many tweets; the scores are the
+    same bits either way.
+    """
+    if q is None or not np.any(q):
+        return np.zeros(article_vectors.shape[0]), False
+    q_norm = np.linalg.norm(q)
+    safe, zero = norms if norms is not None else article_norms(article_vectors)
+    scores = (article_vectors @ q) / (safe * q_norm)
+    scores[zero] = 0.0
+    return scores, True
 
 
 def score_embedding(
@@ -328,25 +333,14 @@ def score_embedding(
 ) -> tuple[np.ndarray, bool]:
     """Cosine of mean tweet vector against each article vector.
 
-    Returns (scores, defined). When the tweet has no in-vocabulary tokens or
-    averages to the zero vector, all scores are 0 and defined is False
-    (UNDEFINED_REPRESENTATION). ``norms`` is ``article_norms(article_vectors)``,
-    computed once by a caller that scores many tweets; the scores are the
-    same bits either way.
+    Returns (scores, defined) as cosine_scores does; the tweet is undefined
+    when it has no in-vocabulary tokens or averages to the zero vector.
     """
     if article_vectors.ndim != 2 or article_vectors.shape[1] != table.dim:
         raise DimMismatchError(
             f"article vectors have dim {article_vectors.shape[-1]}, table has {table.dim}"
         )
-    n = article_vectors.shape[0]
-    q = embed_tokens(tweet_tokens, table)
-    if q is None:
-        return np.zeros(n), False
-    q_norm = np.linalg.norm(q)
-    safe, zero = norms if norms is not None else article_norms(article_vectors)
-    scores = (article_vectors @ q) / (safe * q_norm)
-    scores[zero] = 0.0
-    return scores, True
+    return cosine_scores(embed_tokens(tweet_tokens, table), article_vectors, norms)
 
 
 @dataclass

@@ -67,6 +67,37 @@ def workspace(tmp_path):
     return tmp_path, config, out
 
 
+@pytest.fixture
+def vector_files(tmp_path):
+    # word vectors spanning the article vocabulary, 3 dims
+    terms = {
+        "clinton": (1, 0, 0), "parkinsons": (1, 0, 0), "diagnosis": (1, 0, 0),
+        "montage": (1, 0, 0),
+        "trump": (0, 1, 0), "tax": (0, 1, 0), "returns": (0, 1, 0),
+        "hidden": (0, 1, 0), "audit": (0, 1, 0),
+        "orlando": (0, 0, 1), "shooting": (0, 0, 1), "reaction": (0, 0, 1),
+        "hoax": (0, 0, 1), "true": (0, 0, 1),
+    }
+    emb = tmp_path / "words.vec"
+    emb.write_text(
+        f"{len(terms)} 3\n"
+        + "".join(f"{t} {v[0]} {v[1]} {v[2]}\n" for t, v in terms.items())
+    )
+    # doc vectors keyed by tweet and article ids
+    docs = {
+        "a1": (1, 0, 0), "a2": (0, 1, 0), "a3": (0, 0, 1),
+        "t1": (0.9, 0.1, 0), "t2": (0, 0.8, 0.1),
+        "t3": (0.1, 0, 0.9), "t4": (0, 0.1, 0.9),
+    }
+    dv = tmp_path / "docs.vec"
+    dv.write_text(
+        f"{len(docs)} 3\n"
+        + "".join(f"{k} {v[0]} {v[1]} {v[2]}\n" for k, v in docs.items())
+    )
+    return emb, dv
+
+
+
 class TestConfig:
     def test_parse_and_types(self, workspace):
         tmp_path, config, out = workspace
@@ -190,35 +221,6 @@ class TestMatchCommand:
 
 
 class TestEmbeddingMatchers:
-    @pytest.fixture
-    def vector_files(self, tmp_path):
-        # word vectors spanning the article vocabulary, 3 dims
-        terms = {
-            "clinton": (1, 0, 0), "parkinsons": (1, 0, 0), "diagnosis": (1, 0, 0),
-            "montage": (1, 0, 0),
-            "trump": (0, 1, 0), "tax": (0, 1, 0), "returns": (0, 1, 0),
-            "hidden": (0, 1, 0), "audit": (0, 1, 0),
-            "orlando": (0, 0, 1), "shooting": (0, 0, 1), "reaction": (0, 0, 1),
-            "hoax": (0, 0, 1), "true": (0, 0, 1),
-        }
-        emb = tmp_path / "words.vec"
-        emb.write_text(
-            f"{len(terms)} 3\n"
-            + "".join(f"{t} {v[0]} {v[1]} {v[2]}\n" for t, v in terms.items())
-        )
-        # doc vectors keyed by tweet and article ids
-        docs = {
-            "a1": (1, 0, 0), "a2": (0, 1, 0), "a3": (0, 0, 1),
-            "t1": (0.9, 0.1, 0), "t2": (0, 0.8, 0.1),
-            "t3": (0.1, 0, 0.9), "t4": (0, 0.1, 0.9),
-        }
-        dv = tmp_path / "docs.vec"
-        dv.write_text(
-            f"{len(docs)} 3\n"
-            + "".join(f"{k} {v[0]} {v[1]} {v[2]}\n" for k, v in docs.items())
-        )
-        return emb, dv
-
     def test_embedding_matcher_end_to_end(self, workspace, vector_files):
         tmp_path, config, out = workspace
         emb, _ = vector_files
@@ -244,6 +246,53 @@ class TestEmbeddingMatchers:
         assert by_id["t2"]["article_id"] == "a2"
         assert by_id["t3"]["article_id"] == "a3"
         assert by_id["t4"]["article_id"] == "a3"
+
+    def test_saved_index_does_not_reorder_embedding_articles(self, workspace, vector_files):
+        # article ids come from the articles embedded, not from a saved index
+        tmp_path, config, out = workspace
+        emb, _ = vector_files
+        assert cli.main(["--config", str(config), "index"]) == 0
+        write_jsonl(tmp_path / "articles.jsonl", ARTICLES[::-1])
+        config.write_text(config.read_text() + f"embeddings = {emb}\nmatcher = EMBEDDING\n"
+                          f"threshold = 0.5\nindex_path = {out / 'index.rmix'}\n")
+        assert cli.main(["--config", str(config), "match"]) == 0
+        lines = [json.loads(l) for l in (out / "matches.jsonl").read_text().splitlines()]
+        by_id = {l["tweet_id"]: l for l in lines}
+        assert by_id["t1"]["article_id"] == "a1"
+        assert by_id["t4"]["article_id"] == "a3"
+
+    def test_docvec_reads_its_vector_file_once(self, workspace, vector_files, monkeypatch):
+        tmp_path, config, out = workspace
+        _, dv = vector_files
+        config.write_text(config.read_text() + f"doc_vectors = {dv}\nmatcher = DOCVEC\n")
+        calls = []
+        load = cli.matchers.load_embeddings
+        monkeypatch.setattr(cli.matchers, "load_embeddings",
+                            lambda path: calls.append(path) or load(path))
+        assert cli.main(["--config", str(config), "match"]) == 0
+        assert calls == [str(dv)]
+
+    def test_docvec_tweet_without_a_vector_is_undefined(self, workspace, tmp_path):
+        # t3 has no vector and t4 an all-zero one: neither is a rumor, even at -inf
+        _, config, out = workspace
+        dv = tmp_path / "docs.vec"
+        dv.write_text("5 2\na1 1 0\na2 0 1\na3 1 1\nt1 1 0.1\nt4 0 0\n")
+        config.write_text(config.read_text() + f"doc_vectors = {dv}\nmatcher = DOCVEC\n")
+        assert cli.main(["--config", str(config), "--threshold=-inf", "match"]) == 0
+        lines = [json.loads(l) for l in (out / "matches.jsonl").read_text().splitlines()]
+        by_id = {l["tweet_id"]: l for l in lines}
+        assert by_id["t1"]["article_id"] == "a1" and by_id["t1"]["label"] == "RUMOR"
+        for tid in ("t3", "t4"):
+            assert by_id[tid] == {"tweet_id": tid, "article_id": None, "score": 0.0,
+                                  "label": "NONRUMOR"}
+
+    @pytest.mark.parametrize("matcher", ["EMBEDDING", "DOCVEC"])
+    def test_no_articles_exit_3(self, workspace, vector_files, matcher):
+        tmp_path, config, out = workspace
+        emb, dv = vector_files
+        (tmp_path / "articles.jsonl").write_text("")
+        config.write_text(config.read_text() + f"embeddings = {emb}\ndoc_vectors = {dv}\n")
+        assert cli.main(["--config", str(config), "--matcher", matcher, "match"]) == cli.EXIT_EMPTY
 
     def test_identify_all_includes_embedding_matchers(self, workspace, vector_files):
         tmp_path, config, out = workspace
@@ -323,6 +372,38 @@ class TestAnalyzeCommand:
         with open(out / "attribution.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["subject"] for r in rows} == {"CLINTON", "TRUMP"}
+
+    def test_no_names_runs_every_analysis(self, workspace, tmp_path):
+        _, config, out = workspace
+        config.write_text(config.read_text() + "keywords = clinton, hoax\n")
+        assert cli.main(["--config", str(config), "match"]) == 0
+        named = tmp_path / "named"
+        named.mkdir()
+        (named / "matches.jsonl").write_bytes((out / "matches.jsonl").read_bytes())
+        assert cli.main(["--config", str(config), "--out", str(named),
+                         "analyze", *cli.ANALYSES]) == 0
+        assert cli.main(["--config", str(config), "analyze"]) == 0
+        names = sorted(p.name for p in named.iterdir())
+        assert names == sorted(p.name for p in out.iterdir())
+        assert len(names) == 7  # matches.jsonl and six CSVs
+        for name in names:
+            assert (out / name).read_bytes() == (named / name).read_bytes(), name
+
+    def test_unknown_analysis_exit_2(self, workspace, capsys):
+        _, config, out = workspace
+        assert cli.main(["--config", str(config), "match"]) == 0
+        assert cli.main(["--config", str(config), "analyze", "ratio", "bogus"]) == cli.EXIT_INPUT
+        assert "'bogus'" in capsys.readouterr().err
+        assert not (out / "group_ratio.csv").exists()
+
+    def test_bad_matches_line_exit_2(self, workspace, capsys):
+        _, config, out = workspace
+        out.mkdir()
+        (out / "matches.jsonl").write_text(
+            '{"tweet_id": "t2", "label": "NONRUMOR"}\n{"tweet_id": "t1"}\n')
+        assert cli.main(["--config", str(config), "analyze", "ratio"]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{out / 'matches.jsonl'}:2:" in err and "'label'" in err
 
 
 class TestReproducibility:
@@ -426,16 +507,18 @@ class TestInputErrors:
 
 class TestAllCommand:
     @pytest.mark.parametrize("matcher,jobs", [("BM25", 1), ("BM25", 2), ("TFIDF", 2),
-                                              ("LEXICON", 1)])
-    def test_same_bytes_as_the_commands_in_sequence(self, workspace, monkeypatch,
+                                              ("LEXICON", 1), ("EMBEDDING", 1), ("DOCVEC", 2)])
+    def test_same_bytes_as_the_commands_in_sequence(self, workspace, vector_files, monkeypatch,
                                                     matcher, jobs):
         tmp_path, config, out = workspace
-        config.write_text(config.read_text() + "keywords = clinton, Hoax, trump\n")
+        emb, dv = vector_files
+        config.write_text(config.read_text() + "keywords = clinton, Hoax, trump\n"
+                          f"embeddings = {emb}\ndoc_vectors = {dv}\n")
         monkeypatch.setattr(cli, "CHUNK", 1)  # several chunks, so that jobs 2 forks workers
         base = ["--config", str(config), "--matcher", matcher, "--threshold", "0.5",
                 "--jobs", str(jobs)]
         seq = tmp_path / "seq"
-        commands = (["index"], ["match"], ["eval", "classify"], ["analyze", *cli.ANALYSES])
+        commands = (["index"], ["match"], ["eval", "classify"], ["analyze"])
         for command in commands:
             assert cli.main(base + ["--out", str(seq)] + command) == 0
         assert cli.main(base + ["all"]) == 0
@@ -511,11 +594,10 @@ class TestAtomicWrites:
         tmp_path, config, out = workspace
         assert cli.main(["--config", str(config), "match"]) == 0
 
-        def fail(rows, path):
-            with open(path, "w") as fh:
-                fh.write("group,window")
+        def fail(fh):
+            fh.write("group,window")
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.analysis, "write_group_ratios", fail)
+        monkeypatch.setattr(cli.csv, "writer", fail)  # fails inside write_csv
         assert cli.main(["--config", str(config), "analyze", "ratio"]) == cli.EXIT_INPUT
         assert sorted(p.name for p in out.iterdir()) == ["matches.jsonl"]

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import sweep_oracle
 
-from rumormatch import evaluation
+from rumormatch.cli import PR_HEADER, pr_rows, write_csv
 from rumormatch.corpus import Label, LabeledTweet
 from rumormatch.errors import (
     DegenerateLabelsError,
@@ -17,7 +17,6 @@ from rumormatch.evaluation import (
     identification_accuracy,
     operating_point,
     sweep,
-    write_pr_curve,
 )
 from rumormatch.matchers import MatchResult
 
@@ -181,7 +180,7 @@ class TestCsvExport:
     def test_pr_curve_format(self, tmp_path):
         result = sweep({"r1": 0.9, "n1": 0.1}, [rumor("r1"), nonrumor("n1")])
         p = tmp_path / "pr_curve.csv"
-        write_pr_curve(result.points, p)
+        write_csv(p, PR_HEADER, pr_rows(result.points))
         lines = p.read_text().splitlines()
         assert lines[0] == "threshold,precision,recall,f1"
         assert len(lines) == len(result.points) + 1
@@ -191,12 +190,12 @@ class TestCsvExport:
             {"r1": True, "n1": False}, [rumor("r1"), nonrumor("n1")]
         )
         p = tmp_path / "fixed.csv"
-        write_pr_curve([point], p)
+        write_csv(p, PR_HEADER, pr_rows([point]))
         assert p.read_text().splitlines()[1].startswith("fixed,")
 
     def test_identification_report(self, tmp_path):
         p = tmp_path / "identification.csv"
-        evaluation.write_identification_report([("BM25", 0.8, 5)], p)
+        write_csv(p, ("matcher", "accuracy", "n_evaluated"), [("BM25", 0.8, 5)])
         assert p.read_text().splitlines() == [
             "matcher,accuracy,n_evaluated", "BM25,0.8,5",
         ]
