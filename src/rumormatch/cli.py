@@ -23,10 +23,19 @@ import os
 import sys
 import tempfile
 import time
+import typing
 from dataclasses import dataclass, field
 from typing import Container, Optional
 
 import numpy as np
+
+try:  # CPython's builtin digest: importing hashlib would also map OpenSSL, ~3.5 MB resident
+    from _sha256 import sha256  # Python < 3.12
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from . import analysis, corpus, evaluation, matchers, textpipe
 from .analysis import TimeWindow
@@ -38,6 +47,7 @@ from .errors import (
     EmptyCorpusError,
     EmptyDenominatorError,
     IndexFormatError,
+    IndexMismatchError,
     InputFormatError,
     NoRumorLabelsError,
     NoRumorsError,
@@ -53,7 +63,7 @@ EXIT_EMPTY = 3
 EXIT_EVAL = 4
 
 INDEX_MAGIC = b"RMIX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 MATCHERS = ("TFIDF", "BM25", "EMBEDDING", "DOCVEC", "LEXICON")
 VECTOR_MATCHERS = ("TFIDF", "BM25", "EMBEDDING", "DOCVEC")
@@ -110,12 +120,6 @@ class RunConfig:
         return TimeWindow(start=self.window_start, end=self.window_end)
 
 
-_BOOL_KEYS = {"strip_urls", "strip_mentions", "stemming", "quiet"}
-_INT_KEYS = {"min_token_len", "window_start", "window_end", "bin_width", "top_n", "jobs"}
-_FLOAT_KEYS = {"threshold", "k1", "b", "peak_k"}
-_LIST_KEYS = {"top_fractions", "keywords"}
-
-
 def parse_config_file(path) -> dict:
     """Flat 'key = value' lines; '#' comments and blank lines ignored."""
     values = {}
@@ -131,22 +135,37 @@ def parse_config_file(path) -> dict:
     return values
 
 
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
+               "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse_value(kind, raw: str):
+    """A config value of the type `kind` RunConfig gives its key."""
+    if kind is bool:
+        if raw.lower() not in _BOOL_WORDS:
+            raise ValueError(f"expected one of {'/'.join(_BOOL_WORDS)}, got {raw!r}")
+        return _BOOL_WORDS[raw.lower()]
+    if kind in (int, float):
+        return kind(raw)
+    if typing.get_origin(kind) is list:
+        (item,) = typing.get_args(kind)
+        return [item(x.strip()) for x in raw.split(",") if x.strip()]
+    return raw
+
+
 def build_config(file_values: dict, overrides: dict) -> RunConfig:
     config = RunConfig()
+    kinds = typing.get_type_hints(RunConfig)
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     for key, raw in merged.items():
-        if not hasattr(config, key):
+        if key not in kinds:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _BOOL_KEYS and isinstance(raw, str):
-            raw = raw.lower() in ("1", "true", "yes", "on")
-        elif key in _INT_KEYS and isinstance(raw, str):
-            raw = int(raw)
-        elif key in _FLOAT_KEYS and isinstance(raw, str):
-            raw = float(raw)
-        elif key in _LIST_KEYS and isinstance(raw, str):
-            items = [x.strip() for x in raw.split(",") if x.strip()]
-            raw = [float(x) for x in items] if key == "top_fractions" else items
+        if isinstance(raw, str):
+            try:
+                raw = _parse_value(kinds[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         setattr(config, key, raw)
     return config
 
@@ -193,28 +212,40 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def save_index(index: matchers.ArticleIndex, path):
-    """Versioned binary: magic + version byte + canonical JSON payload."""
-    terms = [None] * index.vocabulary.size
-    for t, i in index.vocabulary.term_ids.items():
-        terms[i] = t
+def index_provenance(tok: textpipe.TokenizerConfig, articles_path) -> dict:
+    """What an index is built from: the tokenizer config and, if known, the
+    sha256 of the articles file. Saved with the index, checked on load."""
+    digest = None
+    if articles_path is not None:
+        with open(_require_file(articles_path, "articles"), "rb") as fh:
+            digest = sha256(fh.read()).hexdigest()
+    tokenizer = {**dataclasses.asdict(tok), "stopwords": sorted(tok.stopwords)}
+    return {"tokenizer": tokenizer, "articles_sha256": digest}
+
+
+INDEX_ARRAYS = ("article_ids", "terms", "doc_len", "indptr", "ordinals", "counts")
+
+
+def save_index(index: matchers.ArticleIndex, path, provenance: dict):
+    """Versioned binary: magic + version byte + canonical JSON payload of the
+    index arrays (INDEX_ARRAYS) and its provenance."""
     payload = {
         "article_ids": index.article_ids,
-        "empty_article_ids": index.empty_article_ids,
-        "doc_len": [int(x) for x in index.doc_len],
-        "avgdl": index.vocabulary.avgdl,
-        "terms": terms,
-        "postings": {
-            t: [ords.tolist(), counts.astype(np.int64).tolist()]
-            for t, (ords, counts) in index.postings.items()
-        },
+        "terms": index.terms,
+        "doc_len": index.doc_len.astype(np.int64).tolist(),
+        "indptr": index.indptr.tolist(),
+        "ordinals": index.ordinals.tolist(),
+        "counts": index.counts.astype(np.int64).tolist(),
+        **provenance,
     }
     body = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
     with atomic_write_text(path) as tmp, open(tmp, "wb") as fh:
         fh.write(INDEX_MAGIC + bytes([INDEX_VERSION]) + body)
 
 
-def load_index(path) -> matchers.ArticleIndex:
+def load_index(path, config: Optional[RunConfig] = None) -> matchers.ArticleIndex:
+    """Read a saved index. Given a config, refuse an index built under another
+    tokenizer config or, when config.articles is set, from other articles."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 5 or data[:4] != INDEX_MAGIC:
@@ -225,16 +256,21 @@ def load_index(path) -> matchers.ArticleIndex:
         )
     try:
         payload = json.loads(data[5:].decode("utf-8"))
-        return matchers.ArticleIndex.from_parts(
-            article_ids=payload["article_ids"],
-            empty_article_ids=payload["empty_article_ids"],
-            doc_len=payload["doc_len"],
-            avgdl=payload["avgdl"],
-            terms=payload["terms"],
-            postings={t: (o, c) for t, (o, c) in payload["postings"].items()},
-        )
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        index = matchers.ArticleIndex(*(payload[k] for k in INDEX_ARRAYS))
+        built_with, built_from = dict(payload["tokenizer"]), payload["articles_sha256"]
+    except (ValueError, KeyError, TypeError) as exc:
         raise IndexFormatError(f"{path}: malformed index payload: {exc!r}") from exc
+    if config is not None:
+        want = index_provenance(config.tokenizer_config(), config.articles)
+        for key, value in want["tokenizer"].items():
+            if built_with.get(key) != value:
+                raise IndexMismatchError(
+                    f"{path}: index was built with another {key} than configured; re-run index")
+        if want["articles_sha256"] not in (None, built_from):
+            raise IndexMismatchError(
+                f"{path}: index was built from other articles than {config.articles}; "
+                "re-run index")
+    return index
 
 
 def _require_file(path, what):
@@ -252,7 +288,7 @@ def _load_articles(config: RunConfig) -> list[corpus.RumorArticle]:
 def _get_index(config: RunConfig, articles=None) -> matchers.ArticleIndex:
     """The saved index at index_path if there is one, else one built from the articles."""
     if config.index_path and os.path.exists(config.index_path):
-        return load_index(config.index_path)
+        return load_index(config.index_path, config)
     if articles is None:
         articles = _load_articles(config)
     return matchers.build_index(articles, config.tokenizer_config())
@@ -474,9 +510,10 @@ def cmd_index(config: RunConfig, articles=None) -> matchers.ArticleIndex:
     """Build the index, save it, and return it for the rest of the run."""
     if articles is None:
         articles = _load_articles(config)
-    index = matchers.build_index(articles, config.tokenizer_config())
+    tok = config.tokenizer_config()
+    index = matchers.build_index(articles, tok)
     out = config.index_path or os.path.join(config.out, "index.rmix")
-    save_index(index, out)
+    save_index(index, out, index_provenance(tok, config.articles))
     if not config.quiet:
         print(f"indexed {index.n_articles} articles -> {out}", file=sys.stderr)
     return index

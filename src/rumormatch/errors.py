@@ -85,6 +85,12 @@ class IndexFormatError(InputFormatError):
     code = "INDEX_FORMAT"
 
 
+class IndexMismatchError(InputFormatError):
+    """A saved index built under another tokenizer or from other articles."""
+
+    code = "INDEX_MISMATCH"
+
+
 class DimMismatchError(InputFormatError):
     code = "DIM_MISMATCH"
 

@@ -16,14 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Label, RumorArticle
+from .corpus import Label
 from .errors import (
     AllEmptyAfterTokenizeError,
     DimMismatchError,
     EmptyCorpusError,
     EmptyScoresError,
 )
-from .textpipe import TokenizerConfig, build_vocabulary, tokenize
+from .textpipe import TokenizerConfig, tokenize
 
 
 @dataclass(frozen=True)
@@ -65,78 +65,54 @@ class ImpactTable:
 
 
 class ArticleIndex:
-    """Inverted index over the reference articles.
+    """Inverted index over the reference articles: exactly its arrays.
 
-    Immutable after construction. Holds the raw postings as CSR arrays over
-    term ids (``indptr``, ``ordinals``, ``counts``; ordinals ascending within
-    a term) and builds one ImpactTable per weighting on first use: BM25 per
-    BM25Params, TF-IDF from the L2-normalized tf*idf postings.
+    ``terms[t]`` is the term with id t. The raw postings are CSR arrays over
+    term ids: ``ordinals[indptr[t]:indptr[t + 1]]`` are the articles term t
+    occurs in (ascending) and ``counts`` its counts there; ``doc_len`` holds
+    each article's token count. Immutable after construction; one
+    ImpactTable per weighting is built on first use: BM25 per BM25Params,
+    TF-IDF from the L2-normalized tf*idf postings.
     """
 
-    def __init__(self, articles: list[RumorArticle], tok: Optional[TokenizerConfig] = None):
-        if not articles:
-            raise EmptyCorpusError("no articles to index")
-        tok = tok or TokenizerConfig()
-        self.article_ids = [a.id for a in articles]
-        docs = [tokenize(a.body, tok) for a in articles]
-        if all(not d for d in docs):
-            raise AllEmptyAfterTokenizeError("every article tokenized to empty")
-        self.empty_article_ids = [a.id for a, d in zip(articles, docs) if not d]
-        self.vocabulary = build_vocabulary(docs)
-        self.doc_len = np.array([len(d) for d in docs], dtype=np.float64)
-
-        # one (term id, ordinal) key per token; unique keys sort term-major
-        term_ids = self.vocabulary.term_ids
-        ids = np.fromiter((term_ids[t] for d in docs for t in d), dtype=np.int64,
-                          count=int(self.doc_len.sum()))
-        ords = np.repeat(np.arange(len(docs), dtype=np.int64), self.doc_len.astype(np.int64))
-        keys, counts = np.unique(ids * len(docs) + ords, return_counts=True)
-        self.indptr = np.zeros(self.vocabulary.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // len(docs), minlength=self.vocabulary.size),
-                  out=self.indptr[1:])
-        self.ordinals = keys % len(docs)
-        self.counts = counts.astype(np.float64)
+    def __init__(self, article_ids, terms, doc_len, indptr, ordinals, counts):
+        """Hold the arrays; ValueError if they do not fit together."""
+        self.article_ids = list(article_ids)
+        self.terms = list(terms)
+        self.term_ids = {t: i for i, t in enumerate(self.terms)}
+        self.doc_len = np.asarray(doc_len, dtype=np.float64)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.ordinals = np.asarray(ordinals, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.float64)
+        if any(a.ndim != 1 for a in (self.doc_len, self.indptr, self.ordinals, self.counts)):
+            raise ValueError("every array must be flat")
+        if len(self.term_ids) != len(self.terms):
+            raise ValueError("duplicate term")
+        if len(self.doc_len) != self.n_articles:
+            raise ValueError(f"{len(self.doc_len)} doc_len for {self.n_articles} articles")
+        if len(self.indptr) != len(self.terms) + 1:
+            raise ValueError(f"{len(self.indptr)} indptr for {len(self.terms)} terms")
+        if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
+            raise ValueError("indptr must start at 0 and rise")
+        if not self.indptr[-1] == len(self.ordinals) == len(self.counts):
+            raise ValueError(f"indptr ends at {self.indptr[-1]}, with {len(self.ordinals)} "
+                             f"ordinals and {len(self.counts)} counts")
+        ords = self.ordinals
+        if len(ords) and not 0 <= ords.min() <= ords.max() < self.n_articles:
+            raise ValueError(f"ordinal out of range for {self.n_articles} articles")
+        first = np.zeros(len(ords) + 1, dtype=bool)
+        first[self.indptr] = True  # each term's first posting, and the end
+        if np.any((np.diff(ords) <= 0) & ~first[1:-1]):
+            raise ValueError("ordinals must rise within each term")
         self._tables: dict[object, ImpactTable] = {}
-
-    @classmethod
-    def from_parts(cls, article_ids, empty_article_ids, doc_len, avgdl, terms, postings):
-        """Rebuild an index from serialized parts (see cli.save_index)."""
-        from .textpipe import Vocabulary  # local to avoid shadowing module import
-
-        index = cls.__new__(cls)
-        index.article_ids = list(article_ids)
-        index.empty_article_ids = list(empty_article_ids)
-        index.doc_len = np.asarray(doc_len, dtype=np.float64)
-        df = [len(postings[t][0]) for t in terms]
-        index.vocabulary = Vocabulary(
-            term_ids={t: i for i, t in enumerate(terms)},
-            doc_freq=dict(zip(terms, df)),
-            n_docs=len(article_ids),
-            avgdl=avgdl,
-        )
-        index.indptr = np.zeros(len(terms) + 1, dtype=np.int64)
-        np.cumsum(df, out=index.indptr[1:])
-        index.ordinals = np.fromiter((o for t in terms for o in postings[t][0]),
-                                     dtype=np.int64, count=int(index.indptr[-1]))
-        index.counts = np.fromiter((c for t in terms for c in postings[t][1]),
-                                   dtype=np.float64, count=int(index.indptr[-1]))
-        index._tables = {}
-        return index
 
     @property
     def n_articles(self) -> int:
         return len(self.article_ids)
 
-    @property
-    def postings(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per-term (ordinals, counts) views of the raw postings, for serialization."""
-        p = self.indptr
-        return {t: (self.ordinals[p[i]:p[i + 1]], self.counts[p[i]:p[i + 1]])
-                for t, i in self.vocabulary.term_ids.items()}
-
     def _posting_terms(self) -> np.ndarray:
         """Term id of every raw posting."""
-        return np.repeat(np.arange(self.vocabulary.size, dtype=np.int64), np.diff(self.indptr))
+        return np.repeat(np.arange(len(self.terms), dtype=np.int64), np.diff(self.indptr))
 
     def _idf(self, formula) -> np.ndarray:
         """Per-term idf from document frequency; math.log keeps it the same on every host."""
@@ -148,7 +124,7 @@ class ArticleIndex:
         table = self._tables.get(params)
         if table is None:
             k1, b = params.k1, params.b
-            norm = k1 * (1.0 - b + b * self.doc_len / max(self.vocabulary.avgdl, 1e-12))
+            norm = k1 * (1.0 - b + b * self.doc_len / max(self.doc_len.mean(), 1e-12))
             idf = self._idf(lambda n, df: math.log(1.0 + (n - df + 0.5) / (df + 0.5)))
             counts = self.counts
             impacts = idf[self._posting_terms()] * counts * (k1 + 1.0) / (
@@ -186,7 +162,25 @@ class ArticleIndex:
 
 
 def build_index(articles, tok: Optional[TokenizerConfig] = None) -> ArticleIndex:
-    return ArticleIndex(articles, tok)
+    """Tokenize the article bodies and index them; term ids follow first appearance."""
+    if not articles:
+        raise EmptyCorpusError("no articles to index")
+    tok = tok or TokenizerConfig()
+    docs = [tokenize(a.body, tok) for a in articles]
+    if all(not d for d in docs):
+        raise AllEmptyAfterTokenizeError("every article tokenized to empty")
+    n = len(docs)
+    doc_len = np.array([len(d) for d in docs], dtype=np.int64)
+    # one (term id, ordinal) key per token; unique keys sort term-major
+    term_ids: dict[str, int] = {}
+    ids = np.fromiter((term_ids.setdefault(t, len(term_ids)) for d in docs for t in d),
+                      dtype=np.int64, count=int(doc_len.sum()))
+    keys, counts = np.unique(ids * n + np.repeat(np.arange(n, dtype=np.int64), doc_len),
+                             return_counts=True)
+    indptr = np.zeros(len(term_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=len(term_ids)), out=indptr[1:])
+    return ArticleIndex([a.id for a in articles], list(term_ids), doc_len, indptr, keys % n,
+                        counts)
 
 
 def score_block(token_lists: list[list[str]], index: ArticleIndex,
@@ -199,8 +193,8 @@ def score_block(token_lists: list[list[str]], index: ArticleIndex,
     A row's result therefore does not depend on the other rows of the block,
     the block size, the worker count or the string hash seed.
     """
-    n_rows, n, vocab = len(token_lists), table.n_articles, index.vocabulary.size
-    term_ids = index.vocabulary.term_ids
+    n_rows, n, vocab = len(token_lists), table.n_articles, len(index.terms)
+    term_ids = index.term_ids
     ids = np.array([term_ids.get(t, -1) for toks in token_lists for t in toks], dtype=np.int64)
     rows = np.repeat(np.arange(n_rows, dtype=np.int64), [len(toks) for toks in token_lists])
     known = ids >= 0

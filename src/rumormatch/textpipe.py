@@ -1,4 +1,4 @@
-"""Text normalization and corpus-level term statistics.
+"""Text normalization.
 
 Every matcher consumes the same tokenizer output, so the rules live in one
 place: lowercase, drop URLs and @-mentions, keep hashtag words without the
@@ -15,7 +15,6 @@ from importlib import resources
 from typing import Optional
 
 from . import stemmer
-from .errors import EmptyCorpusError
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@\w+")
@@ -74,44 +73,6 @@ def tokenize(text: str, config: Optional[TokenizerConfig] = None) -> list[str]:
                 continue
         tokens.append(tok)
     return tokens
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Term statistics over one document collection."""
-
-    term_ids: dict[str, int]  # term -> id, first-appearance order
-    doc_freq: dict[str, int]
-    n_docs: int
-    avgdl: float
-
-    @property
-    def size(self) -> int:
-        return len(self.term_ids)
-
-    def __contains__(self, term):
-        return term in self.term_ids
-
-
-def build_vocabulary(docs: list[list[str]]) -> Vocabulary:
-    """Compute term ids, document frequencies and average document length."""
-    if not docs:
-        raise EmptyCorpusError("cannot build a vocabulary from zero documents")
-    term_ids: dict[str, int] = {}
-    doc_freq: Counter[str] = Counter()
-    total_tokens = 0
-    for doc in docs:
-        total_tokens += len(doc)
-        for term in doc:
-            if term not in term_ids:
-                term_ids[term] = len(term_ids)
-        doc_freq.update(set(doc))
-    return Vocabulary(
-        term_ids=term_ids,
-        doc_freq=dict(doc_freq),
-        n_docs=len(docs),
-        avgdl=total_tokens / len(docs),
-    )
 
 
 def term_counts(doc: list[str]) -> Counter[str]:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import random
@@ -6,11 +7,14 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from conftest import make_article
 from oracles import bm25_oracle
 
 from rumormatch import cli
+from rumormatch.matchers import BM25Params, build_index
 from rumormatch.textpipe import TokenizerConfig, tokenize
 
 
@@ -119,6 +123,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             cli.build_config({"bogus": "1"}, {})
 
+    def test_boolean_words(self, workspace, capsys):
+        for word in ("true", "TRUE", "1", "yes", "On"):
+            assert cli.build_config({"stemming": word}, {}).stemming is True
+        for word in ("false", "False", "0", "no", "OFF"):
+            assert cli.build_config({"stemming": word}, {}).stemming is False
+        with pytest.raises(ValueError, match="'stemming'"):
+            cli.build_config({"stemming": "ture"}, {})
+        _, config, out = workspace
+        config.write_text(config.read_text() + "stemming = ture\n")
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert "'stemming'" in capsys.readouterr().err
+        assert not (out / "matches.jsonl").exists()
+
 
 class TestIndexCommand:
     def test_deterministic_bytes(self, workspace):
@@ -134,7 +151,31 @@ class TestIndexCommand:
         cli.main(["--config", str(config), "index"])
         index = cli.load_index(out / "index.rmix")
         assert index.article_ids == ["a1", "a2", "a3"]
-        assert index.vocabulary.n_docs == 3
+        assert len(index.doc_len) == 3
+
+    def test_load_gives_the_saved_arrays(self, tmp_path):
+        # head terms (dense rows) and tail terms (CSR rows) both occur
+        rng = random.Random(3)
+        vocab = [f"w{i:02d}" for i in range(60)]
+        weights = [1.0 / (i + 1) for i in range(60)]
+        articles = [make_article(f"a{i}", rng.choices(vocab, weights, k=rng.randint(0, 30)))
+                    for i in range(40)]
+        tok = TokenizerConfig(stopwords=frozenset())
+        built = build_index(articles, tok)
+        cli.save_index(built, tmp_path / "index.rmix", cli.index_provenance(tok, None))
+        loaded = cli.load_index(tmp_path / "index.rmix")
+        assert loaded.article_ids == built.article_ids
+        assert loaded.terms == built.terms
+        for name in ("doc_len", "indptr", "ordinals", "counts"):
+            a, b = getattr(loaded, name), getattr(built, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        params = BM25Params(k1=1.5, b=0.6)
+        for a, b in [(loaded.bm25_table(params), built.bm25_table(params)),
+                     (loaded.tfidf_table(), built.tfidf_table())]:
+            assert 0 < len(a.data) and 0 < len(a.dense_rows)
+            for f in dataclasses.fields(a):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert (x.tobytes() == y.tobytes()) if isinstance(x, np.ndarray) else x == y
 
     @pytest.mark.parametrize("matcher", ["BM25", "TFIDF"])
     def test_saved_index_scores_like_built_index(self, workspace, matcher):
@@ -156,6 +197,16 @@ class TestIndexCommand:
         with pytest.raises(ValueError):
             cli.load_index(bad)
 
+    def test_version_1_index_exit_2(self, workspace, tmp_path, capsys):
+        _, config, _ = workspace
+        old = tmp_path / "v1.rmix"
+        old.write_bytes(cli.INDEX_MAGIC + bytes([1]) + b'{"article_ids": ["a1"], '
+                        b'"empty_article_ids": [], "doc_len": [1], "avgdl": 1.0, '
+                        b'"terms": ["x"], "postings": {"x": [[0], [1]]}}')
+        config.write_text(config.read_text() + f"index_path = {old}\n")
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert "index version 1 not supported (want 2)" in capsys.readouterr().err
+
     def test_missing_articles_file_exit_2(self, tmp_path):
         config = tmp_path / "c.conf"
         config.write_text(f"articles = {tmp_path / 'nope.jsonl'}\nquiet = true\n")
@@ -168,6 +219,39 @@ class TestIndexCommand:
             f"articles = {tmp_path / 'articles.jsonl'}\nout = {tmp_path}\nquiet = true\n"
         )
         assert cli.main(["--config", str(config), "index"]) == 3
+
+
+class TestIndexProvenance:
+    """A saved index is used only under the tokenizer config and the articles
+    it was built from."""
+
+    @pytest.fixture
+    def saved(self, workspace):
+        tmp_path, config, out = workspace
+        config.write_text(config.read_text() + f"index_path = {tmp_path / 'saved.rmix'}\n")
+        assert cli.main(["--config", str(config), "index"]) == 0
+        return tmp_path, config, out
+
+    @pytest.mark.parametrize("line,named", [
+        ("stemming = true", "stemming"),
+        ("stopwords = {tmp}/stop.txt", "stopwords"),
+        ("min_token_len = 3", "min_token_len"),
+    ])
+    def test_other_tokenizer_exit_2(self, saved, line, named, capsys):
+        tmp_path, config, out = saved
+        (tmp_path / "stop.txt").write_text("the\nhoax\n")
+        config.write_text(config.read_text() + line.format(tmp=tmp_path) + "\n")
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert f"built with another {named} than configured" in capsys.readouterr().err
+        assert not (out / "matches.jsonl").exists()
+
+    def test_edited_article_exit_2(self, saved, capsys):
+        tmp_path, config, out = saved
+        articles = tmp_path / "articles.jsonl"
+        write_jsonl(articles, [dict(ARTICLES[0], body="clinton montage"), *ARTICLES[1:]])
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert f"built from other articles than {articles}" in capsys.readouterr().err
+        assert not (out / "matches.jsonl").exists()
 
 
 class TestMatchCommand:
@@ -461,6 +545,14 @@ class TestReproducibility:
         assert results[0] == results[1] == results[2]
 
 
+def v2_payload(**changes) -> bytes:
+    """A well-formed version-2 index payload (two articles, two terms) with changes."""
+    payload = {"article_ids": ["a1", "a2"], "terms": ["x", "y"], "doc_len": [1, 1],
+               "indptr": [0, 1, 2], "ordinals": [0, 1], "counts": [1, 1],
+               "tokenizer": {}, "articles_sha256": None}
+    return json.dumps({**payload, **changes}).encode()
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("data", [b"", b"RM", b"RMIX"])
     def test_truncated_index_exit_2(self, workspace, data, capsys):
@@ -474,9 +566,13 @@ class TestInputErrors:
     @pytest.mark.parametrize("payload", [
         b'{"terms": []}',  # missing keys
         b"[]",
-        b'{"article_ids": ["a1"], "empty_article_ids": [], "doc_len": [1], "avgdl": 1.0,'
-        b' "terms": ["x"], "postings": []}',
+        pytest.param(v2_payload(ordinals={"x": [0]}), id="wrong-type-ordinals"),
         b"\xff",
+        pytest.param(v2_payload(ordinals=[0, 2]), id="ordinal-past-last-article"),
+        pytest.param(v2_payload(indptr=[0, 2, 1]), id="falling-indptr"),
+        pytest.param(v2_payload(counts=[1]), id="ordinals-counts-lengths-differ"),
+        pytest.param(v2_payload(terms=["x", "x"]), id="duplicate-term"),
+        pytest.param(v2_payload(indptr=[0, 2, 2], ordinals=[1, 0]), id="falling-ordinals"),
     ])
     def test_malformed_index_payload_exit_2(self, workspace, payload, capsys):
         tmp_path, config, out = workspace

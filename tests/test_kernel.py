@@ -42,7 +42,7 @@ def assert_block_independent(queries, index, table):
 def canonical_order_reference(query, index, table):
     """Loop version of the documented order: CSR terms, then dense rows, each
     in ascending term id; |q| of a TF-IDF query in ascending term id too."""
-    term_ids = index.vocabulary.term_ids
+    term_ids = index.term_ids
     counts = Counter(term_ids[t] for t in query if t in term_ids)
     scale = {t: 1.0 for t in counts}
     if table.query_idf is not None:
@@ -103,7 +103,7 @@ class TestDenseAndCsrTerms:
 
     def test_layout(self, index):
         for _, table, _ in tables(index, random.Random(2)):
-            ids = index.vocabulary.term_ids
+            ids = index.term_ids
             assert table.dense_slot[ids["head"]] >= 0
             assert table.dense_slot[ids["pad"]] >= 0
             assert all(table.dense_slot[ids[f"c{i}"]] == -1 for i in range(10))

@@ -1,12 +1,15 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rumormatch import textpipe
 from rumormatch.errors import EmptyCorpusError
-from rumormatch.textpipe import TokenizerConfig, build_vocabulary, term_counts, tokenize
+from rumormatch.corpus import RumorArticle
+from rumormatch.matchers import build_index
+from rumormatch.textpipe import TokenizerConfig, term_counts, tokenize
 
 
 class TestTokenize:
@@ -49,29 +52,41 @@ class TestTokenize:
             assert not any(c.isspace() for c in tok)
 
 
+def index_of(docs):
+    """build_index over articles whose bodies tokenize to exactly docs."""
+    articles = [RumorArticle(id=f"a{i}", title="", body=" ".join(d)) for i, d in enumerate(docs)]
+    return build_index(articles, TokenizerConfig(stopwords=frozenset(), min_token_len=1))
+
+
+def doc_freq(index):
+    return dict(zip(index.terms, np.diff(index.indptr).tolist()))
+
+
 class TestVocabulary:
+    """The term statistics build_index derives from the tokenized articles."""
+
     def test_two_docs(self):
-        vocab = build_vocabulary([["a", "b"], ["b", "c"]])
-        assert vocab.size == 3
-        assert vocab.doc_freq == {"a": 1, "b": 2, "c": 1}
-        assert vocab.n_docs == 2
-        assert vocab.avgdl == 2.0
-        assert vocab.term_ids == {"a": 0, "b": 1, "c": 2}
+        index = index_of([["a", "b"], ["b", "c"]])
+        assert len(index.terms) == 3
+        assert doc_freq(index) == {"a": 1, "b": 2, "c": 1}
+        assert index.n_articles == 2
+        assert index.doc_len.mean() == 2.0
+        assert index.term_ids == {"a": 0, "b": 1, "c": 2}
 
     def test_single_repeated_doc(self):
-        vocab = build_vocabulary([["a", "a", "a"]])
-        assert vocab.size == 1
-        assert vocab.doc_freq == {"a": 1}
-        assert vocab.avgdl == 3.0
+        index = index_of([["a", "a", "a"]])
+        assert len(index.terms) == 1
+        assert doc_freq(index) == {"a": 1}
+        assert index.doc_len.mean() == 3.0
 
     def test_empty_doc_contributes_length_zero(self):
-        vocab = build_vocabulary([[], ["a"]])
-        assert vocab.size == 1
-        assert vocab.avgdl == 0.5
+        index = index_of([[], ["a"]])
+        assert len(index.terms) == 1
+        assert index.doc_len.mean() == 0.5
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpusError):
-            build_vocabulary([])
+            index_of([])
 
     def test_doc_freq_sum_identity(self):
         rng = random.Random(7)
@@ -79,16 +94,16 @@ class TestVocabulary:
             [rng.choice("abcdefg") for _ in range(rng.randint(0, 12))]
             for _ in range(25)
         ]
-        vocab = build_vocabulary(docs)
-        assert sum(len(set(d)) for d in docs) == sum(vocab.doc_freq.values())
+        index = index_of(docs)
+        assert sum(len(set(d)) for d in docs) == sum(doc_freq(index).values())
 
     def test_stats_order_independent(self):
         docs = [["a", "b"], ["b", "c"], ["c", "c", "d"]]
-        v1 = build_vocabulary(docs)
-        v2 = build_vocabulary(list(reversed(docs)))
-        assert v1.doc_freq == v2.doc_freq
-        assert v1.avgdl == v2.avgdl
-        assert v1.n_docs == v2.n_docs
+        v1 = index_of(docs)
+        v2 = index_of(list(reversed(docs)))
+        assert doc_freq(v1) == doc_freq(v2)
+        assert v1.doc_len.mean() == v2.doc_len.mean()
+        assert v1.n_articles == v2.n_articles
 
 
 class TestTermCounts:
