@@ -366,7 +366,19 @@ def _init_worker(scorer: Scorer) -> None:
     _SCORER = scorer
 
 
+_encode_str = json.encoder.encode_basestring  # the string encoder of json.dumps(ensure_ascii=False)
+
+
 def _match_line(tweet_id, article_id, score, rumor) -> str:
+    """One matches.jsonl line, without its newline: the text json.dumps gives
+    the record with ensure_ascii=False, built directly. A score that is not a
+    finite float, or an id that is not a str, goes through json.dumps itself."""
+    if (type(tweet_id) is str and type(score) is float and score - score == 0.0
+            and (article_id is None or type(article_id) is str)):
+        aid = "null" if article_id is None else _encode_str(article_id)
+        label = "RUMOR" if rumor else "NONRUMOR"
+        return (f'{{"tweet_id": {_encode_str(tweet_id)}, "article_id": {aid}, '
+                f'"score": {score!r}, "label": "{label}"}}')
     return json.dumps(
         {"tweet_id": tweet_id, "article_id": article_id, "score": score,
          "label": (Label.RUMOR if rumor else Label.NONRUMOR).value},
@@ -388,35 +400,40 @@ def _block_scores(s: Scorer, block, tokens) -> tuple[np.ndarray, np.ndarray]:
     return np.array([r for r, _ in rows]), np.array([d for _, d in rows])
 
 
-def _score_chunk(chunk):
-    """chunk: list of (tweet_id, text).
+def _score_block(s: Scorer, block):
+    """block: list of (tweet_id, text).
 
-    Returns, in input order: the chunk's matches.jsonl lines; one
+    Returns, in input order: the block's matches.jsonl lines; one
     (article_id, score, rumor) per tweet, as on its line; and the wanted
     keywords among each tweet's tokens (None when no keyword is wanted).
     """
-    s = _SCORER
     tokens = None
     if s.matcher in ("BM25", "TFIDF", "EMBEDDING") or s.wanted:
-        tokens = [textpipe.tokenize(text, s.tok) for _, text in chunk]
+        tokens = [textpipe.tokenize(text, s.tok) for _, text in block]
 
     if s.matcher == "LEXICON":
-        matched = (matchers.match_lexicon(text, s.lexicon) for _, text in chunk)
+        matched = (matchers.match_lexicon(text, s.lexicon) for _, text in block)
         results = [(None, 1.0 if m else 0.0, m) for m in matched]
     else:
-        results = []
-        for start in range(0, len(chunk), BLOCK):
-            block_tokens = tokens[start:start + BLOCK] if tokens else None
-            scores, defined = _block_scores(s, chunk[start:start + BLOCK], block_tokens)
-            ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
-            top = scores[np.arange(len(scores)), ordinals]
-            for o, v, d in zip(ordinals.tolist(), top.tolist(), defined.tolist()):
-                rumor = d and v > s.threshold  # strictly above h; undefined is never a rumor
-                results.append((s.article_ids[o] if rumor else None, v if d else 0.0, rumor))
+        scores, defined = _block_scores(s, block, tokens)
+        ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
+        top = scores[np.arange(len(block)), ordinals]
+        top[~defined] = 0.0
+        rumor = (top > s.threshold) & defined  # strictly above h; undefined is never a rumor
+        ids = s.article_ids
+        results = [(ids[o] if r else None, v, r)
+                   for o, v, r in zip(ordinals.tolist(), top.tolist(), rumor.tolist())]
 
-    text = "".join(_match_line(tweet_id, *r) + "\n" for (tweet_id, _), r in zip(chunk, results))
+    text = "\n".join([_match_line(tweet_id, *r) for (tweet_id, _), r in zip(block, results)])
     hits = [s.wanted.intersection(t) for t in tokens] if s.wanted else None
-    return text, results, hits
+    return text + "\n", results, hits
+
+
+def _score_chunk(chunk):
+    """chunk: list of (tweet_id, text). Scores it BLOCK tweets at a time and
+    returns each block's _score_block result, in input order."""
+    return [_score_block(_SCORER, chunk[start:start + BLOCK])
+            for start in range(0, len(chunk), BLOCK)]
 
 
 def _batches(items, size):
@@ -425,32 +442,35 @@ def _batches(items, size):
         yield batch
 
 
-def _scored_chunks(jobs: int, scorer: Scorer, tweets):
-    """Yield (chunk of tweets, its _score_chunk result) in input order.
+def _scored_blocks(jobs: int, scorer: Scorer, tweets):
+    """Yield (block of tweets, its _score_block result) in input order.
 
-    With more than one job and more than one chunk, forked workers score at
-    most 2 * jobs chunks ahead of the consumer, so tweets are read only as
-    fast as their results are used.
+    Serially, each block of BLOCK tweets is read, scored and encoded before
+    the next is read. With more than one job and more than CHUNK tweets,
+    forked workers score tasks of CHUNK tweets block by block, at most
+    2 * jobs tasks ahead of the consumer, so tweets are read only as fast as
+    their results are used.
     """
-    chunks = _batches(tweets, CHUNK)
-    first = list(itertools.islice(chunks, 2))
-    if jobs <= 1 or len(first) < 2:
+    tweets = iter(tweets)
+    first = list(itertools.islice(tweets, CHUNK + 1)) if jobs > 1 else []
+    if len(first) <= CHUNK:
         _init_worker(scorer)
-        for chunk in itertools.chain(first, chunks):
-            yield chunk, _score_chunk([(t.id, t.text) for t in chunk])
+        for block in _batches(itertools.chain(first, tweets), BLOCK):
+            (result,) = _score_chunk([(t.id, t.text) for t in block])
+            yield block, result
         return
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(jobs, initializer=_init_worker, initargs=(scorer,)) as pool:
         pending = collections.deque()
-        for chunk in itertools.chain(first, chunks):
+        for chunk in _batches(itertools.chain(first, tweets), CHUNK):
             items = [(t.id, t.text) for t in chunk]
             pending.append((chunk, pool.apply_async(_score_chunk, (items,))))
             if len(pending) > 2 * jobs:
                 done, result = pending.popleft()
-                yield done, result.get()
+                yield from zip(_batches(done, BLOCK), result.get())
         while pending:
             done, result = pending.popleft()
-            yield done, result.get()
+            yield from zip(_batches(done, BLOCK), result.get())
 
 
 def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scorer] = None,
@@ -475,17 +495,17 @@ def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scor
         if out_path is not None:
             tmp = stack.enter_context(atomic_write_text(out_path))
             write = stack.enter_context(open(tmp, "w", encoding="utf-8", newline="")).write
-        stream = stack.enter_context(contextlib.closing(_scored_chunks(jobs, scorer, tweets)))
-        for chunk, (text, results, hits) in stream:
+        stream = stack.enter_context(contextlib.closing(_scored_blocks(jobs, scorer, tweets)))
+        for block, (text, results, hits) in stream:
             if write:
                 write(text)
             if labeled:
-                kept.update((t.id, r) for t, r in zip(chunk, results) if t.id in labeled)
+                kept.update((t.id, r) for t, r in zip(block, results) if t.id in labeled)
             if acc is not None:
                 hits = hits or itertools.repeat(())
-                for t, (article_id, _, rumor), h in zip(chunk, results, hits):
+                for t, (article_id, _, rumor), h in zip(block, results, hits):
                     acc.add(t, rumor, article_id, h)
-            done += len(chunk)
+            done += len(block)
             if not config.quiet and time.monotonic() - last >= PROGRESS_S:
                 print(f"matched {done:,} tweets", file=sys.stderr)
                 last = time.monotonic()

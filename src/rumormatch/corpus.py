@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Container, Iterator, Optional
+from typing import Container, Iterator, NamedTuple, Optional
 
 from .errors import (
     DanglingArticleRefError,
@@ -39,8 +39,7 @@ class Label(str, Enum):
     NONRUMOR = "NONRUMOR"
 
 
-@dataclass(frozen=True)
-class Tweet:
+class Tweet(NamedTuple):
     id: str
     user_id: str
     group: Group
@@ -100,37 +99,51 @@ def _require(obj, key, path, line_no):
     return obj[key]
 
 
+_GROUPS = {g.value: g for g in Group}
+
+
 def iter_tweets(path) -> Iterator[Tweet]:
     """Parse tweets.jsonl one tweet at a time, in file order.
 
     Fails at the first malformed line or duplicate id; a caller that stops
-    early has only validated the lines it read.
+    early has only validated the lines it read. A line in the plain case (a
+    new non-empty str id, a str text that is not blank, a str user_id, an
+    int timestamp and a known group) is taken as it is; every other line goes
+    through _checked_tweet, which coerces and raises field by field.
     """
     seen = set()
     for line_no, obj in _iter_jsonl(path):
-        tid = str(_require(obj, "id", path, line_no))
-        if not tid:
-            raise MalformedLineError(path, line_no, "empty id")
-        if tid in seen:
-            raise DuplicateIdError(path, line_no, tid)
-        seen.add(tid)
-        text = str(_require(obj, "text", path, line_no))
-        if not text.strip():
-            raise MalformedLineError(path, line_no, f"tweet {tid!r} has empty text")
         try:
-            group = Group(_require(obj, "group", path, line_no))
-        except ValueError as exc:
-            raise MalformedLineError(path, line_no, str(exc)) from exc
-        ts = _require(obj, "timestamp", path, line_no)
-        if not isinstance(ts, int):
-            raise MalformedLineError(path, line_no, "timestamp must be an integer")
-        yield Tweet(
-            id=tid,
-            user_id=str(_require(obj, "user_id", path, line_no)),
-            group=group,
-            timestamp=ts,
-            text=text,
-        )
+            tid, user_id, group, ts, text = (
+                obj["id"], obj["user_id"], _GROUPS[obj["group"]], obj["timestamp"], obj["text"])
+        except (KeyError, TypeError):
+            tid = None
+        if not (type(tid) is str and tid and tid not in seen and type(user_id) is str
+                and type(ts) is int and type(text) is str and text.strip()):
+            tid, user_id, group, ts, text = _checked_tweet(obj, seen, path, line_no)
+        seen.add(tid)
+        yield Tweet(tid, user_id, group, ts, text)
+
+
+def _checked_tweet(obj, seen, path, line_no) -> tuple:
+    """(id, user_id, group, timestamp, text) of one tweet line, checked and
+    coerced one field at a time; raises at the first field at fault."""
+    tid = str(_require(obj, "id", path, line_no))
+    if not tid:
+        raise MalformedLineError(path, line_no, "empty id")
+    if tid in seen:
+        raise DuplicateIdError(path, line_no, tid)
+    text = str(_require(obj, "text", path, line_no))
+    if not text.strip():
+        raise MalformedLineError(path, line_no, f"tweet {tid!r} has empty text")
+    try:
+        group = Group(_require(obj, "group", path, line_no))
+    except ValueError as exc:
+        raise MalformedLineError(path, line_no, str(exc)) from exc
+    ts = _require(obj, "timestamp", path, line_no)
+    if not isinstance(ts, int):
+        raise MalformedLineError(path, line_no, "timestamp must be an integer")
+    return tid, str(_require(obj, "user_id", path, line_no)), group, ts, text
 
 
 def load_tweets(path) -> list[Tweet]:

@@ -70,9 +70,9 @@ class ArticleIndex:
     ``terms[t]`` is the term with id t. The raw postings are CSR arrays over
     term ids: ``ordinals[indptr[t]:indptr[t + 1]]`` are the articles term t
     occurs in (ascending) and ``counts`` its counts there; ``doc_len`` holds
-    each article's token count. Immutable after construction; one
-    ImpactTable per weighting is built on first use: BM25 per BM25Params,
-    TF-IDF from the L2-normalized tf*idf postings.
+    each article's token count, the sum of its posting counts. Immutable
+    after construction; one ImpactTable per weighting is built on first use:
+    BM25 per BM25Params, TF-IDF from the L2-normalized tf*idf postings.
     """
 
     def __init__(self, article_ids, terms, doc_len, indptr, ordinals, counts):
@@ -104,6 +104,9 @@ class ArticleIndex:
         first[self.indptr] = True  # each term's first posting, and the end
         if np.any((np.diff(ords) <= 0) & ~first[1:-1]):
             raise ValueError("ordinals must rise within each term")
+        if not np.array_equal(np.bincount(ords, weights=self.counts, minlength=self.n_articles),
+                              self.doc_len):
+            raise ValueError("doc_len is not each article's sum of posting counts")
         self._tables: dict[object, ImpactTable] = {}
 
     @property
@@ -226,12 +229,16 @@ def score_block(token_lists: list[list[str]], index: ArticleIndex,
 
     head = ~tail
     dense = table.dense_rows
+    # in place on row views: no temporary row and no write-back per term
     if scale is None:
         for r, k in zip(rows[head].tolist(), slot[head].tolist()):
-            scores[r] += dense[k]
+            row = scores[r]
+            np.add(row, dense[k], out=row)
     else:
+        buf = np.empty(n)
         for r, k, q in zip(rows[head].tolist(), slot[head].tolist(), scale[head].tolist()):
-            scores[r] += q * dense[k]
+            row = scores[r]
+            np.add(row, np.multiply(dense[k], q, out=buf), out=row)
     return scores
 
 

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_article
 from oracles import bm25_oracle
@@ -304,6 +305,32 @@ class TestMatchCommand:
         assert (out / "matches.jsonl").read_bytes() == serial
 
 
+class TestMatchLine:
+    ids = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028é雪🙂')))
+    scores = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e22, 1.0, float("nan"),
+                                        float("inf"), float("-inf")]), st.floats())
+
+    @given(ids, st.one_of(st.none(), ids), scores, st.booleans())
+    def test_same_text_as_json_dumps(self, tweet_id, article_id, score, rumor):
+        record = {"tweet_id": tweet_id, "article_id": article_id, "score": score,
+                  "label": "RUMOR" if rumor else "NONRUMOR"}
+        assert cli._match_line(tweet_id, article_id, score, rumor) == json.dumps(
+            record, ensure_ascii=False)
+
+    def test_nan_component_writes_a_nan_score(self, workspace, tmp_path):
+        # a NaN in a tweet's mean vector makes every cosine NaN; the line keeps
+        # json's NaN token, as json.dumps writes it
+        _, config, out = workspace
+        emb = tmp_path / "nan.vec"
+        emb.write_text("3 2\nclinton 1 0\ntrump 0 1\nqqqz nan 0\n")
+        config.write_text(config.read_text() + f"embeddings = {emb}\nmatcher = EMBEDDING\n")
+        assert cli.main(["--config", str(config), "--threshold", "0.5", "match"]) == 0
+        lines = (out / "matches.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines[2] == ('{"tweet_id": "t3", "article_id": null, "score": NaN, '
+                            '"label": "NONRUMOR"}')
+        assert lines[0] == '{"tweet_id": "t1", "article_id": "a1", "score": 1.0, "label": "RUMOR"}'
+
+
 class TestEmbeddingMatchers:
     def test_embedding_matcher_end_to_end(self, workspace, vector_files):
         tmp_path, config, out = workspace
@@ -544,6 +571,23 @@ class TestReproducibility:
             results.append((out / "matches.jsonl").read_bytes())
         assert results[0] == results[1] == results[2]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chunk_and_block_do_not_change_bytes(self, zipf_workspace, monkeypatch, jobs):
+        tmp_path, config = zipf_workspace
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text("".join(tweets.read_text().splitlines(keepends=True)[:250]))
+        results = {}
+        for chunk in (1, 7, 100):
+            for block in (1, 3, 64):
+                monkeypatch.setattr(cli, "CHUNK", chunk)
+                monkeypatch.setattr(cli, "BLOCK", block)
+                out = tmp_path / f"c{chunk}b{block}j{jobs}"
+                assert cli.main(["--config", str(config), "--jobs", str(jobs),
+                                 "--out", str(out), "match"]) == 0
+                results[chunk, block] = (out / "matches.jsonl").read_bytes()
+        assert len(set(results.values())) == 1
+        assert results[1, 1].count(b"\n") == 250
+
 
 def v2_payload(**changes) -> bytes:
     """A well-formed version-2 index payload (two articles, two terms) with changes."""
@@ -573,6 +617,7 @@ class TestInputErrors:
         pytest.param(v2_payload(counts=[1]), id="ordinals-counts-lengths-differ"),
         pytest.param(v2_payload(terms=["x", "x"]), id="duplicate-term"),
         pytest.param(v2_payload(indptr=[0, 2, 2], ordinals=[1, 0]), id="falling-ordinals"),
+        pytest.param(v2_payload(doc_len=[2, 1]), id="doc-len-contradicts-postings"),
     ])
     def test_malformed_index_payload_exit_2(self, workspace, payload, capsys):
         tmp_path, config, out = workspace
@@ -644,7 +689,7 @@ class TestProgress:
         tmp_path, config, out = workspace
         config.write_text(config.read_text().replace("quiet = true", f"quiet = {quiet}"))
         monkeypatch.setattr(cli, "PROGRESS_S", 0.0)
-        monkeypatch.setattr(cli, "CHUNK", 2)
+        monkeypatch.setattr(cli, "BLOCK", 2)  # the serial stream advances one block at a time
         assert cli.main(["--config", str(config), "match"]) == 0
         lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("matched")]
         assert lines == ([] if quiet else ["matched 2 tweets", "matched 4 tweets"])

@@ -70,6 +70,78 @@ class TestLoadTweets:
             corpus.load_tweets(p)
 
 
+def tweet_line(**changes):
+    """A valid tweet line with fields changed; a field set to None is removed."""
+    obj = dict(TWEETS[0], **changes)
+    return json.dumps({k: v for k, v in obj.items() if v is not None})
+
+
+class TestTweetLineEdges:
+    """Lines off the plain case: each is coerced, or fails with the class,
+    message and path:line of the per-field checks."""
+
+    @pytest.mark.parametrize("lines,error,suffix", [
+        pytest.param([tweet_line(), "", "   ", tweet_line(id="t2", text=" ")],
+                     MalformedLineError, ":4: malformed line: tweet 't2' has empty text",
+                     id="blank-lines-are-skipped-and-counted"),
+        pytest.param([tweet_line(id=5), tweet_line(id="5")],
+                     DuplicateIdError, ":2: duplicate id '5'", id="int-id-then-its-str"),
+        pytest.param([tweet_line(), tweet_line()], DuplicateIdError, ":2: duplicate id 't1'",
+                     id="duplicate-id"),
+        pytest.param([tweet_line(id="")], MalformedLineError, ":1: malformed line: empty id",
+                     id="empty-id"),
+        *[pytest.param([tweet_line(**{key: None})], MalformedLineError,
+                       f":1: malformed line: missing field {key!r}", id=f"missing-{key}")
+          for key in ("id", "text", "group", "timestamp", "user_id")],
+        pytest.param([tweet_line(group="NOBODY")], MalformedLineError,
+                     ":1: malformed line: 'NOBODY' is not a valid Group", id="unknown-group"),
+        pytest.param([tweet_line(group=["OTHER"])], MalformedLineError,
+                     ":1: malformed line: ['OTHER'] is not a valid Group", id="list-group"),
+        pytest.param([tweet_line(timestamp=1462060800.0)], MalformedLineError,
+                     ":1: malformed line: timestamp must be an integer", id="float-timestamp"),
+        pytest.param([tweet_line(text=" \t ")], MalformedLineError,
+                     ":1: malformed line: tweet 't1' has empty text", id="blank-text"),
+        pytest.param(['["t1"]'], MalformedLineError, ":1: malformed line: expected a JSON object",
+                     id="array-line"),
+        pytest.param(['"t1"'], MalformedLineError, ":1: malformed line: expected a JSON object",
+                     id="string-line"),
+        pytest.param(['{"id": '], MalformedLineError,
+                     ":1: malformed line: Expecting value: line 2 column 1 (char 8)",
+                     id="truncated-json"),
+    ])
+    def test_error(self, tmp_path, lines, error, suffix):
+        p = tmp_path / "tweets.jsonl"
+        p.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+        with pytest.raises(error) as exc:
+            corpus.load_tweets(p)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{p}{suffix}"
+
+    @pytest.mark.parametrize("changes,field,value", [
+        ({"id": 5}, "id", "5"),
+        ({"id": 1.5}, "id", "1.5"),
+        ({"user_id": 7}, "user_id", "7"),
+        ({"text": 42}, "text", "42"),
+        ({"text": ["a b"]}, "text", "['a b']"),
+        ({"timestamp": True}, "timestamp", True),
+    ])
+    def test_coerced(self, tmp_path, changes, field, value):
+        p = tmp_path / "tweets.jsonl"
+        p.write_text(tweet_line(**changes) + "\n", encoding="utf-8")
+        (tweet,) = corpus.load_tweets(p)
+        assert {f: getattr(tweet, f) for f in TWEETS[0]} == dict(
+            TWEETS[0], group=Group.CLINTON_FOLLOWER, **{field: value})
+        assert type(getattr(tweet, field)) is type(value)
+
+    def test_tweet_is_an_immutable_record(self):
+        t = corpus.Tweet("t1", "u1", Group.OTHER, 5, "x")
+        assert t == corpus.Tweet(id="t1", user_id="u1", group=Group.OTHER, timestamp=5, text="x")
+        assert t != corpus.Tweet("t1", "u1", Group.OTHER, 6, "x")
+        assert (t.id, t.user_id, t.group, t.timestamp, t.text) == ("t1", "u1", Group.OTHER, 5, "x")
+        with pytest.raises(AttributeError):
+            t.text = "y"
+
+
 class TestLoadArticles:
     def test_two_valid_lines(self, tmp_path):
         p = tmp_path / "articles.jsonl"
