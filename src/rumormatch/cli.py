@@ -349,11 +349,11 @@ def make_scorer(config: RunConfig, articles=None, index=None,
     scorer.article_ids = [a.id for a in articles]
     if matcher == "EMBEDDING":
         scorer.emb_table = matchers.load_embeddings(_require_file(config.embeddings, "embeddings"))
-        scorer.art_vecs = matchers.embed_articles(articles, scorer.emb_table, scorer.tok)
+        art_vecs = matchers.embed_articles(articles, scorer.emb_table, scorer.tok)
     else:  # DOCVEC: one file holds the article and the tweet vectors, keyed by id
         scorer.emb_table = matchers.load_embeddings(_require_file(config.doc_vectors, "doc_vectors"))
-        zero = np.zeros(scorer.emb_table.dim)
-        scorer.art_vecs = np.array([scorer.emb_table.vectors.get(a.id, zero) for a in articles])
+        art_vecs = scorer.emb_table.lookup(scorer.article_ids)
+    scorer.art_vecs = np.asfortranarray(art_vecs)  # one contiguous row per dim for cosine_block
     scorer.norms = matchers.article_norms(scorer.art_vecs)
     return scorer
 
@@ -393,11 +393,10 @@ def _block_scores(s: Scorer, block, tokens) -> tuple[np.ndarray, np.ndarray]:
         scores = matchers.score_block(tokens, s.index, s.table)
         return scores, np.ones(len(block), dtype=bool)
     if s.matcher == "EMBEDDING":
-        rows = [matchers.score_embedding(t, s.art_vecs, s.emb_table, s.norms) for t in tokens]
+        queries = matchers.mean_vectors(tokens, s.emb_table)
     else:  # DOCVEC: the tweet's own vector, looked up by its id
-        rows = [matchers.cosine_scores(s.emb_table.vectors.get(tweet_id), s.art_vecs, s.norms)
-                for tweet_id, _ in block]
-    return np.array([r for r, _ in rows]), np.array([d for _, d in rows])
+        queries = s.emb_table.lookup([tweet_id for tweet_id, _ in block])
+    return matchers.cosine_block(queries, s.art_vecs, s.norms)
 
 
 def _score_block(s: Scorer, block):

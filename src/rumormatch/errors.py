@@ -95,6 +95,18 @@ class DimMismatchError(InputFormatError):
     code = "DIM_MISMATCH"
 
 
+class VectorFileError(InputFormatError):
+    """A vector file line that is not '<count> <dim>' (the header) or not
+    '<term> <dim numbers>'."""
+
+    code = "VECTOR_FILE"
+
+    def __init__(self, path, line_no, reason):
+        self.path = path
+        self.line_no = line_no
+        super().__init__(f"{path}:{line_no}: {reason}")
+
+
 class EmptyScoresError(RumorMatchError):
     code = "EMPTY_SCORES"
 

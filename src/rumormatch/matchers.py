@@ -9,7 +9,9 @@ statistics are precomputed once into an inverted index.
 from __future__ import annotations
 
 import math
+import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
@@ -22,6 +24,7 @@ from .errors import (
     DimMismatchError,
     EmptyCorpusError,
     EmptyScoresError,
+    VectorFileError,
 )
 from .textpipe import TokenizerConfig, tokenize
 
@@ -86,6 +89,8 @@ class ArticleIndex:
         self.counts = np.asarray(counts, dtype=np.float64)
         if any(a.ndim != 1 for a in (self.doc_len, self.indptr, self.ordinals, self.counts)):
             raise ValueError("every array must be flat")
+        if not set(map(type, self.article_ids)) | set(map(type, self.terms)) <= {str}:
+            raise ValueError("article ids and terms must be strings")
         if len(self.term_ids) != len(self.terms):
             raise ValueError("duplicate term")
         if len(self.doc_len) != self.n_articles:
@@ -254,94 +259,229 @@ def score_bm25(
     return score_block([tweet_tokens], index, index.bm25_table(params or BM25Params()))[0]
 
 
-@dataclass
+class _RowView(Mapping):
+    """term -> its row of an EmbeddingTable's matrix (a view, not a copy)."""
+
+    def __init__(self, matrix: np.ndarray, rows: dict[str, int]):
+        self._matrix, self._rows = matrix, rows
+
+    def __getitem__(self, term):
+        return self._matrix[self._rows[term]]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+
 class EmbeddingTable:
-    dim: int
-    vectors: dict[str, np.ndarray]
+    """Term vectors as one (V, dim) float64 matrix: term t's vector is
+    ``matrix[rows[t]]``, and ``vectors`` maps each term to that row.
+
+    ``EmbeddingTable(dim, {term: vector})`` copies the vectors into a
+    matrix; ``load_embeddings`` hands over ``matrix`` and ``rows`` as read.
+    """
+
+    def __init__(self, dim: int, vectors: Optional[Mapping] = None, *,
+                 matrix: Optional[np.ndarray] = None, rows: Optional[dict[str, int]] = None):
+        if vectors is not None:
+            rows = {term: i for i, term in enumerate(vectors)}
+            matrix = np.zeros((len(rows), dim))
+            for i, (term, vec) in enumerate(vectors.items()):
+                vec = np.asarray(vec, dtype=np.float64)
+                if vec.shape != (dim,):
+                    raise DimMismatchError(f"vector of {term!r} has shape {vec.shape}, "
+                                           f"table has dim {dim}")
+                matrix[i] = vec
+        self.dim, self.matrix, self.rows = dim, matrix, rows
+
+    @property
+    def vectors(self) -> Mapping:
+        return _RowView(self.matrix, self.rows)
 
     def __contains__(self, term):
-        return term in self.vectors
+        return term in self.rows
+
+    def lookup(self, keys) -> np.ndarray:
+        """(len(keys), dim): the vector of each key, zeros where there is none."""
+        get = self.rows.get
+        rows = np.array([get(key, -1) for key in keys], dtype=np.int64)
+        out = np.zeros((len(keys), self.dim))
+        found = rows >= 0
+        out[found] = self.matrix[rows[found]]
+        return out
+
+
+VECTOR_BATCH_BYTES = 1 << 20  # lines read and parsed at a time by load_embeddings
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """word2vec text format: header '<count> <dim>', then 'term v1 .. vdim'."""
+    """word2vec text format: header '<count> <dim>', then 'term v1 .. vdim'.
+
+    A line without a space is skipped; any other line must hold exactly dim
+    single-space-separated components after its term (DimMismatchError
+    otherwise). A repeated term keeps its last vector. The components are
+    parsed a batch of lines at a time by numpy's C reader into one
+    preallocated matrix, so no per-term array is built.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected '<count> <dim>' header")
-        dim = int(header[1])
-        vectors = {}
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
+        try:
+            count, dim = map(int, header)
+        except ValueError:  # not two fields, or not two integers
+            count = dim = -1
+        if count < 0 or dim < 0:
+            raise VectorFileError(path, 1, f"expected a '<count> <dim>' header, got {header}")
+        # the header's count is a hint: a row takes at least 2 * dim + 1 bytes
+        size = os.fstat(fh.fileno()).st_size
+        matrix = np.empty((min(count, size // (2 * dim + 1)), dim))
+        rows: dict[str, int] = {}
+        n = line_no = 0
+        while batch := fh.readlines(VECTOR_BATCH_BYTES):
+            spaces = [line.count(" ") for line in batch]  # components: len(line.split(" ")) - 1
+            at = [i for i, k in enumerate(spaces) if k]  # a line without a space is skipped
+            wrong = next((j for j, i in enumerate(at) if spaces[i] != dim), None)
+            line_nos = [line_no + 2 + i for i in at]  # the header is line 1
+            line_no += len(batch)
+            if wrong is not None:
+                _parse_rows(path, [batch[i] for i in at[:wrong]], line_nos, dim)  # first error first
+                raise DimMismatchError(f"{path}:{line_nos[wrong]}: expected {dim} components, "
+                                       f"got {spaces[at[wrong]]}")
+            if not at:
                 continue
-            term, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise DimMismatchError(
-                    f"{path}:{line_no}: expected {dim} components, got {len(values)}"
-                )
-            vectors[term] = np.array(values, dtype=np.float64)
-    return EmbeddingTable(dim=dim, vectors=vectors)
+            lines = [batch[i] for i in at]
+            rows.update(zip([line[:line.index(" ")] for line in lines], range(n, n + len(at))))
+            if n + len(at) > len(matrix):  # the header undercounts
+                matrix.resize((max(2 * len(matrix), n + len(at)), dim), refcheck=False)
+            matrix[n:n + len(at)] = _parse_rows(path, lines, line_nos, dim)
+            n += len(at)
+    matrix.resize((n, dim), refcheck=False)  # no view of it is held
+    return EmbeddingTable(dim, matrix=matrix, rows=rows)
 
 
-def embed_tokens(tokens: list[str], table: EmbeddingTable) -> Optional[np.ndarray]:
-    """Mean of the table vectors of in-vocabulary tokens; None when there are none."""
-    vecs = [table.vectors[t] for t in tokens if t in table.vectors]
-    return np.mean(vecs, axis=0) if vecs else None
+def _parse_rows(path, lines, line_nos, dim) -> np.ndarray:
+    """(len(lines), dim) components of 'term v1 .. vdim' lines; VectorFileError
+    naming the first line that does not parse."""
+    if not lines:
+        return np.empty((0, dim))
+    try:
+        return np.loadtxt(lines, dtype=np.float64, delimiter=" ", usecols=range(1, dim + 1),
+                          comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        if len(lines) == 1:
+            raise VectorFileError(path, line_nos[0], f"expected {dim} numbers after the term")
+        for line, line_no in zip(lines, line_nos):
+            _parse_rows(path, [line], [line_no], dim)
+        raise
+
+
+def mean_vectors(token_lists: list[list[str]], table: EmbeddingTable) -> np.ndarray:
+    """(B, dim): each token list's mean over the vectors of its in-vocabulary
+    tokens, zeros where it has none.
+
+    Each component is summed in token order, the first vector then each next
+    one added, and divided by the count. The rows are ranked longest first,
+    so the vectors at one token position are added with one gather into a
+    prefix of the ranks.
+    """
+    n_rows, get = len(token_lists), table.rows.get
+    ids = np.array([get(t, -1) for tokens in token_lists for t in tokens], dtype=np.int64)
+    owner = np.repeat(np.arange(n_rows), [len(tokens) for tokens in token_lists])
+    known = ids >= 0
+    ids, owner = ids[known], owner[known]
+    lens = np.bincount(owner, minlength=n_rows)
+    order = np.argsort(-lens, kind="stable")  # rank -> row
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n_rows)
+    pos = np.arange(len(ids)) - (np.cumsum(lens) - lens)[owner]  # position among its row's ids
+    ids = ids[np.argsort(pos * n_rows + rank[owner])]  # by position, then by rank
+    acc = np.zeros((n_rows, table.dim))
+    start = 0
+    for p, k in enumerate(np.bincount(pos).tolist()):  # the k rows with more than p ids
+        vecs = table.matrix[ids[start:start + k]]
+        if p:
+            acc[:k] += vecs
+        else:
+            acc[:k] = vecs
+        start += k
+    has = int(np.count_nonzero(lens))
+    acc[:has] /= lens[order[:has], None]
+    return acc[rank]
 
 
 def embed_articles(articles, table: EmbeddingTable, tok=None) -> np.ndarray:
     """Average each article body through the table; undefined articles get zeros."""
-    out = np.zeros((len(articles), table.dim))
-    for i, article in enumerate(articles):
-        vec = embed_tokens(tokenize(article.body, tok or TokenizerConfig()), table)
-        if vec is not None:
-            out[i] = vec
-    return out
+    tok = tok or TokenizerConfig()
+    return mean_vectors([tokenize(a.body, tok) for a in articles], table)
+
+
+def _squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares over dims in ascending order: the last of its
+    running sums, whose order add.accumulate fixes by definition."""
+    sq = np.square(vectors)
+    np.add.accumulate(sq, axis=1, out=sq)
+    return sq[:, -1].copy() if sq.shape[1] else np.zeros(len(sq))
 
 
 def article_norms(article_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The divisor cosine_scores uses per article (its L2 norm, 1 where that
+    """The divisor cosine_block uses per article (its L2 norm, 1 where that
     is 0) and the mask of zero-norm articles, which score 0."""
-    a_norms = np.linalg.norm(article_vectors, axis=1)
+    a_norms = np.sqrt(_squared_norms(article_vectors))
     return np.where(a_norms > 0, a_norms, 1.0), a_norms == 0
 
 
-def cosine_scores(
-    q: Optional[np.ndarray], article_vectors: np.ndarray,
+def cosine_block(
+    queries: np.ndarray, article_vectors: np.ndarray,
     norms: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[np.ndarray, bool]:
-    """Cosine of the query vector ``q`` against each article vector.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine of each query vector (row of ``queries``, (B, dim)) against each
+    article vector: (scores of shape (B, n_articles), defined mask of shape (B,)).
 
-    Returns (scores, defined). When ``q`` is None or the zero vector, all
-    scores are 0 and defined is False (UNDEFINED_REPRESENTATION); a
-    zero-norm article scores 0. ``norms`` is ``article_norms(article_vectors)``,
-    computed once by a caller that scores many tweets; the scores are the
-    same bits either way.
+    A query that is zero in every component is undefined and scores 0 on
+    every article; a zero-norm article scores 0. Every dot product and
+    squared norm is summed over dims in ascending order: the dot products in
+    a loop over dims that adds one (B, n_articles) product at a time, the
+    norms as running sums. No sum goes through BLAS, whose summation order
+    depends on the CPU kernel, and a row's result does not depend on the
+    other rows of the block. ``norms`` is ``article_norms(article_vectors)``, computed once by
+    a caller that scores many blocks; the scores are the same bits either
+    way. Article vectors in Fortran order (np.asfortranarray) spare a
+    transpose per call.
     """
-    if q is None or not np.any(q):
-        return np.zeros(article_vectors.shape[0]), False
-    q_norm = np.linalg.norm(q)
+    if queries.shape[1] != article_vectors.shape[1]:
+        raise DimMismatchError(f"query vectors have dim {queries.shape[1]}, "
+                               f"article vectors {article_vectors.shape[1]}")
     safe, zero = norms if norms is not None else article_norms(article_vectors)
-    scores = (article_vectors @ q) / (safe * q_norm)
-    scores[zero] = 0.0
-    return scores, True
+    dots = np.zeros((len(queries), len(article_vectors)))
+    prod = np.empty_like(dots)
+    q_dims = np.ascontiguousarray(queries.T)[:, :, None]  # (dim, B, 1)
+    for q_d, a_d in zip(q_dims, np.ascontiguousarray(article_vectors.T)):
+        np.add(dots, np.multiply(q_d, a_d, out=prod), out=dots)
+    defined = np.any(queries != 0, axis=1)
+    q_norms = np.sqrt(_squared_norms(queries))
+    with np.errstate(divide="ignore", invalid="ignore"):  # undefined rows are zeroed below
+        scores = np.divide(dots, np.multiply.outer(q_norms, safe, out=prod), out=prod)
+    scores[:, zero] = 0.0
+    scores[~defined] = 0.0
+    return scores, defined
 
 
 def score_embedding(
     tweet_tokens: list[str], article_vectors: np.ndarray, table: EmbeddingTable,
     norms: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, bool]:
-    """Cosine of mean tweet vector against each article vector.
+    """Cosine of mean tweet vector against each article vector, as a block of one.
 
-    Returns (scores, defined) as cosine_scores does; the tweet is undefined
-    when it has no in-vocabulary tokens or averages to the zero vector.
+    Returns (scores, defined); the tweet is undefined when it has no
+    in-vocabulary tokens or averages to the zero vector.
     """
     if article_vectors.ndim != 2 or article_vectors.shape[1] != table.dim:
         raise DimMismatchError(
             f"article vectors have dim {article_vectors.shape[-1]}, table has {table.dim}"
         )
-    return cosine_scores(embed_tokens(tweet_tokens, table), article_vectors, norms)
+    scores, defined = cosine_block(mean_vectors([tweet_tokens], table), article_vectors, norms)
+    return scores[0], bool(defined[0])
 
 
 @dataclass

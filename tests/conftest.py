@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -40,3 +41,32 @@ def random_token_corpus(rng: random.Random, max_docs=100, max_vocab=50):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def mean_loop_reference(vectors):
+    """The mean of a list of vectors as documented for mean_vectors: the first
+    vector, then each next one added in order, divided by the count."""
+    total = list(vectors[0])
+    for vec in vectors[1:]:
+        total = [s + x for s, x in zip(total, vec)]
+    return [s / len(vectors) for s in total]
+
+
+def cosine_loop_reference(q, article_vectors):
+    """Loop version of cosine_block's documented order: every dot product and
+    squared norm summed from 0.0 over dims in ascending order, then
+    dot / (|a| * |q|); a zero-norm article scores 0."""
+    def dot(u, v):
+        total = 0.0
+        for a, b in zip(u, v):
+            total += a * b
+        return total
+
+    q = [float(x) for x in q]
+    q_norm = math.sqrt(dot(q, q))
+    scores = []
+    for a in article_vectors:
+        a = [float(x) for x in a]
+        a_norm = math.sqrt(dot(a, a))
+        scores.append(0.0 if a_norm == 0 else dot(q, a) / (a_norm * q_norm))
+    return scores

@@ -34,6 +34,36 @@ def tfidf_cosine_oracle(doc_token_lists, query_tokens):
     return [cosine(q, vector(doc)) for doc in doc_token_lists]
 
 
+def embedding_cosine_oracle(vectors, doc_token_lists, query_tokens):
+    """Cosine of the query's mean vector against each document's mean vector.
+
+    A mean runs over the in-vocabulary tokens (keys of ``vectors``); a
+    document without one is the zero vector and scores 0. Returns None when
+    the query has no in-vocabulary token or its mean is zero in every
+    component. DOCVEC is the case of one token per document: its id.
+    """
+    def mean(tokens):
+        vecs = [vectors[t] for t in tokens if t in vectors]
+        if not vecs:
+            return None
+        return [sum(component) / len(vecs) for component in zip(*vecs)]
+
+    def norm(u):
+        return math.sqrt(sum(a * a for a in u))
+
+    q = mean(query_tokens)
+    if q is None or not any(q):
+        return None
+    scores = []
+    for doc in doc_token_lists:
+        d = mean(doc)
+        if d is None or norm(d) == 0:
+            scores.append(0.0)
+        else:
+            scores.append(sum(a * b for a, b in zip(q, d)) / (norm(q) * norm(d)))
+    return scores
+
+
 def bm25_oracle(doc_token_lists, query_tokens, k1=1.2, b=0.75):
     """Direct evaluation of the BM25 scoring formula, one doc at a time."""
     n = len(doc_token_lists)

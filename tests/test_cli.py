@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import random
 import stat
 import subprocess
@@ -559,9 +560,54 @@ class TestReproducibility:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == 3000
 
-    @pytest.mark.parametrize("matcher", ["BM25", "TFIDF"])
-    def test_block_size_does_not_change_bytes(self, zipf_workspace, matcher, monkeypatch):
+    @pytest.fixture
+    def zipf_vectors(self, zipf_workspace):
+        """Seeded 64-dim word vectors and article/tweet doc vectors for the zipf
+        corpus, added to its config; every eleventh key has no vector and every
+        thirteenth an all-zero one."""
         tmp_path, config = zipf_workspace
+        rng = random.Random(0x64D)
+
+        def write(path, keys):
+            rows = [key + " " + " ".join(
+                        "0.0" if i % 13 == 12 else repr(rng.gauss(0, 1)) for _ in range(64))
+                    for i, key in enumerate(keys) if i % 11 != 10]
+            path.write_text(f"{len(rows)} 64\n" + "".join(row + "\n" for row in rows))
+
+        write(tmp_path / "words.vec", [f"w{i:03d}" for i in range(400)])
+        write(tmp_path / "docs.vec", [f"a{i}" for i in range(300)] + [f"t{i}" for i in range(3000)])
+        config.write_text(config.read_text() + f"embeddings = {tmp_path / 'words.vec'}\n"
+                          f"doc_vectors = {tmp_path / 'docs.vec'}\n")
+        return tmp_path, config
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+    @pytest.mark.parametrize("matcher", ["EMBEDDING", "DOCVEC"])
+    def test_blas_core_type_does_not_change_bytes(self, zipf_vectors, matcher):
+        tmp_path, config = zipf_vectors
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text("".join(tweets.read_text().splitlines(keepends=True)[:300]))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for core in ("Prescott", None):
+            out = tmp_path / f"out-{core}"
+            env = dict(os.environ,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            subprocess.run(
+                [sys.executable, "-m", "rumormatch.cli", "--config", str(config),
+                 "--matcher", matcher, "--threshold", "0.1", "--out", str(out), "match"],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append((out / "matches.jsonl").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 300 and b'"RUMOR"' in outputs[0]
+
+    @pytest.mark.parametrize("matcher", ["BM25", "TFIDF", "EMBEDDING", "DOCVEC"])
+    def test_block_size_does_not_change_bytes(self, zipf_vectors, matcher, monkeypatch):
+        tmp_path, config = zipf_vectors
         results = []
         for block in (1, 7, cli.BLOCK):
             monkeypatch.setattr(cli, "BLOCK", block)
@@ -618,6 +664,8 @@ class TestInputErrors:
         pytest.param(v2_payload(terms=["x", "x"]), id="duplicate-term"),
         pytest.param(v2_payload(indptr=[0, 2, 2], ordinals=[1, 0]), id="falling-ordinals"),
         pytest.param(v2_payload(doc_len=[2, 1]), id="doc-len-contradicts-postings"),
+        pytest.param(v2_payload(article_ids=[1, 2]), id="int-article-ids"),
+        pytest.param(v2_payload(terms=[1, 2]), id="int-terms"),
     ])
     def test_malformed_index_payload_exit_2(self, workspace, payload, capsys):
         tmp_path, config, out = workspace
@@ -636,6 +684,21 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "expected 3 components, got 2" in err and "internal" not in err
 
+
+    @pytest.mark.parametrize("matcher,key,text,where", [
+        ("EMBEDDING", "embeddings", "2 3\nclinton 1 0 0\ntrump 0 one 0\n", 3),
+        ("EMBEDDING", "embeddings", "2 three\nclinton 1 0 0\n", 1),
+        ("DOCVEC", "doc_vectors", "2 2\na1 1 0\nt1 0 x\n", 3),
+    ])
+    def test_bad_vector_file_exit_2_naming_the_line(self, workspace, capsys, matcher, key, text,
+                                                     where):
+        tmp_path, config, out = workspace
+        vec = tmp_path / "bad.vec"
+        vec.write_text(text)
+        config.write_text(config.read_text() + f"{key} = {vec}\nmatcher = {matcher}\n")
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vec}:{where}: ") and "internal" not in err
 
     def test_out_under_a_regular_file_exit_2(self, workspace, capsys):
         tmp_path, config, out = workspace

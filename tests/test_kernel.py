@@ -1,4 +1,5 @@
-"""Properties of the block scoring kernel shared by BM25 and TF-IDF."""
+"""Properties of the block scoring kernels: the postings kernel shared by BM25
+and TF-IDF, and the cosine kernel shared by EMBEDDING and DOCVEC."""
 
 import math
 import random
@@ -7,10 +8,22 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import index_from_token_lists, random_token_corpus
-from oracles import bm25_oracle, tfidf_cosine_oracle
+from conftest import (
+    cosine_loop_reference,
+    index_from_token_lists,
+    mean_loop_reference,
+    random_token_corpus,
+)
+from oracles import bm25_oracle, embedding_cosine_oracle, tfidf_cosine_oracle
 
-from rumormatch.matchers import BM25Params, score_block
+from rumormatch.matchers import (
+    BM25Params,
+    EmbeddingTable,
+    article_norms,
+    cosine_block,
+    mean_vectors,
+    score_block,
+)
 
 
 def tables(index, rng):
@@ -133,3 +146,85 @@ class TestDenseAndCsrTerms:
             for row, query in zip(scores, queries):
                 assert row == pytest.approx(oracle(docs, query), abs=1e-9), name
                 assert_top1_matches_oracle(row, oracle(docs, query))
+
+
+class TestCosineBlock:
+    """EMBEDDING and DOCVEC block scores against the pure-Python oracle, on a
+    seeded 16-dim table."""
+
+    DIM = 16
+
+    @pytest.fixture
+    def vectors(self):
+        rng = random.Random(0xE3BED)
+        vectors = {f"w{i}": [rng.gauss(0, 1) for _ in range(self.DIM)] for i in range(30)}
+        vectors["zero"] = [0.0] * self.DIM
+        vectors["neg1"] = [-x for x in vectors["w1"]]  # w1 + neg1 averages to zero
+        return vectors
+
+    def assert_matches_oracle(self, vectors, scores, defined, docs, queries):
+        for row, ok, query in zip(scores, defined, queries):
+            expected = embedding_cosine_oracle(vectors, docs, query)
+            if expected is None:
+                assert not ok and not row.any(), query
+            else:
+                assert ok and row == pytest.approx(expected, abs=1e-9), query
+
+    def test_embedding_matches_the_oracle(self, vectors):
+        rng = random.Random(7)
+        words = sorted(vectors)
+        docs = [[rng.choice(words) for _ in range(rng.randint(1, 25))] for _ in range(12)]
+        docs += [["oov"], ["zero", "zero"], ["w1", "neg1"]]  # zero-norm articles
+        queries = [[rng.choice(words + ["oov"]) for _ in range(rng.randint(1, 15))]
+                   for _ in range(40)]
+        queries += [[], ["oov", "yak"], ["w3", "w3", "w3"], ["w5", "oov", "w5", "w2"],
+                    ["zero"], ["w1", "neg1"], ["w1", "oov", "neg1"]]
+        table = EmbeddingTable(self.DIM, vectors)
+        articles = np.asfortranarray(mean_vectors(docs, table))
+        scores, defined = cosine_block(mean_vectors(queries, table), articles)
+        assert scores.shape == (len(queries), len(docs))
+        self.assert_matches_oracle(vectors, scores, defined, docs, queries)
+        assert defined.tolist()[-7:] == [False, False, True, True, False, False, False]
+
+    def test_docvec_matches_the_oracle(self, vectors):
+        # DOCVEC: one vector per id; a missing or all-zero vector is undefined
+        rng = random.Random(8)
+        docvecs = {f"a{i}": [rng.gauss(0, 1) for _ in range(self.DIM)] for i in range(8)}
+        docvecs.update({f"t{i}": [rng.gauss(0, 1) for _ in range(self.DIM)] for i in range(20)})
+        docvecs["a3"] = docvecs["t4"] = [0.0] * self.DIM
+        del docvecs["a5"], docvecs["t7"]
+        table = EmbeddingTable(self.DIM, docvecs)
+        article_ids = [f"a{i}" for i in range(8)]
+        tweet_ids = [f"t{i}" for i in range(20)] + ["unknown"]
+        articles = table.lookup(article_ids)
+        scores, defined = cosine_block(table.lookup(tweet_ids), articles, article_norms(articles))
+        self.assert_matches_oracle(docvecs, scores, defined, [[a] for a in article_ids],
+                                   [[t] for t in tweet_ids])
+        assert not defined[[4, 7, 20]].any() and defined.sum() == 18
+        assert not scores[:, [3, 5]].any()
+
+    def test_ascending_dim_order_and_block_independence(self, vectors):
+        rng = random.Random(9)
+        words = sorted(vectors)
+        table = EmbeddingTable(self.DIM, vectors)
+        queries = [[rng.choice(words + ["oov"]) for _ in range(rng.randint(0, 15))]
+                   for _ in range(50)]
+        means = mean_vectors(queries, table)
+        articles = np.array([[rng.gauss(0, 1) for _ in range(self.DIM)] for _ in range(9)])
+        articles[4] = 0.0
+        together, defined = cosine_block(means, articles)
+        for i, query in enumerate(queries):
+            known = [vectors[t] for t in query if t in vectors]
+            mean = mean_loop_reference(known) if known else [0.0] * self.DIM
+            assert means[i].tobytes() == np.array(mean).tobytes()
+            alone, ok = cosine_block(mean_vectors([query], table), articles)
+            assert alone[0].tobytes() == together[i].tobytes() and ok[0] == defined[i]
+            if defined[i]:
+                expected = np.array(cosine_loop_reference(means[i], articles))
+                assert together[i].tobytes() == expected.tobytes()
+
+    def test_underflowing_norm_is_still_defined(self):
+        # |q|^2 underflows to 0, but q is not zero: defined, as when tested component-wise
+        table = EmbeddingTable(2, {"tiny": [1e-200, 0.0]})
+        _, defined = cosine_block(mean_vectors([["tiny"]], table), np.array([[1.0, 0.0]]))
+        assert defined.tolist() == [True]

@@ -4,7 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import NO_STOPWORDS, index_from_token_lists, make_article, random_token_corpus
+from conftest import (
+    NO_STOPWORDS,
+    cosine_loop_reference,
+    index_from_token_lists,
+    make_article,
+    mean_loop_reference,
+    random_token_corpus,
+)
 from oracles import bm25_oracle, tfidf_cosine_oracle
 
 from rumormatch import matchers
@@ -14,6 +21,8 @@ from rumormatch.errors import (
     DimMismatchError,
     EmptyCorpusError,
     EmptyScoresError,
+    InputFormatError,
+    VectorFileError,
 )
 from rumormatch.matchers import (
     BM25Params,
@@ -235,12 +244,10 @@ class TestEmbedding:
         for _ in range(50):
             tokens = rng.sample(sorted(vocab), 5)
             cached, defined = score_embedding(tokens, article_vectors, table, norms)
-            # the expression evaluated per tweet before the norms were cached
-            q = np.mean([vocab[t] for t in tokens], axis=0)
-            a_norms = np.linalg.norm(article_vectors, axis=1)
-            safe = np.where(a_norms > 0, a_norms, 1.0)
-            expected = (article_vectors @ q) / (safe * np.linalg.norm(q))
-            expected[a_norms == 0] = 0.0
+            # the documented order, one loop per sum: tokens in order, dims ascending
+            q = mean_loop_reference([vocab[t].tolist() for t in tokens])
+            expected = np.array(cosine_loop_reference(q, article_vectors))
+            assert expected[[3, 17]].tolist() == [0.0, 0.0]
             assert defined and cached.tobytes() == expected.tobytes()
             fresh, _ = score_embedding(tokens, article_vectors, table)
             assert fresh.tobytes() == expected.tobytes()
@@ -256,11 +263,79 @@ class TestEmbedding:
         for term, vec in table.vectors.items():
             assert list(loaded.vectors[term]) == list(vec)
 
+    def test_table_is_one_matrix(self, table):
+        assert table.matrix.shape == (3, 3) and table.matrix.dtype == np.float64
+        assert table.rows == {"apple": 0, "banana": 1, "cherry": 2}
+        assert table.vectors["cherry"].tolist() == [0.0, 0.0, 2.0]
+        assert "apple" in table and "zebra" not in table
+        assert table.lookup(["cherry", "zebra"]).tolist() == [[0, 0, 2], [0, 0, 0]]
+        with pytest.raises(DimMismatchError):
+            EmbeddingTable(dim=3, vectors={"short": [1.0, 2.0]})
+
     def test_embed_articles(self, table):
         articles = [make_article("a0", ["apple", "banana"]), make_article("a1", ["zzz"])]
         vecs = embed_articles(articles, table, NO_STOPWORDS)
         assert vecs[0] == pytest.approx([0.5, 0.5, 0.0])
         assert list(vecs[1]) == [0.0, 0.0, 0.0]
+
+
+class TestLoadEmbeddings:
+    def write(self, tmp_path, text):
+        p = tmp_path / "vectors.vec"
+        p.write_text(text, encoding="utf-8")
+        return p
+
+    def test_same_bits_as_parsing_each_component(self, tmp_path, rng, monkeypatch):
+        # several batches, so that rows land in the right place across them
+        monkeypatch.setattr(matchers, "VECTOR_BATCH_BYTES", 500)
+        dim = 7
+        rows = {f"t{i}": [repr(rng.gauss(0, 1) * 10 ** rng.randint(-30, 30))
+                          for _ in range(dim)] for i in range(60)}
+        rows["t5"][2], rows["t9"][0] = "%.6f" % 0.1, "-0"
+        text = f"{len(rows)} {dim}\n" + "".join(f"{t} {' '.join(v)}\n" for t, v in rows.items())
+        table = load_embeddings(self.write(tmp_path, text))
+        assert table.matrix.shape == (60, dim) and list(table.rows) == list(rows)
+        for term, values in rows.items():
+            assert table.vectors[term].tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+    def test_repeated_term_keeps_its_last_vector(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(matchers, "VECTOR_BATCH_BYTES", 8)
+        p = self.write(tmp_path, "4 2\na 1 2\nb 3 4\na 5 6\nc 7 8\n")
+        table = load_embeddings(p)
+        assert {t: v.tolist() for t, v in table.vectors.items()} == {
+            "a": [5.0, 6.0], "b": [3.0, 4.0], "c": [7.0, 8.0]}
+
+    @pytest.mark.parametrize("count", ["999999999999", "0", "1"])
+    def test_header_count_is_only_a_hint(self, tmp_path, count):
+        p = self.write(tmp_path, f"{count} 2\na 1 2\n\nno-space\nb 3 4\nc 5 6")
+        table = load_embeddings(p)
+        assert table.matrix.shape == (3, 2)
+        assert table.vectors["c"].tolist() == [5.0, 6.0]
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("2 three\na 1 2\n", 1, "'<count> <dim>' header"),
+        ("2\n", 1, "'<count> <dim>' header"),
+        ("", 1, "'<count> <dim>' header"),
+        ("-1 2\n", 1, "'<count> <dim>' header"),
+        ("2 2\na 1 2\nb 1 x\n", 3, "expected 2 numbers"),
+        ("2 2\na 1 2\nb 1_0 2\n", 3, "expected 2 numbers"),
+        ("2 2\na 1  2\n", 2, "expected 2 components, got 3"),
+        ("2 2\na x 2\nb 1\n", 2, "expected 2 numbers"),  # the first bad line wins
+        ("2 2\na 1 2\nb 1\nc x 2\n", 3, "expected 2 components, got 1"),
+    ])
+    def test_errors_name_path_and_line(self, tmp_path, text, line, message):
+        p = self.write(tmp_path, text)
+        with pytest.raises(InputFormatError) as info:
+            load_embeddings(p)
+        assert str(info.value).startswith(f"{p}:{line}: ") and message in str(info.value)
+
+    def test_bad_number_in_a_later_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(matchers, "VECTOR_BATCH_BYTES", 20)
+        lines = [f"w{i} {i} {i}.5" for i in range(40)]
+        lines[27] = "w27 2 nan?"
+        with pytest.raises(VectorFileError) as info:
+            load_embeddings(self.write(tmp_path, "40 2\n" + "\n".join(lines) + "\n"))
+        assert info.value.line_no == 29
 
 
 class TestLexicon:
