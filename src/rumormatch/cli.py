@@ -349,11 +349,10 @@ def make_scorer(config: RunConfig, articles=None, index=None,
     scorer.article_ids = [a.id for a in articles]
     if matcher == "EMBEDDING":
         scorer.emb_table = matchers.load_embeddings(_require_file(config.embeddings, "embeddings"))
-        art_vecs = matchers.embed_articles(articles, scorer.emb_table, scorer.tok)
+        scorer.art_vecs = matchers.embed_articles(articles, scorer.emb_table, scorer.tok)
     else:  # DOCVEC: one file holds the article and the tweet vectors, keyed by id
         scorer.emb_table = matchers.load_embeddings(_require_file(config.doc_vectors, "doc_vectors"))
-        art_vecs = scorer.emb_table.lookup(scorer.article_ids)
-    scorer.art_vecs = np.asfortranarray(art_vecs)  # one contiguous row per dim for cosine_block
+        scorer.art_vecs = scorer.emb_table.lookup(scorer.article_ids)
     scorer.norms = matchers.article_norms(scorer.art_vecs)
     return scorer
 

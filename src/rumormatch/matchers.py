@@ -259,58 +259,53 @@ def score_bm25(
     return score_block([tweet_tokens], index, index.bm25_table(params or BM25Params()))[0]
 
 
-class _RowView(Mapping):
-    """term -> its row of an EmbeddingTable's matrix (a view, not a copy)."""
-
-    def __init__(self, matrix: np.ndarray, rows: dict[str, int]):
-        self._matrix, self._rows = matrix, rows
-
-    def __getitem__(self, term):
-        return self._matrix[self._rows[term]]
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def __len__(self):
-        return len(self._rows)
-
-
 class EmbeddingTable:
     """Term vectors as one (V, dim) float64 matrix: term t's vector is
-    ``matrix[rows[t]]``, and ``vectors`` maps each term to that row.
+    ``matrix[rows[t]]``.
 
-    ``EmbeddingTable(dim, {term: vector})`` copies the vectors into a
-    matrix; ``load_embeddings`` hands over ``matrix`` and ``rows`` as read.
+    ``EmbeddingTable(dim, {term: vector})`` copies the vectors into a new
+    matrix; ``EmbeddingTable.from_matrix(matrix, rows)`` adopts one as it is.
     """
 
-    def __init__(self, dim: int, vectors: Optional[Mapping] = None, *,
-                 matrix: Optional[np.ndarray] = None, rows: Optional[dict[str, int]] = None):
-        if vectors is not None:
-            rows = {term: i for i, term in enumerate(vectors)}
-            matrix = np.zeros((len(rows), dim))
-            for i, (term, vec) in enumerate(vectors.items()):
-                vec = np.asarray(vec, dtype=np.float64)
-                if vec.shape != (dim,):
-                    raise DimMismatchError(f"vector of {term!r} has shape {vec.shape}, "
-                                           f"table has dim {dim}")
-                matrix[i] = vec
-        self.dim, self.matrix, self.rows = dim, matrix, rows
+    def __init__(self, dim: int, vectors: Mapping):
+        self.dim = dim
+        self.rows = {term: i for i, term in enumerate(vectors)}
+        self.matrix = np.zeros((len(self.rows), dim))
+        for i, (term, vec) in enumerate(vectors.items()):
+            vec = np.asarray(vec, dtype=np.float64)
+            if vec.shape != (dim,):
+                raise DimMismatchError(f"vector of {term!r} has shape {vec.shape}, "
+                                       f"table has dim {dim}")
+            self.matrix[i] = vec
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, rows: dict[str, int]) -> "EmbeddingTable":
+        """The table whose term t has the vector ``matrix[rows[t]]``; no copy is made."""
+        table = cls(matrix.shape[1], {})
+        table.matrix, table.rows = matrix, rows
+        return table
 
     @property
-    def vectors(self) -> Mapping:
-        return _RowView(self.matrix, self.rows)
+    def vectors(self) -> dict[str, np.ndarray]:
+        """term -> its row of the matrix (a view, not a copy)."""
+        return {term: self.matrix[i] for term, i in self.rows.items()}
 
     def __contains__(self, term):
         return term in self.rows
 
     def lookup(self, keys) -> np.ndarray:
-        """(len(keys), dim): the vector of each key, zeros where there is none."""
+        """(len(keys), dim): the vector of each key, zeros where there is none.
+
+        In Fortran order, as cosine_block takes its article vectors, gathered
+        without a temporary copy.
+        """
         get = self.rows.get
         rows = np.array([get(key, -1) for key in keys], dtype=np.int64)
-        out = np.zeros((len(keys), self.dim))
-        found = rows >= 0
-        out[found] = self.matrix[rows[found]]
-        return out
+        cols = np.zeros((self.dim, len(keys)))
+        if len(self.matrix):
+            np.take(self.matrix.T, np.maximum(rows, 0), axis=1, out=cols, mode="clip")
+            cols[:, rows < 0] = 0.0
+        return cols.T
 
 
 VECTOR_BATCH_BYTES = 1 << 20  # lines read and parsed at a time by load_embeddings
@@ -357,7 +352,7 @@ def load_embeddings(path) -> EmbeddingTable:
             matrix[n:n + len(at)] = _parse_rows(path, lines, line_nos, dim)
             n += len(at)
     matrix.resize((n, dim), refcheck=False)  # no view of it is held
-    return EmbeddingTable(dim, matrix=matrix, rows=rows)
+    return EmbeddingTable.from_matrix(matrix, rows)
 
 
 def _parse_rows(path, lines, line_nos, dim) -> np.ndarray:
@@ -410,10 +405,23 @@ def mean_vectors(token_lists: list[list[str]], table: EmbeddingTable) -> np.ndar
     return acc[rank]
 
 
+EMBED_BLOCK = 64  # articles tokenized and averaged at a time by embed_articles
+
+
 def embed_articles(articles, table: EmbeddingTable, tok=None) -> np.ndarray:
-    """Average each article body through the table; undefined articles get zeros."""
+    """Average each article body through the table; undefined articles get zeros.
+
+    EMBED_BLOCK articles at a time, so that the token lists and the
+    temporaries of mean_vectors stay small; a row's mean does not depend on
+    the other rows. The result is in Fortran order, as cosine_block takes it.
+    """
     tok = tok or TokenizerConfig()
-    return mean_vectors([tokenize(a.body, tok) for a in articles], table)
+    cols = np.empty((table.dim, len(articles)))
+    for start in range(0, len(articles), EMBED_BLOCK):
+        block = articles[start:start + EMBED_BLOCK]
+        cols[:, start:start + len(block)] = mean_vectors(
+            [tokenize(a.body, tok) for a in block], table).T
+    return cols.T
 
 
 def _squared_norms(vectors: np.ndarray) -> np.ndarray:
@@ -440,28 +448,33 @@ def cosine_block(
 
     A query that is zero in every component is undefined and scores 0 on
     every article; a zero-norm article scores 0. Every dot product and
-    squared norm is summed over dims in ascending order: the dot products in
-    a loop over dims that adds one (B, n_articles) product at a time, the
-    norms as running sums. No sum goes through BLAS, whose summation order
-    depends on the CPU kernel, and a row's result does not depend on the
-    other rows of the block. ``norms`` is ``article_norms(article_vectors)``, computed once by
-    a caller that scores many blocks; the scores are the same bits either
-    way. Article vectors in Fortran order (np.asfortranarray) spare a
-    transpose per call.
+    squared norm is summed from 0 over dims in ascending order, and no sum
+    goes through BLAS, whose summation order depends on the CPU kernel: a
+    row's result depends neither on the BLAS build nor on the other rows of
+    the block. The dot products are one einsum over the (dim, n_articles)
+    rows of the article vectors, whose inner loop adds ``q[b, d] * rows[d]``
+    into row b for d ascending. A numpy build without FMA in its baseline
+    (the x86-64 wheels) rounds each product before it adds it, as the loop
+    references in tests/test_kernel.py check; one with FMA (aarch64) fuses
+    the two. ``norms`` is ``article_norms(article_vectors)``, computed once
+    by a caller that scores many blocks; the scores are the same bits either
+    way. Article vectors in Fortran order, as embed_articles and
+    EmbeddingTable.lookup return them, spare a copy per call.
     """
     if queries.shape[1] != article_vectors.shape[1]:
         raise DimMismatchError(f"query vectors have dim {queries.shape[1]}, "
                                f"article vectors {article_vectors.shape[1]}")
     safe, zero = norms if norms is not None else article_norms(article_vectors)
-    dots = np.zeros((len(queries), len(article_vectors)))
-    prod = np.empty_like(dots)
-    q_dims = np.ascontiguousarray(queries.T)[:, :, None]  # (dim, B, 1)
-    for q_d, a_d in zip(q_dims, np.ascontiguousarray(article_vectors.T)):
-        np.add(dots, np.multiply(q_d, a_d, out=prod), out=dots)
+    n = len(article_vectors)
+    rows = np.ascontiguousarray(article_vectors.T)
+    if n == 1:  # einsum drops a length-1 axis and would loop over dims innermost
+        rows = np.hstack([rows, np.zeros_like(rows)])
+    queries = np.ascontiguousarray(queries)
+    dots = np.einsum("bd,dn->bn", queries, rows, optimize=False)[:, :n]  # optimize would use BLAS
     defined = np.any(queries != 0, axis=1)
     q_norms = np.sqrt(_squared_norms(queries))
     with np.errstate(divide="ignore", invalid="ignore"):  # undefined rows are zeroed below
-        scores = np.divide(dots, np.multiply.outer(q_norms, safe, out=prod), out=prod)
+        scores = np.divide(dots, np.multiply.outer(q_norms, safe))
     scores[:, zero] = 0.0
     scores[~defined] = 0.0
     return scores, defined

@@ -203,16 +203,20 @@ class TestCosineBlock:
         assert not defined[[4, 7, 20]].any() and defined.sum() == 18
         assert not scores[:, [3, 5]].any()
 
-    def test_ascending_dim_order_and_block_independence(self, vectors):
+    @pytest.mark.parametrize("n_articles", [9, 2, 1])
+    def test_ascending_dim_order_and_block_independence(self, vectors, n_articles):
         rng = random.Random(9)
         words = sorted(vectors)
         table = EmbeddingTable(self.DIM, vectors)
         queries = [[rng.choice(words + ["oov"]) for _ in range(rng.randint(0, 15))]
                    for _ in range(50)]
         means = mean_vectors(queries, table)
-        articles = np.array([[rng.gauss(0, 1) for _ in range(self.DIM)] for _ in range(9)])
-        articles[4] = 0.0
+        articles = np.array([[rng.gauss(0, 1) for _ in range(self.DIM)]
+                             for _ in range(n_articles)])
+        articles[4:5] = 0.0  # a zero-norm article, where there are five
         together, defined = cosine_block(means, articles)
+        fortran, _ = cosine_block(means, np.asfortranarray(articles))
+        assert fortran.tobytes() == together.tobytes()
         for i, query in enumerate(queries):
             known = [vectors[t] for t in query if t in vectors]
             mean = mean_loop_reference(known) if known else [0.0] * self.DIM

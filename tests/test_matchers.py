@@ -269,6 +269,9 @@ class TestEmbedding:
         assert table.vectors["cherry"].tolist() == [0.0, 0.0, 2.0]
         assert "apple" in table and "zebra" not in table
         assert table.lookup(["cherry", "zebra"]).tolist() == [[0, 0, 2], [0, 0, 0]]
+        assert EmbeddingTable(dim=3, vectors={}).lookup(["zebra"]).tolist() == [[0, 0, 0]]
+        adopted = EmbeddingTable.from_matrix(table.matrix, table.rows)
+        assert adopted.dim == 3 and adopted.matrix is table.matrix
         with pytest.raises(DimMismatchError):
             EmbeddingTable(dim=3, vectors={"short": [1.0, 2.0]})
 
@@ -277,6 +280,15 @@ class TestEmbedding:
         vecs = embed_articles(articles, table, NO_STOPWORDS)
         assert vecs[0] == pytest.approx([0.5, 0.5, 0.0])
         assert list(vecs[1]) == [0.0, 0.0, 0.0]
+
+    def test_embed_articles_block_by_block(self, table, monkeypatch):
+        rng = random.Random(4)
+        docs = [[rng.choice(["apple", "banana", "cherry", "zzz"]) for _ in range(rng.randint(0, 6))]
+                for _ in range(11)]
+        articles = [make_article(f"a{i}", doc) for i, doc in enumerate(docs)]
+        monkeypatch.setattr(matchers, "EMBED_BLOCK", 4)
+        vecs = embed_articles(articles, table, NO_STOPWORDS)
+        assert vecs.tobytes() == matchers.mean_vectors(docs, table).tobytes()
 
 
 class TestLoadEmbeddings:
