@@ -308,7 +308,9 @@ class EmbeddingTable:
         return cols.T
 
 
-VECTOR_BATCH_BYTES = 1 << 20  # lines read and parsed at a time by load_embeddings
+# Bytes of lines load_embeddings reads and parses at a time: 1 MB parsed a
+# few percent faster but held about 1 MB more at the peak.
+VECTOR_BATCH_BYTES = 1 << 18
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -474,7 +476,8 @@ def cosine_block(
     defined = np.any(queries != 0, axis=1)
     q_norms = np.sqrt(_squared_norms(queries))
     with np.errstate(divide="ignore", invalid="ignore"):  # undefined rows are zeroed below
-        scores = np.divide(dots, np.multiply.outer(q_norms, safe))
+        scores = np.multiply.outer(q_norms, safe)
+        np.divide(dots, scores, out=scores)
     scores[:, zero] = 0.0
     scores[~defined] = 0.0
     return scores, defined
