@@ -684,7 +684,6 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "expected 3 components, got 2" in err and "internal" not in err
 
-
     @pytest.mark.parametrize("matcher,key,text,where", [
         ("EMBEDDING", "embeddings", "2 3\nclinton 1 0 0\ntrump 0 one 0\n", 3),
         ("EMBEDDING", "embeddings", "2 three\nclinton 1 0 0\n", 1),
