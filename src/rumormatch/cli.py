@@ -49,10 +49,10 @@ from .errors import (
     IndexFormatError,
     IndexMismatchError,
     InputFormatError,
+    MalformedLineError,
     NoRumorLabelsError,
     NoRumorsError,
     RumorMatchError,
-    UnreachablePrecisionError,
     ZeroArticlesForSubjectError,
 )
 
@@ -63,7 +63,7 @@ EXIT_EMPTY = 3
 EXIT_EVAL = 4
 
 INDEX_MAGIC = b"RMIX"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 MATCHERS = ("TFIDF", "BM25", "EMBEDDING", "DOCVEC", "LEXICON")
 VECTOR_MATCHERS = ("TFIDF", "BM25", "EMBEDDING", "DOCVEC")
@@ -223,7 +223,7 @@ def index_provenance(tok: textpipe.TokenizerConfig, articles_path) -> dict:
     return {"tokenizer": tokenizer, "articles_sha256": digest}
 
 
-INDEX_ARRAYS = ("article_ids", "terms", "doc_len", "indptr", "ordinals", "counts")
+INDEX_ARRAYS = ("article_ids", "terms", "indptr", "ordinals", "counts")
 
 
 def save_index(index: matchers.ArticleIndex, path, provenance: dict):
@@ -232,7 +232,6 @@ def save_index(index: matchers.ArticleIndex, path, provenance: dict):
     payload = {
         "article_ids": index.article_ids,
         "terms": index.terms,
-        "doc_len": index.doc_len.astype(np.int64).tolist(),
         "indptr": index.indptr.tolist(),
         "ordinals": index.ordinals.tolist(),
         "counts": index.counts.astype(np.int64).tolist(),
@@ -515,8 +514,15 @@ def load_detections(path) -> dict[str, Optional[str]]:
     detections = {}
     for line_no, obj in corpus._iter_jsonl(path):
         tweet_id = corpus._require(obj, "tweet_id", path, line_no)
+        if type(tweet_id) is not str:
+            raise MalformedLineError(path, line_no,
+                                     f"tweet_id must be a string, got {tweet_id!r}")
         if corpus._require(obj, "label", path, line_no) == Label.RUMOR.value:
-            detections[tweet_id] = obj.get("article_id")
+            article_id = obj.get("article_id")
+            if article_id is not None and type(article_id) is not str:
+                raise MalformedLineError(path, line_no,
+                                         f"article_id must be a string, got {article_id!r}")
+            detections[tweet_id] = article_id
     return detections
 
 
@@ -588,14 +594,13 @@ def cmd_eval(config: RunConfig, task: str) -> None:
     rumor_labels = [l for l in labels if l.label is Label.RUMOR]
     rumor_ids = {l.tweet_id for l in rumor_labels}
     tweets = [t for t in tweets if t.id in rumor_ids]
-    names = list(VECTOR_MATCHERS) if matcher == "ALL" else [matcher]
+    names = [matcher]
+    if matcher == "ALL":  # skip a vector matcher without its file; a named one needs it
+        missing = {"EMBEDDING": not config.embeddings, "DOCVEC": not config.doc_vectors}
+        names = [name for name in VECTOR_MATCHERS if not missing.get(name)]
     index = _get_index(config, articles) if set(names) & set(POSTINGS_MATCHERS) else None
     rows = []
     for name in names:
-        if name == "EMBEDDING" and not config.embeddings:
-            continue
-        if name == "DOCVEC" and not config.doc_vectors:
-            continue
         # threshold -inf: identification needs the argmax article of every tweet
         sub = dataclasses.replace(config, matcher=name, threshold=float("-inf"))
         results = run_match(sub, tweets, scorer=make_scorer(sub, articles, index),
@@ -759,7 +764,7 @@ def main(argv=None) -> int:
             EmptyDenominatorError, NoRumorsError, ZeroArticlesForSubjectError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except (DegenerateLabelsError, NoRumorLabelsError, UnreachablePrecisionError) as exc:
+    except (DegenerateLabelsError, NoRumorLabelsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
     except RumorMatchError as exc:

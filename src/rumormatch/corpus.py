@@ -8,7 +8,7 @@ evaluation never runs over a silently truncated corpus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Container, Iterator, NamedTuple, Optional
 
@@ -61,21 +61,6 @@ class LabeledTweet:
     tweet_id: str
     label: Label
     article_id: Optional[str] = None  # present iff label == RUMOR
-
-
-@dataclass
-class Corpus:
-    """Immutable-by-convention container; all cross-references are resolved at load."""
-
-    tweets: list[Tweet]
-    articles: list[RumorArticle]
-    labels: Optional[list[LabeledTweet]] = None
-    tweets_by_id: dict[str, Tweet] = field(init=False, repr=False)
-    articles_by_id: dict[str, RumorArticle] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.tweets_by_id = {t.id: t for t in self.tweets}
-        self.articles_by_id = {a.id: a for a in self.articles}
 
 
 def _iter_jsonl(path):
@@ -152,7 +137,7 @@ def load_tweets(path) -> list[Tweet]:
 
 
 def load_articles(path) -> list[RumorArticle]:
-    """Parse articles.jsonl; a missing subjects field defaults to {OTHER}."""
+    """Parse articles.jsonl; a missing, null or empty subjects list defaults to {OTHER}."""
     articles = []
     seen = set()
     for line_no, obj in _iter_jsonl(path):
@@ -165,9 +150,12 @@ def load_articles(path) -> list[RumorArticle]:
         body = str(_require(obj, "body", path, line_no))
         if not body.strip():
             raise EmptyBodyError(path, line_no, aid)
-        raw_subjects = obj.get("subjects") or ["OTHER"]
+        raw_subjects = obj.get("subjects")
+        if raw_subjects is not None and type(raw_subjects) is not list:
+            raise MalformedLineError(path, line_no,
+                                     f"subjects must be a list, got {raw_subjects!r}")
         try:
-            subjects = frozenset(Subject(s) for s in raw_subjects)
+            subjects = frozenset(Subject(s) for s in raw_subjects or ["OTHER"])
         except ValueError as exc:
             raise MalformedLineError(path, line_no, str(exc)) from exc
         articles.append(
@@ -196,6 +184,9 @@ def read_labels(path, article_ids: Container[str]) -> list[LabeledTweet]:
         except ValueError as exc:
             raise MalformedLineError(path, line_no, str(exc)) from exc
         article_id = obj.get("article_id")
+        if article_id is not None and type(article_id) is not str:
+            raise MalformedLineError(path, line_no,
+                                     f"article_id must be a string, got {article_id!r}")
         if label is Label.RUMOR:
             if article_id is None:
                 raise RumorWithoutArticleError(tweet_id)
@@ -216,58 +207,9 @@ def check_label_tweets(labels: list[LabeledTweet], tweet_ids: Container[str]) ->
             raise DanglingTweetRefError(l.tweet_id)
 
 
-def load_labels(path, corpus: Corpus) -> list[LabeledTweet]:
-    """Parse labels.jsonl, checking every reference against the loaded corpus."""
-    labels = read_labels(path, corpus.articles_by_id)
-    check_label_tweets(labels, corpus.tweets_by_id)
+def load_labels(path, article_ids: Container[str],
+                tweet_ids: Container[str]) -> list[LabeledTweet]:
+    """Parse labels.jsonl, checking every article and tweet reference."""
+    labels = read_labels(path, article_ids)
+    check_label_tweets(labels, tweet_ids)
     return labels
-
-
-def load_corpus(tweets_path, articles_path, labels_path=None) -> Corpus:
-    corpus = Corpus(tweets=load_tweets(tweets_path), articles=load_articles(articles_path))
-    if labels_path is not None:
-        corpus.labels = load_labels(labels_path, corpus)
-    return corpus
-
-
-def _dump_line(fh, obj):
-    fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-    fh.write("\n")
-
-
-def save_tweets(tweets, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in tweets:
-            _dump_line(
-                fh,
-                {
-                    "id": t.id,
-                    "user_id": t.user_id,
-                    "group": t.group.value,
-                    "timestamp": t.timestamp,
-                    "text": t.text,
-                },
-            )
-
-
-def save_articles(articles, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in articles:
-            obj = {
-                "id": a.id,
-                "title": a.title,
-                "body": a.body,
-                "subjects": sorted(s.value for s in a.subjects),
-            }
-            if a.source_url is not None:
-                obj["source_url"] = a.source_url
-            _dump_line(fh, obj)
-
-
-def save_labels(labels, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for l in labels:
-            obj = {"tweet_id": l.tweet_id, "label": l.label.value}
-            if l.article_id is not None:
-                obj["article_id"] = l.article_id
-            _dump_line(fh, obj)

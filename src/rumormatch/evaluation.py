@@ -15,7 +15,6 @@ from .corpus import Label, LabeledTweet
 from .errors import (
     DegenerateLabelsError,
     NoRumorLabelsError,
-    UnreachablePrecisionError,
 )
 from .matchers import MatchResult
 
@@ -121,19 +120,3 @@ def identification_accuracy(
         correct += match.best_article_id == l.article_id
     return correct / len(rumor_labels)
 
-
-def operating_point(result: SweepResult, min_precision: float) -> PRPoint:
-    """Highest-recall sweep point whose precision meets the floor.
-
-    Zero-positive-prediction points are excluded: their precision of 1 is a
-    0/0 convention, not an achieved precision.
-    """
-    eligible = [
-        p for p in result.points
-        if (p.tp + p.fp) > 0 and p.precision >= min_precision
-    ]
-    if not eligible:
-        raise UnreachablePrecisionError(
-            f"no sweep point reaches precision {min_precision}"
-        )
-    return max(eligible, key=lambda p: p.recall)

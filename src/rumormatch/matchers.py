@@ -72,29 +72,26 @@ class ArticleIndex:
 
     ``terms[t]`` is the term with id t. The raw postings are CSR arrays over
     term ids: ``ordinals[indptr[t]:indptr[t + 1]]`` are the articles term t
-    occurs in (ascending) and ``counts`` its counts there; ``doc_len`` holds
-    each article's token count, the sum of its posting counts. Immutable
-    after construction; one ImpactTable per weighting is built on first use:
-    BM25 per BM25Params, TF-IDF from the L2-normalized tf*idf postings.
+    occurs in (ascending) and ``counts`` its counts there. ``doc_len``, derived
+    from them, holds each article's token count: its sum of posting counts.
+    Immutable after construction; one ImpactTable per weighting is built on
+    first use: BM25 per BM25Params, TF-IDF from the L2-normalized tf*idf postings.
     """
 
-    def __init__(self, article_ids, terms, doc_len, indptr, ordinals, counts):
-        """Hold the arrays; ValueError if they do not fit together."""
+    def __init__(self, article_ids, terms, indptr, ordinals, counts):
+        """Hold the arrays and derive doc_len; ValueError if they do not fit together."""
         self.article_ids = list(article_ids)
         self.terms = list(terms)
         self.term_ids = {t: i for i, t in enumerate(self.terms)}
-        self.doc_len = np.asarray(doc_len, dtype=np.float64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.ordinals = np.asarray(ordinals, dtype=np.int64)
         self.counts = np.asarray(counts, dtype=np.float64)
-        if any(a.ndim != 1 for a in (self.doc_len, self.indptr, self.ordinals, self.counts)):
+        if any(a.ndim != 1 for a in (self.indptr, self.ordinals, self.counts)):
             raise ValueError("every array must be flat")
         if not set(map(type, self.article_ids)) | set(map(type, self.terms)) <= {str}:
             raise ValueError("article ids and terms must be strings")
         if len(self.term_ids) != len(self.terms):
             raise ValueError("duplicate term")
-        if len(self.doc_len) != self.n_articles:
-            raise ValueError(f"{len(self.doc_len)} doc_len for {self.n_articles} articles")
         if len(self.indptr) != len(self.terms) + 1:
             raise ValueError(f"{len(self.indptr)} indptr for {len(self.terms)} terms")
         if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
@@ -109,9 +106,9 @@ class ArticleIndex:
         first[self.indptr] = True  # each term's first posting, and the end
         if np.any((np.diff(ords) <= 0) & ~first[1:-1]):
             raise ValueError("ordinals must rise within each term")
-        if not np.array_equal(np.bincount(ords, weights=self.counts, minlength=self.n_articles),
-                              self.doc_len):
-            raise ValueError("doc_len is not each article's sum of posting counts")
+        # bincount of no postings returns integer zeros
+        self.doc_len = np.bincount(ords, weights=self.counts, minlength=self.n_articles).astype(
+            np.float64, copy=False)
         self._tables: dict[object, ImpactTable] = {}
 
     @property
@@ -187,8 +184,7 @@ def build_index(articles, tok: Optional[TokenizerConfig] = None) -> ArticleIndex
                              return_counts=True)
     indptr = np.zeros(len(term_ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=len(term_ids)), out=indptr[1:])
-    return ArticleIndex([a.id for a in articles], list(term_ids), doc_len, indptr, keys % n,
-                        counts)
+    return ArticleIndex([a.id for a in articles], list(term_ids), indptr, keys % n, counts)
 
 
 def score_block(token_lists: list[list[str]], index: ArticleIndex,

@@ -9,7 +9,6 @@ Porter stemming.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
@@ -73,7 +72,3 @@ def tokenize(text: str, config: Optional[TokenizerConfig] = None) -> list[str]:
                 continue
         tokens.append(tok)
     return tokens
-
-
-def term_counts(doc: list[str]) -> Counter[str]:
-    return Counter(doc)

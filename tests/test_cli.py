@@ -201,13 +201,17 @@ class TestIndexCommand:
 
     def test_version_1_index_exit_2(self, workspace, tmp_path, capsys):
         _, config, _ = workspace
-        old = tmp_path / "v1.rmix"
-        old.write_bytes(cli.INDEX_MAGIC + bytes([1]) + b'{"article_ids": ["a1"], '
-                        b'"empty_article_ids": [], "doc_len": [1], "avgdl": 1.0, '
-                        b'"terms": ["x"], "postings": {"x": [[0], [1]]}}')
-        config.write_text(config.read_text() + f"index_path = {old}\n")
-        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
-        assert "index version 1 not supported (want 2)" in capsys.readouterr().err
+        olds = {1: b'{"article_ids": ["a1"], "empty_article_ids": [], "doc_len": [1], '
+                   b'"avgdl": 1.0, "terms": ["x"], "postings": {"x": [[0], [1]]}}',
+                2: v3_payload(doc_len=[1, 1])}  # v2 also stored doc_len
+        text = config.read_text()
+        for version, payload in olds.items():
+            old = tmp_path / f"v{version}.rmix"
+            old.write_bytes(cli.INDEX_MAGIC + bytes([version]) + payload)
+            config.write_text(text + f"index_path = {old}\n")
+            assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+            assert (f"index version {version} not supported (want 3)"
+                    in capsys.readouterr().err)
 
     def test_missing_articles_file_exit_2(self, tmp_path):
         config = tmp_path / "c.conf"
@@ -417,6 +421,17 @@ class TestEmbeddingMatchers:
             rows = list(csv.DictReader(fh))
         assert [r["matcher"] for r in rows] == ["TFIDF", "BM25", "EMBEDDING", "DOCVEC"]
 
+    @pytest.mark.parametrize("matcher,key", [("EMBEDDING", "embeddings"),
+                                             ("DOCVEC", "doc_vectors")])
+    def test_identify_named_matcher_without_its_file_exit_2(self, workspace, capsys, matcher,
+                                                             key):
+        # ALL skips a vector matcher without its file; a named one is an input error
+        _, config, out = workspace
+        assert cli.main(["--config", str(config), "--matcher", matcher,
+                         "eval", "identify"]) == cli.EXIT_INPUT
+        assert f"no {key} path configured" in capsys.readouterr().err
+        assert not (out / "identification.csv").exists()
+
 
 class TestEvalCommand:
     def test_classify_separable_fixture(self, workspace):
@@ -511,11 +526,16 @@ class TestAnalyzeCommand:
     def test_bad_matches_line_exit_2(self, workspace, capsys):
         _, config, out = workspace
         out.mkdir()
-        (out / "matches.jsonl").write_text(
-            '{"tweet_id": "t2", "label": "NONRUMOR"}\n{"tweet_id": "t1"}\n')
-        assert cli.main(["--config", str(config), "analyze", "ratio"]) == cli.EXIT_INPUT
-        err = capsys.readouterr().err
-        assert f"{out / 'matches.jsonl'}:2:" in err and "'label'" in err
+        for line, named in [('{"tweet_id": "t1"}', "'label'"),
+                            ('{"tweet_id": ["x"], "label": "RUMOR"}', "got ['x']"),
+                            ('{"tweet_id": 1, "label": "RUMOR"}', "got 1"),
+                            ('{"tweet_id": "t1", "label": "RUMOR", "article_id": ["a1"]}',
+                             "article_id must be a string, got ['a1']")]:
+            (out / "matches.jsonl").write_text('{"tweet_id": "t2", "label": "NONRUMOR"}\n'
+                                               + line + "\n")
+            assert cli.main(["--config", str(config), "analyze", "ratio"]) == cli.EXIT_INPUT
+            err = capsys.readouterr().err
+            assert f"{out / 'matches.jsonl'}:2: malformed line:" in err and named in err
 
 
 class TestReproducibility:
@@ -635,9 +655,9 @@ class TestReproducibility:
         assert results[1, 1].count(b"\n") == 250
 
 
-def v2_payload(**changes) -> bytes:
-    """A well-formed version-2 index payload (two articles, two terms) with changes."""
-    payload = {"article_ids": ["a1", "a2"], "terms": ["x", "y"], "doc_len": [1, 1],
+def v3_payload(**changes) -> bytes:
+    """A well-formed version-3 index payload (two articles, two terms) with changes."""
+    payload = {"article_ids": ["a1", "a2"], "terms": ["x", "y"],
                "indptr": [0, 1, 2], "ordinals": [0, 1], "counts": [1, 1],
                "tokenizer": {}, "articles_sha256": None}
     return json.dumps({**payload, **changes}).encode()
@@ -656,16 +676,15 @@ class TestInputErrors:
     @pytest.mark.parametrize("payload", [
         b'{"terms": []}',  # missing keys
         b"[]",
-        pytest.param(v2_payload(ordinals={"x": [0]}), id="wrong-type-ordinals"),
+        pytest.param(v3_payload(ordinals={"x": [0]}), id="wrong-type-ordinals"),
         b"\xff",
-        pytest.param(v2_payload(ordinals=[0, 2]), id="ordinal-past-last-article"),
-        pytest.param(v2_payload(indptr=[0, 2, 1]), id="falling-indptr"),
-        pytest.param(v2_payload(counts=[1]), id="ordinals-counts-lengths-differ"),
-        pytest.param(v2_payload(terms=["x", "x"]), id="duplicate-term"),
-        pytest.param(v2_payload(indptr=[0, 2, 2], ordinals=[1, 0]), id="falling-ordinals"),
-        pytest.param(v2_payload(doc_len=[2, 1]), id="doc-len-contradicts-postings"),
-        pytest.param(v2_payload(article_ids=[1, 2]), id="int-article-ids"),
-        pytest.param(v2_payload(terms=[1, 2]), id="int-terms"),
+        pytest.param(v3_payload(ordinals=[0, 2]), id="ordinal-past-last-article"),
+        pytest.param(v3_payload(indptr=[0, 2, 1]), id="falling-indptr"),
+        pytest.param(v3_payload(counts=[1]), id="ordinals-counts-lengths-differ"),
+        pytest.param(v3_payload(terms=["x", "x"]), id="duplicate-term"),
+        pytest.param(v3_payload(indptr=[0, 2, 2], ordinals=[1, 0]), id="falling-ordinals"),
+        pytest.param(v3_payload(article_ids=[1, 2]), id="int-article-ids"),
+        pytest.param(v3_payload(terms=[1, 2]), id="int-terms"),
     ])
     def test_malformed_index_payload_exit_2(self, workspace, payload, capsys):
         tmp_path, config, out = workspace

@@ -165,13 +165,23 @@ class TestLoadArticles:
         with pytest.raises(EmptyBodyError):
             corpus.load_articles(p)
 
+    @pytest.mark.parametrize("subjects", [5, "CLINTON", {"CLINTON": True}])
+    def test_subjects_not_a_list(self, tmp_path, subjects):
+        p = tmp_path / "articles.jsonl"
+        write_jsonl(p, [ARTICLES[1], dict(ARTICLES[0], subjects=subjects)])
+        with pytest.raises(MalformedLineError) as exc:
+            corpus.load_articles(p)
+        assert str(exc.value) == (
+            f"{p}:2: malformed line: subjects must be a list, got {subjects!r}")
+
 
 class TestLoadLabels:
     @pytest.fixture
     def loaded(self, tmp_path):
         write_jsonl(tmp_path / "tweets.jsonl", TWEETS)
         write_jsonl(tmp_path / "articles.jsonl", ARTICLES)
-        return corpus.load_corpus(tmp_path / "tweets.jsonl", tmp_path / "articles.jsonl")
+        return ({a.id for a in corpus.load_articles(tmp_path / "articles.jsonl")},
+                {t.id for t in corpus.load_tweets(tmp_path / "tweets.jsonl")})
 
     def test_valid_labels(self, tmp_path, loaded):
         p = tmp_path / "labels.jsonl"
@@ -179,7 +189,7 @@ class TestLoadLabels:
             {"tweet_id": "t1", "label": "RUMOR", "article_id": "a1"},
             {"tweet_id": "t2", "label": "NONRUMOR"},
         ])
-        labels = corpus.load_labels(p, loaded)
+        labels = corpus.load_labels(p, *loaded)
         assert labels[0].label is Label.RUMOR
         assert labels[1].article_id is None
 
@@ -187,43 +197,33 @@ class TestLoadLabels:
         p = tmp_path / "labels.jsonl"
         write_jsonl(p, [{"tweet_id": "t9", "label": "RUMOR", "article_id": "a1"}])
         with pytest.raises(DanglingTweetRefError):
-            corpus.load_labels(p, loaded)
+            corpus.load_labels(p, *loaded)
 
     def test_dangling_article(self, tmp_path, loaded):
         p = tmp_path / "labels.jsonl"
         write_jsonl(p, [{"tweet_id": "t1", "label": "RUMOR", "article_id": "a9"}])
         with pytest.raises(DanglingArticleRefError):
-            corpus.load_labels(p, loaded)
+            corpus.load_labels(p, *loaded)
 
     def test_rumor_without_article(self, tmp_path, loaded):
         p = tmp_path / "labels.jsonl"
         write_jsonl(p, [{"tweet_id": "t1", "label": "RUMOR"}])
         with pytest.raises(RumorWithoutArticleError):
-            corpus.load_labels(p, loaded)
+            corpus.load_labels(p, *loaded)
 
     def test_nonrumor_with_article(self, tmp_path, loaded):
         p = tmp_path / "labels.jsonl"
         write_jsonl(p, [{"tweet_id": "t1", "label": "NONRUMOR", "article_id": "a1"}])
         with pytest.raises(RumorWithoutArticleError):
-            corpus.load_labels(p, loaded)
+            corpus.load_labels(p, *loaded)
 
 
-def test_round_trip(tmp_path):
-    write_jsonl(tmp_path / "tweets.jsonl", TWEETS)
-    write_jsonl(tmp_path / "articles.jsonl", ARTICLES)
-    write_jsonl(tmp_path / "labels.jsonl", [
-        {"tweet_id": "t1", "label": "RUMOR", "article_id": "a1"},
-        {"tweet_id": "t2", "label": "NONRUMOR"},
-    ])
-    first = corpus.load_corpus(
-        tmp_path / "tweets.jsonl", tmp_path / "articles.jsonl", tmp_path / "labels.jsonl"
-    )
-    corpus.save_tweets(first.tweets, tmp_path / "tweets2.jsonl")
-    corpus.save_articles(first.articles, tmp_path / "articles2.jsonl")
-    corpus.save_labels(first.labels, tmp_path / "labels2.jsonl")
-    second = corpus.load_corpus(
-        tmp_path / "tweets2.jsonl", tmp_path / "articles2.jsonl", tmp_path / "labels2.jsonl"
-    )
-    assert second.tweets == first.tweets
-    assert second.articles == first.articles
-    assert second.labels == first.labels
+    @pytest.mark.parametrize("article_id", [["a1"], 1, {"a1": True}])
+    def test_non_string_article_id(self, tmp_path, loaded, article_id):
+        p = tmp_path / "labels.jsonl"
+        write_jsonl(p, [{"tweet_id": "t2", "label": "NONRUMOR"},
+                        {"tweet_id": "t1", "label": "RUMOR", "article_id": article_id}])
+        with pytest.raises(MalformedLineError) as exc:
+            corpus.load_labels(p, *loaded)
+        assert str(exc.value) == (
+            f"{p}:2: malformed line: article_id must be a string, got {article_id!r}")

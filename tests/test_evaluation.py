@@ -10,12 +10,10 @@ from rumormatch.corpus import Label, LabeledTweet
 from rumormatch.errors import (
     DegenerateLabelsError,
     NoRumorLabelsError,
-    UnreachablePrecisionError,
 )
 from rumormatch.evaluation import (
     fixed_point_eval,
     identification_accuracy,
-    operating_point,
     sweep,
 )
 from rumormatch.matchers import MatchResult
@@ -155,25 +153,6 @@ class TestIdentification:
         for scale in (1.0, 2.0, 100.0):
             matches = {"r1": MatchResult("r1", "a1", 5.0 * scale)}
             assert identification_accuracy(matches, labels) == 1.0
-
-
-class TestOperatingPoint:
-    def test_separable_reaches_perfect_point(self):
-        result = sweep({"r1": 0.9, "n1": 0.1}, [rumor("r1"), nonrumor("n1")])
-        point = operating_point(result, 1.0)
-        assert (point.precision, point.recall) == (1.0, 1.0)
-
-    def test_unreachable_precision(self):
-        # rumor always scores below the nonrumor: achieved precision <= 0.5
-        result = sweep({"r1": 0.1, "n1": 0.9}, [rumor("r1"), nonrumor("n1")])
-        with pytest.raises(UnreachablePrecisionError):
-            operating_point(result, 0.9)
-
-    def test_prefers_highest_recall_above_floor(self):
-        scores = {"r1": 0.9, "r2": 0.8, "n1": 0.5, "r3": 0.4}
-        labels = [rumor("r1"), rumor("r2"), rumor("r3"), nonrumor("n1")]
-        point = operating_point(sweep(scores, labels), 0.9)
-        assert point.recall == pytest.approx(2 / 3)
 
 
 class TestCsvExport:

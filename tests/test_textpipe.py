@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from rumormatch import textpipe
 from rumormatch.errors import EmptyCorpusError
 from rumormatch.corpus import RumorArticle
 from rumormatch.matchers import build_index
-from rumormatch.textpipe import TokenizerConfig, term_counts, tokenize
+from rumormatch.textpipe import TokenizerConfig, tokenize
 
 
 class TestTokenize:
@@ -104,21 +103,6 @@ class TestVocabulary:
         assert doc_freq(v1) == doc_freq(v2)
         assert v1.doc_len.mean() == v2.doc_len.mean()
         assert v1.n_articles == v2.n_articles
-
-
-class TestTermCounts:
-    def test_basic(self):
-        assert term_counts(["a", "b", "a"]) == Counter({"a": 2, "b": 1})
-
-    def test_empty(self):
-        assert term_counts([]) == Counter()
-
-    def test_single_term(self):
-        assert term_counts(["x"] * 4) == Counter({"x": 4})
-
-    @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=50))
-    def test_counts_sum_to_length(self, doc):
-        assert sum(term_counts(doc).values()) == len(doc)
 
 
 def test_default_stopwords_shape():
