@@ -10,7 +10,7 @@ pass over the tweets serves them all. The module functions are pure over
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -126,6 +126,8 @@ class Accumulator:
         return sum(self.user_rumors[u] for u in ranked[:top_n]) / total_rumors
 
     def user_ranking(self, top_n: int) -> list[tuple[str, int, int, float]]:
+        if top_n < 0:
+            raise ValueError(f"top_n must be 0 or more, got {top_n}")
         rows = [
             (user, self.user_rumors[user], total, self.user_rumors[user] / total)
             for user, total in self.user_tweets.items()

@@ -25,7 +25,7 @@ import tempfile
 import time
 import typing
 from dataclasses import dataclass, field
-from typing import Container, Optional
+from typing import Callable, Container, Optional
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .corpus import Label, LabeledTweet
 from .errors import (
     AllEmptyAfterTokenizeError,
     CorpusError,
+    DanglingTweetRefError,
     DegenerateLabelsError,
     EmptyCorpusError,
     EmptyDenominatorError,
@@ -167,6 +168,8 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
         setattr(config, key, raw)
+    if config.jobs < 0:
+        raise ValueError(f"config key 'jobs' must be 0 (all cores) or more, got {config.jobs}")
     return config
 
 
@@ -303,19 +306,19 @@ PROGRESS_S = 10.0  # seconds between progress lines on stderr
 
 @dataclass
 class Scorer:
-    """Everything a worker needs to score tweets with one matcher."""
+    """Everything a worker needs to score tweets with one matcher.
 
-    matcher: str
+    ``score(block, tokens)`` maps B (tweet_id, text) and, if ``reads_tokens``,
+    their tokens to float64 scores (B, len(article_ids)) and the (B,) bool
+    mask of defined rows; an undefined row scores 0 and is never a rumor.
+    """
+
     tok: textpipe.TokenizerConfig
     threshold: float
+    article_ids: list[Optional[str]]  # one per score column
+    score: Callable[[list, Optional[list]], tuple[np.ndarray, np.ndarray]]
+    reads_tokens: bool
     wanted: frozenset[str] = frozenset()  # keywords whose hits the stream reports
-    article_ids: list[str] = field(default_factory=list)  # one per score column
-    index: Optional[matchers.ArticleIndex] = None
-    table: Optional[matchers.ImpactTable] = None
-    emb_table: Optional[matchers.EmbeddingTable] = None
-    art_vecs: Optional[np.ndarray] = None
-    norms: Optional[tuple[np.ndarray, np.ndarray]] = None
-    lexicon: Optional[matchers.LexiconPatternSet] = None
 
 
 def make_scorer(config: RunConfig, articles=None, index=None,
@@ -324,36 +327,48 @@ def make_scorer(config: RunConfig, articles=None, index=None,
 
     Only BM25 and TF-IDF use the index (the saved one at index_path, if any).
     EMBEDDING and DOCVEC score the articles they embed, in file order.
+    LEXICON scores 1.0 on a pattern match, else 0.0, in one column against
+    no article, at a fixed threshold of 0.
     """
     matcher = config.matcher.upper()
     if matcher not in MATCHERS:
         raise ValueError(f"unknown matcher {config.matcher!r}")
-    scorer = Scorer(matcher, config.tokenizer_config(), config.threshold, wanted)
+    tok = config.tokenizer_config()
     if matcher == "LEXICON":
-        scorer.lexicon = (
-            matchers.load_lexicon(config.lexicon) if config.lexicon
-            else matchers.default_lexicon()
-        )
-        return scorer
+        lexicon = (matchers.load_lexicon(config.lexicon) if config.lexicon
+                   else matchers.default_lexicon())
+
+        def score(block, tokens):
+            hits = [matchers.match_lexicon(text, lexicon) for _, text in block]
+            return np.array(hits, dtype=np.float64)[:, None], np.ones(len(block), dtype=bool)
+        return Scorer(tok, 0.0, [None], score, False, wanted)
     if matcher in POSTINGS_MATCHERS:
-        scorer.index = index or _get_index(config, articles)
-        scorer.article_ids = scorer.index.article_ids
-        scorer.table = (scorer.index.bm25_table(config.bm25_params()) if matcher == "BM25"
-                        else scorer.index.tfidf_table())
-        return scorer
+        index = index or _get_index(config, articles)
+        table = (index.bm25_table(config.bm25_params()) if matcher == "BM25"
+                 else index.tfidf_table())
+
+        def score(block, tokens):
+            return matchers.score_block(tokens, index, table), np.ones(len(block), dtype=bool)
+        return Scorer(tok, config.threshold, index.article_ids, score, True, wanted)
     if articles is None:
         articles = _load_articles(config)
     if not articles:
         raise EmptyCorpusError("no articles to match against")
-    scorer.article_ids = [a.id for a in articles]
+    article_ids = [a.id for a in articles]
     if matcher == "EMBEDDING":
-        scorer.emb_table = matchers.load_embeddings(_require_file(config.embeddings, "embeddings"))
-        scorer.art_vecs = matchers.embed_articles(articles, scorer.emb_table, scorer.tok)
+        table = matchers.load_embeddings(_require_file(config.embeddings, "embeddings"))
+        art_vecs = matchers.embed_articles(articles, table, tok)
+
+        def score(block, tokens):
+            return matchers.cosine_block(matchers.mean_vectors(tokens, table), art_vecs, norms)
     else:  # DOCVEC: one file holds the article and the tweet vectors, keyed by id
-        scorer.emb_table = matchers.load_embeddings(_require_file(config.doc_vectors, "doc_vectors"))
-        scorer.art_vecs = scorer.emb_table.lookup(scorer.article_ids)
-    scorer.norms = matchers.article_norms(scorer.art_vecs)
-    return scorer
+        table = matchers.load_embeddings(_require_file(config.doc_vectors, "doc_vectors"))
+        art_vecs = table.lookup(article_ids)
+
+        def score(block, tokens):
+            return matchers.cosine_block(table.lookup([tid for tid, _ in block]), art_vecs, norms)
+    norms = matchers.article_norms(art_vecs)
+    return Scorer(tok, config.threshold, article_ids, score, matcher == "EMBEDDING", wanted)
 
 
 _SCORER: Optional[Scorer] = None
@@ -384,19 +399,6 @@ def _match_line(tweet_id, article_id, score, rumor) -> str:
     )
 
 
-def _block_scores(s: Scorer, block, tokens) -> tuple[np.ndarray, np.ndarray]:
-    """(B, n_articles) scores of a block of (tweet_id, text) and the mask of
-    rows whose representation is defined (always, for BM25 and TF-IDF)."""
-    if s.table is not None:
-        scores = matchers.score_block(tokens, s.index, s.table)
-        return scores, np.ones(len(block), dtype=bool)
-    if s.matcher == "EMBEDDING":
-        queries = matchers.mean_vectors(tokens, s.emb_table)
-    else:  # DOCVEC: the tweet's own vector, looked up by its id
-        queries = s.emb_table.lookup([tweet_id for tweet_id, _ in block])
-    return matchers.cosine_block(queries, s.art_vecs, s.norms)
-
-
 def _score_block(s: Scorer, block):
     """block: list of (tweet_id, text).
 
@@ -405,22 +407,15 @@ def _score_block(s: Scorer, block):
     keywords among each tweet's tokens (None when no keyword is wanted).
     """
     tokens = None
-    if s.matcher in ("BM25", "TFIDF", "EMBEDDING") or s.wanted:
+    if s.reads_tokens or s.wanted:
         tokens = [textpipe.tokenize(text, s.tok) for _, text in block]
-
-    if s.matcher == "LEXICON":
-        matched = (matchers.match_lexicon(text, s.lexicon) for _, text in block)
-        results = [(None, 1.0 if m else 0.0, m) for m in matched]
-    else:
-        scores, defined = _block_scores(s, block, tokens)
-        ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
-        top = scores[np.arange(len(block)), ordinals]
-        top[~defined] = 0.0
-        rumor = (top > s.threshold) & defined  # strictly above h; undefined is never a rumor
-        ids = s.article_ids
-        results = [(ids[o] if r else None, v, r)
-                   for o, v, r in zip(ordinals.tolist(), top.tolist(), rumor.tolist())]
-
+    scores, defined = s.score(block, tokens)
+    ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
+    top = scores[np.arange(len(block)), ordinals]
+    rumor = (top > s.threshold) & defined  # strictly above h; undefined is never a rumor
+    ids = s.article_ids
+    results = [(ids[o] if r else None, v, r)
+               for o, v, r in zip(ordinals.tolist(), top.tolist(), rumor.tolist())]
     text = "\n".join([_match_line(tweet_id, *r) for (tweet_id, _), r in zip(block, results)])
     hits = [s.wanted.intersection(t) for t in tokens] if s.wanted else None
     return text + "\n", results, hits
@@ -451,10 +446,8 @@ def _scored_blocks(jobs: int, scorer: Scorer, tweets):
     tweets = iter(tweets)
     first = list(itertools.islice(tweets, CHUNK + 1)) if jobs > 1 else []
     if len(first) <= CHUNK:
-        _init_worker(scorer)
         for block in _batches(itertools.chain(first, tweets), BLOCK):
-            (result,) = _score_chunk([(t.id, t.text) for t in block])
-            yield block, result
+            yield block, _score_block(scorer, [(t.id, t.text) for t in block])
         return
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(jobs, initializer=_init_worker, initargs=(scorer,)) as pool:
@@ -517,7 +510,11 @@ def load_detections(path) -> dict[str, Optional[str]]:
         if type(tweet_id) is not str:
             raise MalformedLineError(path, line_no,
                                      f"tweet_id must be a string, got {tweet_id!r}")
-        if corpus._require(obj, "label", path, line_no) == Label.RUMOR.value:
+        label = corpus._require(obj, "label", path, line_no)
+        if label not in (Label.RUMOR.value, Label.NONRUMOR.value):
+            raise MalformedLineError(path, line_no,
+                                     f"label must be RUMOR or NONRUMOR, got {label!r}")
+        if label == Label.RUMOR.value:
             article_id = obj.get("article_id")
             if article_id is not None and type(article_id) is not str:
                 raise MalformedLineError(path, line_no,
@@ -674,7 +671,11 @@ def cmd_analyze(config: RunConfig, which: list[str]) -> None:
     tok = config.tokenizer_config() if "keywords" in which and acc.wanted else None
     for t in corpus.iter_tweets(tweets_path):
         hits = acc.wanted.intersection(textpipe.tokenize(t.text, tok)) if tok else ()
-        acc.add(t, t.id in detections, detections.get(t.id), hits)
+        acc.add(t, t.id in detections, detections.pop(t.id, None), hits)  # ids are unique
+    if detections:  # a RUMOR id no tweet popped; NONRUMOR ids are not kept, so not checked
+        tweet_id = next(iter(detections))
+        raise DanglingTweetRefError(tweet_id, f"{matches_path}: RUMOR line for unknown tweet "
+                                              f"{tweet_id!r} (not in {tweets_path})")
     _write_analyses(config, acc, which)
 
 

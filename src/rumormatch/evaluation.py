@@ -9,7 +9,7 @@ disagree on this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .corpus import Label, LabeledTweet
 from .errors import (

@@ -138,6 +138,12 @@ class TestConfig:
         assert "'stemming'" in capsys.readouterr().err
         assert not (out / "matches.jsonl").exists()
 
+    def test_negative_jobs_exit_2(self, workspace, capsys):
+        _, config, out = workspace
+        assert cli.main(["--config", str(config), "--jobs", "-3", "match"]) == cli.EXIT_INPUT
+        assert "'jobs'" in capsys.readouterr().err
+        assert not (out / "matches.jsonl").exists()
+
 
 class TestIndexCommand:
     def test_deterministic_bytes(self, workspace):
@@ -301,6 +307,20 @@ class TestMatchCommand:
         by_id = {l["tweet_id"]: l for l in lines}
         assert by_id["t4"]["label"] == "RUMOR"  # "is it true"
         assert by_id["t2"]["label"] == "NONRUMOR"
+
+    @pytest.mark.parametrize("matcher", cli.MATCHERS)
+    def test_score_contract(self, workspace, vector_files, matcher):
+        _, config, _ = workspace
+        emb, dv = vector_files
+        scorer = cli.make_scorer(cli.build_config(cli.parse_config_file(config), {
+            "matcher": matcher, "embeddings": str(emb), "doc_vectors": str(dv)}))
+        # t9 has no doc vector and no token with a word vector
+        block = [(t["id"], t["text"]) for t in TWEETS] + [("t9", "qqqz wwwz")]
+        scores, defined = scorer.score(block, [tokenize(text, scorer.tok) for _, text in block])
+        assert scores.dtype == np.float64 and scores.shape == (5, len(scorer.article_ids))
+        assert defined.dtype == np.bool_ and defined.shape == (5,)
+        assert (scores[~defined] == 0.0).all()
+        assert defined.all() == (matcher not in ("EMBEDDING", "DOCVEC"))
 
     def test_jobs_do_not_change_bytes(self, workspace):
         tmp_path, config, out = workspace
@@ -530,12 +550,34 @@ class TestAnalyzeCommand:
                             ('{"tweet_id": ["x"], "label": "RUMOR"}', "got ['x']"),
                             ('{"tweet_id": 1, "label": "RUMOR"}', "got 1"),
                             ('{"tweet_id": "t1", "label": "RUMOR", "article_id": ["a1"]}',
-                             "article_id must be a string, got ['a1']")]:
+                             "article_id must be a string, got ['a1']"),
+                            ('{"tweet_id": "t1", "label": "RUMOUR"}',
+                             "label must be RUMOR or NONRUMOR, got 'RUMOUR'"),
+                            ('{"tweet_id": "t1", "label": 5}',
+                             "label must be RUMOR or NONRUMOR, got 5")]:
             (out / "matches.jsonl").write_text('{"tweet_id": "t2", "label": "NONRUMOR"}\n'
                                                + line + "\n")
             assert cli.main(["--config", str(config), "analyze", "ratio"]) == cli.EXIT_INPUT
             err = capsys.readouterr().err
             assert f"{out / 'matches.jsonl'}:2: malformed line:" in err and named in err
+
+    def test_rumor_line_for_unknown_tweet_exit_2(self, workspace, capsys):
+        _, config, out = workspace
+        out.mkdir()
+        (out / "matches.jsonl").write_text(
+            '{"tweet_id": "t1", "label": "NONRUMOR"}\n'
+            '{"tweet_id": "t9", "article_id": "a1", "score": 3.0, "label": "RUMOR"}\n')
+        assert cli.main(["--config", str(config), "analyze", "ratio"]) == cli.EXIT_INPUT
+        assert "'t9'" in capsys.readouterr().err
+        assert not (out / "group_ratio.csv").exists()
+
+    def test_negative_top_n_exit_2(self, workspace, capsys):
+        _, config, out = workspace
+        config.write_text(config.read_text() + "top_n = -1\n")
+        assert cli.main(["--config", str(config), "match"]) == 0
+        assert cli.main(["--config", str(config), "analyze", "users"]) == cli.EXIT_INPUT
+        assert "top_n" in capsys.readouterr().err
+        assert not (out / "user_ranking.csv").exists()
 
 
 class TestReproducibility:
@@ -625,7 +667,7 @@ class TestReproducibility:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == 300 and b'"RUMOR"' in outputs[0]
 
-    @pytest.mark.parametrize("matcher", ["BM25", "TFIDF", "EMBEDDING", "DOCVEC"])
+    @pytest.mark.parametrize("matcher", ["BM25", "TFIDF", "EMBEDDING", "DOCVEC", "LEXICON"])
     def test_block_size_does_not_change_bytes(self, zipf_vectors, matcher, monkeypatch):
         tmp_path, config = zipf_vectors
         results = []
@@ -803,10 +845,10 @@ class TestAtomicWrites:
         assert cli.main(["--config", str(config), "match"]) == 0
         before = (out / "matches.jsonl").read_bytes()
 
-        def fail(chunk):
+        def fail(scorer, block):
             raise RuntimeError("scoring failed")
 
-        monkeypatch.setattr(cli, "_score_chunk", fail)
+        monkeypatch.setattr(cli, "_score_block", fail)
         with pytest.raises(RuntimeError):
             cli.main(["--config", str(config), "match"])
         assert (out / "matches.jsonl").read_bytes() == before
