@@ -168,8 +168,19 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
         setattr(config, key, raw)
+    # checked here so that a bad value exits before any output is written
     if config.jobs < 0:
         raise ValueError(f"config key 'jobs' must be 0 (all cores) or more, got {config.jobs}")
+    if config.top_n < 0:
+        raise ValueError(f"config key 'top_n' must be 0 or more, got {config.top_n}")
+    for f in config.top_fractions:
+        if not 0 < f <= 1:
+            raise ValueError(f"config key 'top_fractions' values must be in (0, 1], got {f}")
+    if config.window_start >= config.window_end:
+        raise ValueError(f"config key 'window_start' ({config.window_start}) must be before "
+                         f"'window_end' ({config.window_end})")
+    if config.bin_width <= 0:
+        raise ValueError(f"config key 'bin_width' must be positive, got {config.bin_width}")
     return config
 
 

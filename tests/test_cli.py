@@ -138,6 +138,23 @@ class TestConfig:
         assert "'stemming'" in capsys.readouterr().err
         assert not (out / "matches.jsonl").exists()
 
+    @pytest.mark.parametrize("line,key", [
+        ("top_n = -1", "'top_n'"),
+        ("top_fractions = 0.1,1.5", "'top_fractions'"),
+        ("top_fractions = 0", "'top_fractions'"),
+        ("top_fractions = nan", "'top_fractions'"),
+        ("window_start = 1475280000", "'window_start'"),
+        ("window_end = 1", "'window_end'"),
+        ("bin_width = 0", "'bin_width'"),
+    ])
+    def test_bad_analysis_parameter_exits_before_any_output(self, workspace, capsys, line, key):
+        _, config, out = workspace
+        config.write_text(config.read_text() + line + "\n")
+        for command in (["all"], ["match"], ["index"]):
+            assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
+            assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_jobs_exit_2(self, workspace, capsys):
         _, config, out = workspace
         assert cli.main(["--config", str(config), "--jobs", "-3", "match"]) == cli.EXIT_INPUT
@@ -573,8 +590,8 @@ class TestAnalyzeCommand:
 
     def test_negative_top_n_exit_2(self, workspace, capsys):
         _, config, out = workspace
-        config.write_text(config.read_text() + "top_n = -1\n")
         assert cli.main(["--config", str(config), "match"]) == 0
+        config.write_text(config.read_text() + "top_n = -1\n")
         assert cli.main(["--config", str(config), "analyze", "users"]) == cli.EXIT_INPUT
         assert "top_n" in capsys.readouterr().err
         assert not (out / "user_ranking.csv").exists()
@@ -798,6 +815,16 @@ class TestAllCommand:
         write_jsonl(tmp_path / "tweets.jsonl", TWEETS + [TWEETS[1]])
         assert cli.main(["--config", str(config), "all"]) == cli.EXIT_INPUT
         assert "'t2'" in capsys.readouterr().err
+
+    def test_tweet_labeled_twice_exit_2(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        write_jsonl(tmp_path / "labels.jsonl",
+                    LABELS + [{"tweet_id": "t1", "label": "NONRUMOR"}])
+        for command in (["all"], ["eval", "classify"]):
+            assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
+            assert capsys.readouterr().err == (
+                f"error: {tmp_path / 'labels.jsonl'}:5: duplicate id 't1'\n")
+        assert [p.name for p in out.iterdir()] == ["index.rmix"]  # `all` indexes first
 
     def test_dangling_label_exit_2(self, workspace, capsys):
         tmp_path, config, out = workspace

@@ -1,5 +1,11 @@
+import collections
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from rumormatch import corpus
@@ -142,6 +148,113 @@ class TestTweetLineEdges:
             t.text = "y"
 
 
+def numbered_lines(n, dups=None):
+    """n valid tweet lines with ids t1..tn; dups maps a line number to the
+    number of the earlier line whose id it repeats."""
+    return [tweet_line(id=f"t{(dups or {}).get(i, i)}") for i in range(1, n + 1)]
+
+
+def write_lines(path, lines):
+    path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+
+
+class TestDuplicateCheck:
+    """iter_tweets keeps 8-byte keys of the ids it has read and raises only
+    for a real repeat, at the first fault in file order."""
+
+    @pytest.mark.parametrize("batch,dup_line,of_line", [
+        (1024, 5, 2), (2, 3, 2), (2, 5, 1), (2, 9, 4), (2, 17, 1), (2, 17, 16)])
+    def test_duplicate_within_and_across_batches(self, tmp_path, monkeypatch,
+                                                 batch, dup_line, of_line):
+        # batches of 2: line 17 is checked against runs that merged up to 8 keys
+        monkeypatch.setattr(corpus, "BATCH", batch)
+        p = tmp_path / "tweets.jsonl"
+        write_lines(p, numbered_lines(20, {dup_line: of_line}))
+        with pytest.raises(DuplicateIdError) as exc:
+            corpus.load_tweets(p)
+        assert str(exc.value) == f"{p}:{dup_line}: duplicate id 't{of_line}'"
+
+    def test_runs_merge_like_a_binary_counter(self, tmp_path):
+        seen = corpus._SeenIds(tmp_path / "unused.jsonl")
+        for b in range(13):
+            seen.add([f"t{b}.{i}" for i in range(4)], [4 * b + i + 1 for i in range(4)])
+        assert [len(run) for run in seen.runs] == [32, 16, 4]  # 13 batches = 0b1101
+        for run in seen.runs:
+            assert run.dtype == np.int64 and (run[1:] > run[:-1]).all()
+
+    @pytest.mark.parametrize("batch", [3, 1024])
+    def test_duplicate_before_a_malformed_line_wins(self, tmp_path, monkeypatch, batch):
+        monkeypatch.setattr(corpus, "BATCH", batch)
+        p = tmp_path / "tweets.jsonl"
+        write_lines(p, numbered_lines(5, {5: 1}) + ["not json"])
+        with pytest.raises(DuplicateIdError) as exc:
+            corpus.load_tweets(p)
+        assert str(exc.value) == f"{p}:5: duplicate id 't1'"
+
+    @pytest.mark.parametrize("batch", [3, 1024])
+    def test_malformed_line_before_a_duplicate_wins(self, tmp_path, monkeypatch, batch):
+        monkeypatch.setattr(corpus, "BATCH", batch)
+        p = tmp_path / "tweets.jsonl"
+        write_lines(p, numbered_lines(4) + [tweet_line(id="t5", group="NOBODY"),
+                                            tweet_line(id="t1")])
+        with pytest.raises(MalformedLineError) as exc:
+            corpus.load_tweets(p)
+        assert str(exc.value) == f"{p}:5: malformed line: 'NOBODY' is not a valid Group"
+
+    @pytest.mark.parametrize("batch", [3, 1024])
+    def test_duplicate_id_on_a_malformed_line_is_the_first_fault(self, tmp_path, monkeypatch,
+                                                                batch):
+        monkeypatch.setattr(corpus, "BATCH", batch)
+        p = tmp_path / "tweets.jsonl"
+        write_lines(p, numbered_lines(4) + [tweet_line(id="t2", text=" ")])
+        with pytest.raises(DuplicateIdError) as exc:
+            corpus.load_tweets(p)
+        assert str(exc.value) == f"{p}:5: duplicate id 't2'"
+
+    @pytest.mark.parametrize("batch", [1, 3, 1024])
+    def test_key_collisions_never_raise(self, tmp_path, monkeypatch, batch):
+        monkeypatch.setattr(corpus, "BATCH", batch)
+        monkeypatch.setattr(corpus, "_id_key", lambda tid: 7)
+        p = tmp_path / "tweets.jsonl"
+        write_lines(p, numbered_lines(10))
+        assert [t.id for t in corpus.load_tweets(p)] == [f"t{i}" for i in range(1, 11)]
+        write_lines(p, numbered_lines(10, {8: 6}))  # and a real repeat is still found
+        with pytest.raises(DuplicateIdError) as exc:
+            corpus.load_tweets(p)
+        assert str(exc.value) == f"{p}:8: duplicate id 't6'"
+
+    def test_error_text_does_not_depend_on_hash_seed(self, tmp_path):
+        p = tmp_path / "tweets.jsonl"
+        write_lines(p, numbered_lines(40, {29: 3, 33: 30}))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = ("import sys\nfrom rumormatch import corpus\ncorpus.BATCH = 4\n"
+                  "try:\n    corpus.load_tweets(sys.argv[1])\n"
+                  "except Exception as exc:\n    print(type(exc).__name__, exc)\n")
+        texts = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            texts.append(subprocess.run([sys.executable, "-c", script, str(p)], env=env,
+                                        check=True, timeout=60, capture_output=True,
+                                        text=True).stdout)
+        assert texts[0] == texts[1] == f"DuplicateIdError {p}:29: duplicate id 't3'\n"
+
+    def test_memory_per_tweet_is_bounded(self, tmp_path):
+        # a set of 200k 18-digit id strings alone traces about 23 MB; keys take 1.6 MB
+        p = tmp_path / "tweets.jsonl"
+        with open(p, "w", encoding="utf-8") as fh:
+            for i in range(200_000):
+                fh.write(f'{{"id": "{700000000000000000 + i}", "user_id": "u", '
+                         f'"group": "OTHER", "timestamp": 1, "text": "x"}}\n')
+        tracemalloc.start()
+        try:
+            collections.deque(corpus.iter_tweets(p), maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestLoadArticles:
     def test_two_valid_lines(self, tmp_path):
         p = tmp_path / "articles.jsonl"
@@ -217,6 +330,15 @@ class TestLoadLabels:
         with pytest.raises(RumorWithoutArticleError):
             corpus.load_labels(p, *loaded)
 
+
+    def test_tweet_labeled_twice(self, tmp_path, loaded):
+        p = tmp_path / "labels.jsonl"
+        write_jsonl(p, [{"tweet_id": "t1", "label": "RUMOR", "article_id": "a1"},
+                        {"tweet_id": "t2", "label": "NONRUMOR"},
+                        {"tweet_id": "t1", "label": "NONRUMOR"}])
+        with pytest.raises(DuplicateIdError) as exc:
+            corpus.read_labels(p, loaded[0])
+        assert str(exc.value) == f"{p}:3: duplicate id 't1'"
 
     @pytest.mark.parametrize("article_id", [["a1"], 1, {"a1": True}])
     def test_non_string_article_id(self, tmp_path, loaded, article_id):
