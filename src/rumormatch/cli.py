@@ -25,7 +25,7 @@ import tempfile
 import time
 import typing
 from dataclasses import dataclass, field
-from typing import Callable, Container, Optional
+from typing import Callable, Container, Iterator, Optional
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .corpus import Label, LabeledTweet
 from .errors import (
     AllEmptyAfterTokenizeError,
     CorpusError,
-    DanglingTweetRefError,
     DegenerateLabelsError,
     EmptyCorpusError,
     EmptyDenominatorError,
@@ -181,6 +180,10 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
                          f"'window_end' ({config.window_end})")
     if config.bin_width <= 0:
         raise ValueError(f"config key 'bin_width' must be positive, got {config.bin_width}")
+    try:
+        config.bm25_params()
+    except ValueError as exc:
+        raise ValueError(f"config key {exc}") from None
     return config
 
 
@@ -513,9 +516,10 @@ def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scor
     return kept
 
 
-def load_detections(path) -> dict[str, Optional[str]]:
-    """The RUMOR lines of a matches.jsonl: tweet id -> article id (None for LEXICON)."""
-    detections = {}
+def load_detections(path) -> Iterator[tuple[int, str, Optional[str], bool]]:
+    """Yield (line_no, tweet_id, article_id, rumor) for each line of a
+    matches.jsonl, in file order; article_id is None for a NONRUMOR line
+    and for a LEXICON rumor. Each line is checked before it is yielded."""
     for line_no, obj in corpus._iter_jsonl(path):
         tweet_id = corpus._require(obj, "tweet_id", path, line_no)
         if type(tweet_id) is not str:
@@ -525,13 +529,12 @@ def load_detections(path) -> dict[str, Optional[str]]:
         if label not in (Label.RUMOR.value, Label.NONRUMOR.value):
             raise MalformedLineError(path, line_no,
                                      f"label must be RUMOR or NONRUMOR, got {label!r}")
-        if label == Label.RUMOR.value:
-            article_id = obj.get("article_id")
-            if article_id is not None and type(article_id) is not str:
-                raise MalformedLineError(path, line_no,
-                                         f"article_id must be a string, got {article_id!r}")
-            detections[tweet_id] = article_id
-    return detections
+        rumor = label == Label.RUMOR.value
+        article_id = obj.get("article_id") if rumor else None
+        if article_id is not None and type(article_id) is not str:
+            raise MalformedLineError(path, line_no,
+                                     f"article_id must be a string, got {article_id!r}")
+        yield line_no, tweet_id, article_id, rumor
 
 
 # ---------------------------------------------------------------------------
@@ -677,16 +680,21 @@ def cmd_analyze(config: RunConfig, which: list[str]) -> None:
     matches_path = os.path.join(config.out, "matches.jsonl")
     _require_file(matches_path, "matches")
     tweets_path = _require_file(config.tweets, "tweets")
-    detections = load_detections(matches_path)
     acc = _accumulator(config)
     tok = config.tokenizer_config() if "keywords" in which and acc.wanted else None
-    for t in corpus.iter_tweets(tweets_path):
+    # line k of matches.jsonl is the result for the k-th tweet, as run_match writes it
+    line_no = 0
+    for t, line in itertools.zip_longest(corpus.iter_tweets(tweets_path),
+                                         load_detections(matches_path)):
+        line_no, tweet_id, article_id, rumor = line or (line_no + 1, None, None, False)
+        if t is None or tweet_id != t.id:
+            raise MalformedLineError(matches_path, line_no, (
+                f"no line for tweet {t.id!r}" if line is None else
+                f"tweet {tweet_id!r} after the last tweet" if t is None else
+                f"tweet {tweet_id!r} where {t.id!r} is due"
+            ) + f"; the lines must follow the tweets of {tweets_path} one for one")
         hits = acc.wanted.intersection(textpipe.tokenize(t.text, tok)) if tok else ()
-        acc.add(t, t.id in detections, detections.pop(t.id, None), hits)  # ids are unique
-    if detections:  # a RUMOR id no tweet popped; NONRUMOR ids are not kept, so not checked
-        tweet_id = next(iter(detections))
-        raise DanglingTweetRefError(tweet_id, f"{matches_path}: RUMOR line for unknown tweet "
-                                              f"{tweet_id!r} (not in {tweets_path})")
+        acc.add(t, rumor, article_id, hits)
     _write_analyses(config, acc, which)
 
 

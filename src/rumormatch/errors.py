@@ -34,9 +34,9 @@ class EmptyBodyError(CorpusError):
 
 
 class DanglingTweetRefError(CorpusError):
-    def __init__(self, tweet_id, msg=None):
+    def __init__(self, tweet_id):
         self.tweet_id = tweet_id
-        super().__init__(msg or f"label references unknown tweet {tweet_id!r}")
+        super().__init__(f"label references unknown tweet {tweet_id!r}")
 
 
 class DanglingArticleRefError(CorpusError):

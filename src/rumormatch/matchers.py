@@ -35,10 +35,10 @@ class BM25Params:
     b: float = 0.75  # document-length normalization
 
     def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError("k1 must be >= 0")
+        if not 0.0 <= self.k1 < math.inf:
+            raise ValueError(f"'k1' must be finite and >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
+            raise ValueError(f"'b' must be in [0, 1], got {self.b}")
 
 
 # A term that posts to at least 1/DENSE_SHARE of the articles gets a dense
@@ -106,6 +106,9 @@ class ArticleIndex:
         first[self.indptr] = True  # each term's first posting, and the end
         if np.any((np.diff(ords) <= 0) & ~first[1:-1]):
             raise ValueError("ordinals must rise within each term")
+        c = self.counts
+        if not np.all(np.isfinite(c) & (c >= 1) & (np.floor(c) == c)):
+            raise ValueError("every count must be a whole number of 1 or more")
         # bincount of no postings returns integer zeros
         self.doc_len = np.bincount(ords, weights=self.counts, minlength=self.n_articles).astype(
             np.float64, copy=False)

@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import json
 import os
+import pathlib
 import platform
 import random
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +52,11 @@ LABELS = [
 
 def write_jsonl(path, objs):
     path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+
+
+def nonrumor_line(tweet_id):
+    return json.dumps({"tweet_id": tweet_id, "article_id": None, "score": 0.0,
+                       "label": "NONRUMOR"})
 
 
 @pytest.fixture
@@ -146,6 +153,8 @@ class TestConfig:
         ("window_start = 1475280000", "'window_start'"),
         ("window_end = 1", "'window_end'"),
         ("bin_width = 0", "'bin_width'"),
+        ("k1 = -1", "'k1'"),
+        ("b = 1.5", "'b'"),
     ])
     def test_bad_analysis_parameter_exits_before_any_output(self, workspace, capsys, line, key):
         _, config, out = workspace
@@ -154,6 +163,12 @@ class TestConfig:
             assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
             assert key in capsys.readouterr().err
         assert not out.exists()
+
+    def test_readme_lists_every_config_key(self):
+        text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        block = text.split("Keys:\n\n```\n", 1)[1].split("```", 1)[0]
+        keys = [line.partition("=")[0].strip() for line in block.splitlines()]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(cli.RunConfig))
 
     def test_negative_jobs_exit_2(self, workspace, capsys):
         _, config, out = workspace
@@ -572,7 +587,7 @@ class TestAnalyzeCommand:
                              "label must be RUMOR or NONRUMOR, got 'RUMOUR'"),
                             ('{"tweet_id": "t1", "label": 5}',
                              "label must be RUMOR or NONRUMOR, got 5")]:
-            (out / "matches.jsonl").write_text('{"tweet_id": "t2", "label": "NONRUMOR"}\n'
+            (out / "matches.jsonl").write_text('{"tweet_id": "t1", "label": "NONRUMOR"}\n'
                                                + line + "\n")
             assert cli.main(["--config", str(config), "analyze", "ratio"]) == cli.EXIT_INPUT
             err = capsys.readouterr().err
@@ -595,6 +610,46 @@ class TestAnalyzeCommand:
         assert cli.main(["--config", str(config), "analyze", "users"]) == cli.EXIT_INPUT
         assert "top_n" in capsys.readouterr().err
         assert not (out / "user_ranking.csv").exists()
+
+    @pytest.mark.parametrize("edit,line_no,named", [
+        pytest.param(lambda lines: [nonrumor_line(f"s{i}") for i in range(1, 5)], 1, "'s1'",
+                     id="stale-nonrumor-file"),
+        pytest.param(lambda lines: [lines[0], lines[2], lines[1], lines[3]], 2, "'t3'",
+                     id="two-lines-swapped"),
+        pytest.param(lambda lines: lines[:3], 4, "'t4'", id="one-line-short"),
+        pytest.param(lambda lines: lines + [nonrumor_line("t5")], 5, "'t5'",
+                     id="one-line-long"),
+    ])
+    def test_matches_out_of_step_with_tweets_exit_2(self, workspace, capsys, edit, line_no,
+                                                    named):
+        _, config, out = workspace
+        assert cli.main(["--config", str(config), "match"]) == 0
+        path = out / "matches.jsonl"
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+        assert cli.main(["--config", str(config), "analyze"]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}:{line_no}: malformed line:" in err and named in err
+        assert [p.name for p in out.iterdir()] == ["matches.jsonl"]
+
+    def test_memory_does_not_grow_with_matches_lines(self, tmp_path):
+        # every line RUMOR from five users: only the 8-byte seen-id keys grow with the lines
+        with open(tmp_path / "tweets.jsonl", "w") as tweets, \
+                open(tmp_path / "matches.jsonl", "w") as matches:
+            for i in range(30_000):
+                tid = 700000000000000000 + i
+                tweets.write(f'{{"id": "{tid}", "user_id": "u{i % 5}", "group": "OTHER", '
+                             f'"timestamp": 1462060800, "text": "x"}}\n')
+                matches.write(f'{{"tweet_id": "{tid}", "article_id": "a{i % 3}", '
+                              f'"score": 2.5, "label": "RUMOR"}}\n')
+        config = cli.RunConfig(tweets=str(tmp_path / "tweets.jsonl"), out=str(tmp_path),
+                               quiet=True)
+        tracemalloc.start()
+        try:
+            cli.cmd_analyze(config, ["ratio", "users", "timeline"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestReproducibility:
@@ -744,6 +799,10 @@ class TestInputErrors:
         pytest.param(v3_payload(indptr=[0, 2, 2], ordinals=[1, 0]), id="falling-ordinals"),
         pytest.param(v3_payload(article_ids=[1, 2]), id="int-article-ids"),
         pytest.param(v3_payload(terms=[1, 2]), id="int-terms"),
+        pytest.param(v3_payload(counts=[0, 1]), id="zero-count"),
+        pytest.param(v3_payload(counts=[1, -5]), id="negative-count"),
+        pytest.param(v3_payload(counts=[1.5, 1]), id="fractional-count"),
+        pytest.param(v3_payload(counts=[float("nan"), 1]), id="nan-count"),
     ])
     def test_malformed_index_payload_exit_2(self, workspace, payload, capsys):
         tmp_path, config, out = workspace
