@@ -25,7 +25,7 @@ import tempfile
 import time
 import typing
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterator, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -180,6 +180,9 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
                          f"'window_end' ({config.window_end})")
     if config.bin_width <= 0:
         raise ValueError(f"config key 'bin_width' must be positive, got {config.bin_width}")
+    for key in ("threshold", "peak_k"):  # every comparison with NaN is false
+        if math.isnan(getattr(config, key)):
+            raise ValueError(f"config key {key!r} must be a number or +-inf, got nan")
     try:
         config.bm25_params()
     except ValueError as exc:
@@ -566,10 +569,10 @@ def _read_labels(config: RunConfig, articles) -> list[LabeledTweet]:
 PR_HEADER = ("threshold", "precision", "recall", "f1")
 
 
-def pr_rows(points: list[evaluation.PRPoint]) -> list[tuple]:
-    """PR points as CSV rows; a fixed (threshold-free) point carries 'fixed'."""
-    return [("fixed" if math.isnan(p.threshold) else p.threshold, p.precision, p.recall, p.f1)
-            for p in points]
+def pr_rows(points: Iterable[evaluation.PRPoint]) -> Iterator[tuple]:
+    """PR points as CSV rows, one at a time; a fixed (threshold-free) point carries 'fixed'."""
+    for p in points:
+        yield ("fixed" if math.isnan(p.threshold) else p.threshold, p.precision, p.recall, p.f1)
 
 
 def _write_classify(config: RunConfig, labels, results) -> None:

@@ -8,8 +8,9 @@ disagree on this convention.
 
 from __future__ import annotations
 
+import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping
 
 from .corpus import Label, LabeledTweet
 from .errors import (
@@ -30,19 +31,43 @@ class PRPoint:
     fn: int = 0
 
 
-def _pr_point(threshold, tp, fp, n_rumor) -> PRPoint:
+def _rates(tp, fp, n_rumor) -> tuple[float, float, float]:
+    """(precision, recall, f1) with tp true and fp false positives of n_rumor rumors."""
     precision = tp / (tp + fp) if (tp + fp) > 0 else 1.0
     recall = tp / n_rumor
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f1
+
+
+def _pr_point(threshold, tp, fp, n_rumor) -> PRPoint:
+    precision, recall, f1 = _rates(tp, fp, n_rumor)
     return PRPoint(
         threshold=threshold, precision=precision, recall=recall, f1=f1,
         tp=tp, fp=fp, fn=n_rumor - tp,
     )
 
 
+class PRPoints(Sequence):
+    """The points of a sweep, descending threshold, held as three numbers each.
+
+    Only the threshold and the tp and fp counts are stored; each PRPoint is
+    built by _pr_point when it is read.
+    """
+
+    def __init__(self, thresholds: array.array, tp: array.array, fp: array.array,
+                 n_rumor: int):
+        self._thresholds, self._tp, self._fp, self._n_rumor = thresholds, tp, fp, n_rumor
+
+    def __len__(self) -> int:
+        return len(self._thresholds)
+
+    def __getitem__(self, i: int) -> PRPoint:
+        return _pr_point(self._thresholds[i], self._tp[i], self._fp[i], self._n_rumor)
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    points: list[PRPoint]  # descending threshold
+    points: Sequence[PRPoint]  # descending threshold
     max_f1_point: PRPoint
 
 
@@ -52,7 +77,8 @@ def sweep(scores: Mapping[str, float], labels: list[LabeledTweet]) -> SweepResul
     Candidate thresholds are the distinct observed scores (classification is
     strict >, so each induces one confusion matrix), plus a final -inf point
     where every tweet is classified positive: without it the sweep could
-    never reach recall 1.
+    never reach recall 1. The max-F1 point is the first, highest-threshold
+    one among equal F1.
     """
     missing = [l.tweet_id for l in labels if l.tweet_id not in scores]
     if missing:
@@ -66,23 +92,29 @@ def sweep(scores: Mapping[str, float], labels: list[LabeledTweet]) -> SweepResul
     pairs = sorted(
         ((scores[l.tweet_id], l.label is Label.RUMOR) for l in labels), reverse=True
     )
-    points = []
+    thresholds, tps, fps = array.array("d"), array.array("q"), array.array("q")
     tp = fp = 0
     i = 0
     while i < len(pairs):
         threshold = pairs[i][0]
         # positives at this threshold are the strictly-higher groups processed so far
-        points.append(_pr_point(threshold, tp, fp, n_rumor))
+        thresholds.append(threshold)
+        tps.append(tp)
+        fps.append(fp)
         while i < len(pairs) and pairs[i][0] == threshold:
             if pairs[i][1]:
                 tp += 1
             else:
                 fp += 1
             i += 1
-    points.append(_pr_point(float("-inf"), tp, fp, n_rumor))
+    thresholds.append(float("-inf"))
+    tps.append(tp)
+    fps.append(fp)
 
-    max_f1_point = max(points, key=lambda p: p.f1)
-    return SweepResult(points=points, max_f1_point=max_f1_point)
+    points = PRPoints(thresholds, tps, fps, n_rumor)
+    # max returns the first maximum; f1 alone spares building a PRPoint per point
+    best = max(range(len(points)), key=lambda k: _rates(tps[k], fps[k], n_rumor)[2])
+    return SweepResult(points=points, max_f1_point=points[best])
 
 
 def fixed_point_eval(predictions: Mapping[str, bool], labels: list[LabeledTweet]) -> PRPoint:

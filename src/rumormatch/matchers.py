@@ -8,6 +8,7 @@ statistics are precomputed once into an inverted index.
 
 from __future__ import annotations
 
+import array
 import math
 import os
 import re
@@ -83,10 +84,10 @@ class ArticleIndex:
         self.article_ids = list(article_ids)
         self.terms = list(terms)
         self.term_ids = {t: i for i, t in enumerate(self.terms)}
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.ordinals = np.asarray(ordinals, dtype=np.int64)
-        self.counts = np.asarray(counts, dtype=np.float64)
-        if any(a.ndim != 1 for a in (self.indptr, self.ordinals, self.counts)):
+        self.indptr = _int_array(indptr, "indptr")
+        self.ordinals = _int_array(ordinals, "ordinals")
+        counts = _int_array(counts, "counts")
+        if any(a.ndim != 1 for a in (self.indptr, self.ordinals, counts)):
             raise ValueError("every array must be flat")
         if not set(map(type, self.article_ids)) | set(map(type, self.terms)) <= {str}:
             raise ValueError("article ids and terms must be strings")
@@ -96,9 +97,9 @@ class ArticleIndex:
             raise ValueError(f"{len(self.indptr)} indptr for {len(self.terms)} terms")
         if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
             raise ValueError("indptr must start at 0 and rise")
-        if not self.indptr[-1] == len(self.ordinals) == len(self.counts):
+        if not self.indptr[-1] == len(self.ordinals) == len(counts):
             raise ValueError(f"indptr ends at {self.indptr[-1]}, with {len(self.ordinals)} "
-                             f"ordinals and {len(self.counts)} counts")
+                             f"ordinals and {len(counts)} counts")
         ords = self.ordinals
         if len(ords) and not 0 <= ords.min() <= ords.max() < self.n_articles:
             raise ValueError(f"ordinal out of range for {self.n_articles} articles")
@@ -106,9 +107,9 @@ class ArticleIndex:
         first[self.indptr] = True  # each term's first posting, and the end
         if np.any((np.diff(ords) <= 0) & ~first[1:-1]):
             raise ValueError("ordinals must rise within each term")
-        c = self.counts
-        if not np.all(np.isfinite(c) & (c >= 1) & (np.floor(c) == c)):
-            raise ValueError("every count must be a whole number of 1 or more")
+        if np.any(counts < 1):
+            raise ValueError("every count must be 1 or more")
+        self.counts = counts.astype(np.float64)
         # bincount of no postings returns integer zeros
         self.doc_len = np.bincount(ords, weights=self.counts, minlength=self.n_articles).astype(
             np.float64, copy=False)
@@ -169,25 +170,53 @@ class ArticleIndex:
         )
 
 
+def _int_array(values, name) -> np.ndarray:
+    """``values`` as an int64 array; ValueError unless every value is an integer.
+
+    An array is checked by its dtype; a list, as a loaded index holds, value
+    by value, so that 0.7, "0" and true are refused, not converted.
+    """
+    if isinstance(values, np.ndarray):
+        integral = values.dtype.kind == "i"
+    else:
+        integral = set(map(type, values)) <= {int}
+    if not integral:
+        raise ValueError(f"{name} must hold integers only")
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} must fit in 64 bits") from None
+
+
 def build_index(articles, tok: Optional[TokenizerConfig] = None) -> ArticleIndex:
-    """Tokenize the article bodies and index them; term ids follow first appearance."""
+    """Tokenize the article bodies and index them; term ids follow first appearance.
+
+    One article's tokens are held at a time: each is mapped to its term id
+    before the next article is tokenized, so only the int term ids of the
+    whole corpus are kept until the postings are inverted.
+    """
     if not articles:
         raise EmptyCorpusError("no articles to index")
     tok = tok or TokenizerConfig()
-    docs = [tokenize(a.body, tok) for a in articles]
-    if all(not d for d in docs):
-        raise AllEmptyAfterTokenizeError("every article tokenized to empty")
-    n = len(docs)
-    doc_len = np.array([len(d) for d in docs], dtype=np.int64)
-    # one (term id, ordinal) key per token; unique keys sort term-major
+    n = len(articles)
     term_ids: dict[str, int] = {}
-    ids = np.fromiter((term_ids.setdefault(t, len(term_ids)) for d in docs for t in d),
-                      dtype=np.int64, count=int(doc_len.sum()))
-    keys, counts = np.unique(ids * n + np.repeat(np.arange(n, dtype=np.int64), doc_len),
-                             return_counts=True)
+    ids = array.array("q")  # every token's term id, article by article
+    doc_len = np.empty(n, dtype=np.int64)
+    for j, a in enumerate(articles):
+        tokens = tokenize(a.body, tok)
+        doc_len[j] = len(tokens)
+        ids.extend([term_ids.setdefault(t, len(term_ids)) for t in tokens])
+    if not ids:
+        raise AllEmptyAfterTokenizeError("every article tokenized to empty")
+    # one (term id, ordinal) key per token; unique keys sort term-major
+    keys = np.frombuffer(ids, dtype=np.int64) * n
+    del ids
+    keys += np.repeat(np.arange(n, dtype=np.int64), doc_len)
+    keys, counts = np.unique(keys, return_counts=True)
     indptr = np.zeros(len(term_ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=len(term_ids)), out=indptr[1:])
-    return ArticleIndex([a.id for a in articles], list(term_ids), indptr, keys % n, counts)
+    ordinals = np.remainder(keys, n, out=keys)
+    return ArticleIndex([a.id for a in articles], list(term_ids), indptr, ordinals, counts)
 
 
 def score_block(token_lists: list[list[str]], index: ArticleIndex,

@@ -155,6 +155,8 @@ class TestConfig:
         ("bin_width = 0", "'bin_width'"),
         ("k1 = -1", "'k1'"),
         ("b = 1.5", "'b'"),
+        ("threshold = nan", "'threshold'"),
+        ("peak_k = nan", "'peak_k'"),
     ])
     def test_bad_analysis_parameter_exits_before_any_output(self, workspace, capsys, line, key):
         _, config, out = workspace
@@ -803,6 +805,12 @@ class TestInputErrors:
         pytest.param(v3_payload(counts=[1, -5]), id="negative-count"),
         pytest.param(v3_payload(counts=[1.5, 1]), id="fractional-count"),
         pytest.param(v3_payload(counts=[float("nan"), 1]), id="nan-count"),
+        pytest.param(v3_payload(ordinals=[0.7, 1.2]), id="fractional-ordinals"),
+        pytest.param(v3_payload(indptr=[0, 1.9, 2]), id="fractional-indptr"),
+        pytest.param(v3_payload(ordinals=["0", "1"]), id="string-ordinals"),
+        pytest.param(v3_payload(ordinals=[0, True]), id="boolean-ordinal"),
+        pytest.param(v3_payload(counts=["1", 1]), id="string-count"),
+        pytest.param(v3_payload(ordinals=[0, 2 ** 64]), id="ordinal-past-64-bits"),
     ])
     def test_malformed_index_payload_exit_2(self, workspace, payload, capsys):
         tmp_path, config, out = workspace
@@ -811,6 +819,14 @@ class TestInputErrors:
         config.write_text(config.read_text() + f"index_path = {index}\n")
         assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
         assert "malformed index payload" in capsys.readouterr().err
+
+    def test_index_without_postings_loads(self, tmp_path):
+        # empty JSON lists hold no value that is not an integer
+        index = tmp_path / "empty.rmix"
+        index.write_bytes(cli.INDEX_MAGIC + bytes([cli.INDEX_VERSION])
+                          + v3_payload(terms=[], indptr=[0], ordinals=[], counts=[]))
+        loaded = cli.load_index(index)
+        assert (loaded.n_articles, len(loaded.ordinals), loaded.doc_len.tolist()) == (2, 0, [0, 0])
 
     def test_short_vector_row_exit_2(self, workspace, capsys):
         tmp_path, config, out = workspace
@@ -890,6 +906,34 @@ class TestAllCommand:
         write_jsonl(tmp_path / "labels.jsonl", LABELS + [{"tweet_id": "t9", "label": "NONRUMOR"}])
         assert cli.main(["--config", str(config), "all"]) == cli.EXIT_INPUT
         assert "'t9'" in capsys.readouterr().err
+
+
+class TestTracedPath:
+    """The benchmark's traced run (perfbench/inproc.py) reports build_index and sweep by
+    wrapping the module attributes; a command that stopped calling them there would
+    leave those metrics at 0 without failing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for module, name in ((cli.matchers, "build_index"), (cli.evaluation, "sweep")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("command,expected", [
+        (["all"], ["build_index", "sweep"]),
+        (["match"], ["build_index"]),
+    ])
+    def test_commands_call_the_traced_functions(self, workspace, calls, command, expected):
+        _, config, _ = workspace
+        assert cli.main(["--config", str(config), "--matcher", "BM25", *command]) == 0
+        assert calls == expected
 
 
 class TestProgress:

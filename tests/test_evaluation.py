@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from oracles import sweep_oracle
 
-from rumormatch.cli import PR_HEADER, pr_rows, write_csv
+from rumormatch.cli import PR_HEADER, RunConfig, _write_classify, pr_rows, write_csv
 from rumormatch.corpus import Label, LabeledTweet
 from rumormatch.errors import (
     DegenerateLabelsError,
@@ -89,6 +90,35 @@ class TestSweep:
             assert got == expected
             recalls = [p.recall for p in result.points]
             assert all(b >= a for a, b in zip(recalls, recalls[1:]))
+
+    def test_max_f1_tie_goes_to_the_highest_threshold(self, tmp_path):
+        # F1 2/3 at threshold 0.8 (TP1 FP0) and again at 0.5 (TP2 FP2), the same bits
+        scores = {"r1": 0.9, "n1": 0.8, "n2": 0.7, "r2": 0.6, "n3": 0.5}
+        labels = [rumor("r1"), rumor("r2"), nonrumor("n1"), nonrumor("n2"), nonrumor("n3")]
+        result = sweep(scores, labels)
+        ties = [p for p in result.points if p.f1 == result.max_f1_point.f1]
+        assert [p.threshold for p in ties] == [0.8, 0.5]
+        assert result.max_f1_point == ties[0]
+        assert (result.max_f1_point.tp, result.max_f1_point.fp) == (1, 0)
+        results = {tid: ("a1", score, False) for tid, score in scores.items()}
+        _write_classify(RunConfig(out=str(tmp_path)), labels, results)
+        assert (tmp_path / "max_f1.csv").read_text().splitlines() == [
+            "threshold,precision,recall,f1", "0.8,1.0,0.5,0.6666666666666666"]
+
+    def test_result_holds_three_numbers_per_point(self):
+        # 20k labeled tweets with distinct scores: 20,001 points; a PRPoint object per point
+        # kept about 5.4 MB
+        rng = random.Random(20_000)
+        labels = [rumor(f"t{i}") if i % 2 else nonrumor(f"t{i}") for i in range(20_000)]
+        scores = {l.tweet_id: rng.random() for l in labels}
+        tracemalloc.start()
+        try:
+            result = sweep(scores, labels)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.points) == 20_001
+        assert retained < 1.5e6
 
     def test_confusion_identities(self):
         scores = {"r1": 0.9, "r2": 0.4, "n1": 0.6}

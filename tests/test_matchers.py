@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +71,23 @@ class TestBuildIndex:
         assert index.n_articles == 173
         assert len(index.doc_len) == 173
         assert np.bincount(index.ordinals).tolist() == [1] * 173
+
+    def test_memory_holds_one_article_at_a_time(self):
+        # 1,723 articles of 60 Zipf tokens, the shape of the paper's reference set: holding
+        # every article's token list at once peaked near 11 MB
+        rng = random.Random(1723)
+        vocab = [f"w{i:04d}" for i in range(5000)]
+        cum = list(itertools.accumulate(1 / (r + 1) for r in range(len(vocab))))
+        articles = [make_article(f"a{j}", rng.choices(vocab, cum_weights=cum, k=60))
+                    for j in range(1723)]
+        tracemalloc.start()
+        try:
+            index = build_index(articles, NO_STOPWORDS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.counts.sum() == 1723 * 60
+        assert peak < 6e6
 
 
 class TestTfidf:
