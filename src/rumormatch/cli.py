@@ -397,23 +397,17 @@ def _init_worker(scorer: Scorer) -> None:
 
 
 _encode_str = json.encoder.encode_basestring  # the string encoder of json.dumps(ensure_ascii=False)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' tokens
 
 
-def _match_line(tweet_id, article_id, score, rumor) -> str:
+def _match_line(tweet_id: str, article_id: Optional[str], score: float, rumor) -> str:
     """One matches.jsonl line, without its newline: the text json.dumps gives
-    the record with ensure_ascii=False, built directly. A score that is not a
-    finite float, or an id that is not a str, goes through json.dumps itself."""
-    if (type(tweet_id) is str and type(score) is float and score - score == 0.0
-            and (article_id is None or type(article_id) is str)):
-        aid = "null" if article_id is None else _encode_str(article_id)
-        label = "RUMOR" if rumor else "NONRUMOR"
-        return (f'{{"tweet_id": {_encode_str(tweet_id)}, "article_id": {aid}, '
-                f'"score": {score!r}, "label": "{label}"}}')
-    return json.dumps(
-        {"tweet_id": tweet_id, "article_id": article_id, "score": score,
-         "label": (Label.RUMOR if rumor else Label.NONRUMOR).value},
-        ensure_ascii=False,
-    )
+    the record with ensure_ascii=False, built directly."""
+    aid = "null" if article_id is None else _encode_str(article_id)
+    label = "RUMOR" if rumor else "NONRUMOR"
+    text = repr(score)
+    return (f'{{"tweet_id": {_encode_str(tweet_id)}, "article_id": {aid}, '
+            f'"score": {_NON_FINITE.get(text, text)}, "label": "{label}"}}')
 
 
 def _score_block(s: Scorer, block):

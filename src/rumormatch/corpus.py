@@ -7,8 +7,8 @@ evaluation never runs over a silently truncated corpus.
 
 from __future__ import annotations
 
+import array
 import contextlib
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -92,112 +92,72 @@ def _require(obj, key, path, line_no):
 _GROUPS = {g.value: g for g in Group}
 
 
-BATCH = 1024  # tweet lines parsed, then checked for duplicate ids, before any is yielded
-
-
 def _id_key(tid: str) -> int:
     """The 64-bit key a tweet id is kept as; equal ids give equal keys."""
     return hash(tid)
 
 
-class _SeenIds:
-    """The ids of the tweets read so far, 8 bytes each.
+def _check_repeats(path, keys: array.array, field: str) -> None:
+    """Raise DuplicateIdError at the first line whose `field` equals that of
+    a line before it.
 
-    Each id is kept as its 64-bit key in sorted int64 runs that merge like a
-    binary counter, so there are at most about log2(n / BATCH) runs. A key
-    already seen only makes its id a suspect: the earlier lines are re-read
-    and the ids compared, so a key collision never raises by itself.
+    keys holds the _id_key of that field for the file's first len(keys)
+    non-blank lines, in file order; it is sorted in place, through a numpy
+    view. A repeated key only makes its ids suspects: those lines are
+    re-read and the ids compared, so a key collision never raises.
     """
-
-    def __init__(self, path):
-        self.path = path
-        self.runs: list[np.ndarray] = []
-
-    def add(self, ids: list[str], line_nos: list[int]) -> None:
-        """Add one batch of ids in file order; raise DuplicateIdError naming
-        the first id that repeats one before it, in the batch or earlier."""
-        if not ids:
-            return
-        keys = np.sort(np.fromiter(map(_id_key, ids), np.int64, len(ids)))
-        repeated = set(keys[1:][keys[1:] == keys[:-1]].tolist())
-        earlier = set()
-        for run in self.runs:
-            at = np.minimum(run.searchsorted(keys), len(run) - 1)
-            earlier.update(keys[run[at] == keys].tolist())
-        if repeated or earlier:
-            self._confirm(ids, line_nos, repeated | earlier, earlier)
-        self._push(keys)
-
-    def _confirm(self, ids, line_nos, suspects, earlier) -> None:
-        """Compare the ids of the batch whose keys are suspects with the ids
-        before them; the lines before the batch are re-read, in one pass,
-        only for the keys in earlier."""
-        seen = set()
-        if earlier:
-            with contextlib.closing(_iter_jsonl(self.path)) as lines:
-                for line_no, obj in lines:
-                    if line_no >= line_nos[0]:
-                        break
-                    tid = str(obj["id"])
-                    if _id_key(tid) in earlier:
-                        seen.add(tid)
-        for tid, line_no in zip(ids, line_nos):
+    view = np.frombuffer(keys, dtype=np.int64)
+    view.sort()
+    suspects = set(view[1:][view[1:] == view[:-1]].tolist())
+    if not suspects:
+        return
+    seen = set()
+    with contextlib.closing(_iter_jsonl(path)) as lines:
+        for _, (line_no, obj) in zip(range(len(keys)), lines):
+            tid = str(obj[field])
             if _id_key(tid) in suspects:
                 if tid in seen:
-                    raise DuplicateIdError(self.path, line_no, tid)
+                    raise DuplicateIdError(path, line_no, tid)
                 seen.add(tid)
-
-    def _push(self, run: np.ndarray) -> None:
-        runs = self.runs
-        runs.append(run)
-        while len(runs) > 1 and len(runs[-2]) <= len(runs[-1]):
-            merged = np.concatenate((runs.pop(), runs.pop()))
-            merged.sort(kind="stable")  # timsort: one linear merge of the two runs
-            runs.append(merged)
 
 
 def iter_tweets(path) -> Iterator[Tweet]:
     """Parse tweets.jsonl one tweet at a time, in file order.
 
-    Reads up to one batch (BATCH lines) ahead: a batch is parsed and its ids
-    checked against every id before it, and only then are its tweets
-    yielded. Fails at the first malformed line or duplicate id in file
-    order; a caller that stops early has only validated the batches it
-    read. A line in the plain case (a non-empty str id, a str text that is
-    not blank, a str user_id, an int timestamp and a known group) is taken as
-    it is; every other line goes through _checked_id and _checked_tweet,
-    which coerce and raise field by field.
+    Each tweet is yielded as soon as its line is parsed. The ids, kept as
+    8-byte keys, are checked once, when the file ends or at the first
+    malformed line before that error is raised: a duplicate id is reported
+    after the tweets before it were yielded, and the first fault in file
+    order is named (a line whose own id repeats an earlier one is a
+    duplicate before its other fields are checked). A caller that stops
+    early has not had the ids checked; the CLI writes every output through
+    atomic_write_text, so a failed run publishes none. A line in the plain
+    case (a non-empty str id, a str text that is not blank, a str user_id,
+    an int timestamp and a known group) is taken as it is; every other line
+    goes through _checked_id and _checked_tweet, which coerce and raise
+    field by field.
     """
-    seen = _SeenIds(path)
-    lines = _iter_jsonl(path)
-    while True:
-        tweets, ids, line_nos = [], [], []
-        error = None
-        try:
-            for line_no, obj in itertools.islice(lines, BATCH):
-                try:
-                    tid, user_id, group, ts, text = (
-                        obj["id"], obj["user_id"], _GROUPS[obj["group"]], obj["timestamp"],
-                        obj["text"])
-                except (KeyError, TypeError):
-                    tid = None
-                plain = (type(tid) is str and tid and type(user_id) is str
-                         and type(ts) is int and type(text) is str and text.strip())
-                if not plain:
-                    tid = _checked_id(obj, path, line_no)
-                ids.append(tid)  # before the other fields: a duplicate id is the first fault
-                line_nos.append(line_no)
-                if not plain:
-                    user_id, group, ts, text = _checked_tweet(obj, tid, path, line_no)
-                tweets.append(Tweet(tid, user_id, group, ts, text))
-        except CorpusError as exc:  # the batch's ids up to the fault are checked first
-            error = exc
-        seen.add(ids, line_nos)
-        if error is not None:
-            raise error
-        if not tweets:
-            return
-        yield from tweets
+    keys = array.array("q")
+    try:
+        for line_no, obj in _iter_jsonl(path):
+            try:
+                tid, user_id, group, ts, text = (
+                    obj["id"], obj["user_id"], _GROUPS[obj["group"]], obj["timestamp"],
+                    obj["text"])
+            except (KeyError, TypeError):
+                tid = None
+            plain = (type(tid) is str and tid and type(user_id) is str
+                     and type(ts) is int and type(text) is str and text.strip())
+            if not plain:
+                tid = _checked_id(obj, path, line_no)
+            keys.append(_id_key(tid))  # before the other fields: a duplicate id is the first fault
+            if not plain:
+                user_id, group, ts, text = _checked_tweet(obj, tid, path, line_no)
+            yield Tweet(tid, user_id, group, ts, text)
+    except CorpusError:  # a repeated id up to the faulty line is the first fault
+        _check_repeats(path, keys, "id")
+        raise
+    _check_repeats(path, keys, "id")
 
 
 def _checked_id(obj, path, line_no) -> str:
@@ -272,6 +232,7 @@ def read_labels(path, article_ids: Container[str]) -> list[LabeledTweet]:
     check them against tweets it streams instead of holding.
     """
     labels = []
+    keys = array.array("q")
     for line_no, obj in _iter_jsonl(path):
         tweet_id = str(_require(obj, "tweet_id", path, line_no))
         try:
@@ -292,17 +253,8 @@ def read_labels(path, article_ids: Container[str]) -> list[LabeledTweet]:
                 tweet_id, f"nonrumor label for tweet {tweet_id!r} carries an article_id"
             )
         labels.append(LabeledTweet(tweet_id=tweet_id, label=label, article_id=article_id))
-    # checked once all are read, on a sorted list of the ids: a set of them,
-    # grown in the loop or built after it, left 3.4-4 MB more peak RSS for
-    # `all` on 20k labels
-    ids = sorted(l.tweet_id for l in labels)
-    if any(a == b for a, b in zip(ids, itertools.islice(ids, 1, None))):
-        seen = set()
-        for line_no, obj in _iter_jsonl(path):
-            tweet_id = str(obj["tweet_id"])
-            if tweet_id in seen:
-                raise DuplicateIdError(path, line_no, tweet_id)
-            seen.add(tweet_id)
+        keys.append(_id_key(tweet_id))
+    _check_repeats(path, keys, "tweet_id")
     return labels
 
 

@@ -995,3 +995,26 @@ class TestAtomicWrites:
         monkeypatch.setattr(cli.csv, "writer", fail)  # fails inside write_csv
         assert cli.main(["--config", str(config), "analyze", "ratio"]) == cli.EXIT_INPUT
         assert sorted(p.name for p in out.iterdir()) == ["matches.jsonl"]
+
+    @pytest.mark.parametrize("command,jobs", [("match", 1), ("match", 2), ("all", 1)])
+    def test_duplicate_on_the_last_line_publishes_no_output(self, workspace, monkeypatch, capsys,
+                                                            command, jobs):
+        # the tweet ids are checked once the file ends, after every tweet was scored
+        tmp_path, config, out = workspace
+        tweets = tmp_path / "tweets.jsonl"
+        monkeypatch.setattr(cli, "CHUNK", 1)  # several chunks, so that jobs 2 forks workers
+        args = ["--config", str(config), "--jobs", str(jobs), command]
+        write_jsonl(tweets, TWEETS + [dict(TWEETS[2], text="a tweet on the last line")])
+        assert cli.main(args) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {tweets}:5: duplicate id 't3'\n"
+        indexed = ["index.rmix"] if command == "all" else []
+        assert sorted(p.name for p in out.iterdir()) == indexed
+
+        write_jsonl(tweets, TWEETS)
+        assert cli.main(["--config", str(config), "match"]) == 0
+        before = (out / "matches.jsonl").read_bytes()
+        write_jsonl(tweets, TWEETS + [TWEETS[0]])
+        assert cli.main(args) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {tweets}:5: duplicate id 't1'\n"
+        assert (out / "matches.jsonl").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(indexed + ["matches.jsonl"])

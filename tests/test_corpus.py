@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from rumormatch import corpus
@@ -158,76 +157,74 @@ def write_lines(path, lines):
     path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
 
 
+def tail_lines(n):
+    """n valid tweet lines whose ids no numbered line has."""
+    return [tweet_line(id=f"tail{i}") for i in range(n)]
+
+
 class TestDuplicateCheck:
     """iter_tweets keeps 8-byte keys of the ids it has read and raises only
-    for a real repeat, at the first fault in file order."""
+    for a real repeat, at the first fault in file order. tail is the number
+    of valid lines after the case: the ids are checked when the file ends or
+    at the first malformed line, so the lines after a fault never change
+    which fault is named."""
 
-    @pytest.mark.parametrize("batch,dup_line,of_line", [
+    @pytest.mark.parametrize("tail,dup_line,of_line", [
         (1024, 5, 2), (2, 3, 2), (2, 5, 1), (2, 9, 4), (2, 17, 1), (2, 17, 16)])
-    def test_duplicate_within_and_across_batches(self, tmp_path, monkeypatch,
-                                                 batch, dup_line, of_line):
-        # batches of 2: line 17 is checked against runs that merged up to 8 keys
-        monkeypatch.setattr(corpus, "BATCH", batch)
+    def test_duplicate_within_and_across_batches(self, tmp_path, tail, dup_line, of_line):
         p = tmp_path / "tweets.jsonl"
-        write_lines(p, numbered_lines(20, {dup_line: of_line}))
+        write_lines(p, numbered_lines(20, {dup_line: of_line}) + tail_lines(tail))
         with pytest.raises(DuplicateIdError) as exc:
             corpus.load_tweets(p)
         assert str(exc.value) == f"{p}:{dup_line}: duplicate id 't{of_line}'"
 
-    def test_runs_merge_like_a_binary_counter(self, tmp_path):
-        seen = corpus._SeenIds(tmp_path / "unused.jsonl")
-        for b in range(13):
-            seen.add([f"t{b}.{i}" for i in range(4)], [4 * b + i + 1 for i in range(4)])
-        assert [len(run) for run in seen.runs] == [32, 16, 4]  # 13 batches = 0b1101
-        for run in seen.runs:
-            assert run.dtype == np.int64 and (run[1:] > run[:-1]).all()
-
-    @pytest.mark.parametrize("batch", [3, 1024])
-    def test_duplicate_before_a_malformed_line_wins(self, tmp_path, monkeypatch, batch):
-        monkeypatch.setattr(corpus, "BATCH", batch)
+    @pytest.mark.parametrize("tail", [3, 1024])
+    def test_duplicate_before_a_malformed_line_wins(self, tmp_path, tail):
         p = tmp_path / "tweets.jsonl"
-        write_lines(p, numbered_lines(5, {5: 1}) + ["not json"])
+        write_lines(p, numbered_lines(5, {5: 1}) + ["not json"] + tail_lines(tail))
         with pytest.raises(DuplicateIdError) as exc:
             corpus.load_tweets(p)
         assert str(exc.value) == f"{p}:5: duplicate id 't1'"
 
-    @pytest.mark.parametrize("batch", [3, 1024])
-    def test_malformed_line_before_a_duplicate_wins(self, tmp_path, monkeypatch, batch):
-        monkeypatch.setattr(corpus, "BATCH", batch)
+    @pytest.mark.parametrize("tail", [3, 1024])
+    def test_malformed_line_before_a_duplicate_wins(self, tmp_path, tail):
         p = tmp_path / "tweets.jsonl"
         write_lines(p, numbered_lines(4) + [tweet_line(id="t5", group="NOBODY"),
-                                            tweet_line(id="t1")])
+                                            tweet_line(id="t1")] + tail_lines(tail))
         with pytest.raises(MalformedLineError) as exc:
             corpus.load_tweets(p)
         assert str(exc.value) == f"{p}:5: malformed line: 'NOBODY' is not a valid Group"
 
-    @pytest.mark.parametrize("batch", [3, 1024])
-    def test_duplicate_id_on_a_malformed_line_is_the_first_fault(self, tmp_path, monkeypatch,
-                                                                batch):
-        monkeypatch.setattr(corpus, "BATCH", batch)
+    @pytest.mark.parametrize("tail", [3, 1024])
+    def test_duplicate_id_on_a_malformed_line_is_the_first_fault(self, tmp_path, tail):
         p = tmp_path / "tweets.jsonl"
-        write_lines(p, numbered_lines(4) + [tweet_line(id="t2", text=" ")])
+        write_lines(p, numbered_lines(4) + [tweet_line(id="t2", text=" ")] + tail_lines(tail))
         with pytest.raises(DuplicateIdError) as exc:
             corpus.load_tweets(p)
         assert str(exc.value) == f"{p}:5: duplicate id 't2'"
 
-    @pytest.mark.parametrize("batch", [1, 3, 1024])
-    def test_key_collisions_never_raise(self, tmp_path, monkeypatch, batch):
-        monkeypatch.setattr(corpus, "BATCH", batch)
+    @pytest.mark.parametrize("tail", [1, 3, 1024])
+    def test_key_collisions_never_raise(self, tmp_path, monkeypatch, tail):
         monkeypatch.setattr(corpus, "_id_key", lambda tid: 7)
         p = tmp_path / "tweets.jsonl"
-        write_lines(p, numbered_lines(10))
-        assert [t.id for t in corpus.load_tweets(p)] == [f"t{i}" for i in range(1, 11)]
-        write_lines(p, numbered_lines(10, {8: 6}))  # and a real repeat is still found
+        write_lines(p, numbered_lines(10) + tail_lines(tail))
+        assert [t.id for t in corpus.load_tweets(p)] == (
+            [f"t{i}" for i in range(1, 11)] + [f"tail{i}" for i in range(tail)])
+        write_lines(p, numbered_lines(10, {8: 6}) + tail_lines(tail))  # a real repeat is found
         with pytest.raises(DuplicateIdError) as exc:
             corpus.load_tweets(p)
         assert str(exc.value) == f"{p}:8: duplicate id 't6'"
+        # the suspects' lines are re-read up to the faulty line, not past it
+        write_lines(p, numbered_lines(10) + [tweet_line(id=None)] + tail_lines(tail))
+        with pytest.raises(MalformedLineError) as exc:
+            corpus.load_tweets(p)
+        assert str(exc.value) == f"{p}:11: malformed line: missing field 'id'"
 
     def test_error_text_does_not_depend_on_hash_seed(self, tmp_path):
         p = tmp_path / "tweets.jsonl"
         write_lines(p, numbered_lines(40, {29: 3, 33: 30}))
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        script = ("import sys\nfrom rumormatch import corpus\ncorpus.BATCH = 4\n"
+        script = ("import sys\nfrom rumormatch import corpus\n"
                   "try:\n    corpus.load_tweets(sys.argv[1])\n"
                   "except Exception as exc:\n    print(type(exc).__name__, exc)\n")
         texts = []
