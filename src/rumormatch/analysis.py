@@ -20,7 +20,7 @@ from .errors import (
     NoRumorsError,
     ZeroArticlesForSubjectError,
 )
-from .textpipe import TokenizerConfig, tokenize
+from .textpipe import TokenizerConfig, keyword_terms, tokenize
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class Accumulator:
     tweets keeps it small. ``window`` splits the group ratios into entire
     and windowed and bounds the timeline; every other reading covers all
     tweets fed. A rumor without an article (LEXICON) counts everywhere but
-    in the content attribution.
+    in the content attribution. ``wanted`` holds the terms ``tok`` makes of the keywords.
     """
 
     def __init__(
@@ -71,13 +71,14 @@ class Accumulator:
         window: TimeWindow = ELECTION_WINDOW,
         bin_width: int = 86400,
         keywords: Sequence[str] = (),
+        tok: Optional[TokenizerConfig] = None,
     ):
         if bin_width <= 0:
             raise ValueError("bin_width must be positive")
         self.window = window
         self.bin_width = bin_width
-        self.keywords = list(keywords)
-        self.wanted = frozenset(k.lower() for k in keywords)
+        self.keyword_terms = keyword_terms(keywords, tok)
+        self.wanted = frozenset(self.keyword_terms.values())
         self.group_tweets: Counter[tuple[Group, bool]] = Counter()
         self.group_rumors: Counter[tuple[Group, bool]] = Counter()
         self.user_tweets: Counter[str] = Counter()
@@ -90,7 +91,7 @@ class Accumulator:
         self, tweet: Tweet, rumor: bool, article_id: Optional[str] = None,
         hits: Iterable[str] = (),
     ) -> None:
-        """Count one tweet; ``hits`` are the wanted keywords among its tokens."""
+        """Count one tweet; ``hits`` are the wanted terms among its tokens."""
         in_window = tweet.timestamp in self.window
         key = (tweet.group, in_window)
         self.group_tweets[key] += 1
@@ -136,7 +137,7 @@ class Accumulator:
         return rows[:top_n]
 
     def keyword_breakdown(self) -> dict[str, tuple[int, int]]:
-        return {k.lower(): tuple(self.keyword_counts[k.lower()]) for k in self.keywords}
+        return {k: tuple(self.keyword_counts[t]) for k, t in self.keyword_terms.items()}
 
     def content_attribution(
         self, articles: list[RumorArticle], group: Group,
@@ -171,14 +172,14 @@ def _accumulate(
     tok: Optional[TokenizerConfig] = None,
     **params,
 ) -> Accumulator:
-    """An accumulator fed the tweets in scope; with ``tok``, keyword hits too."""
-    acc = Accumulator(**params)
+    """An accumulator fed the tweets in scope, keyword hits as ``tok`` tokenizes."""
+    acc = Accumulator(tok=tok, **params)
     for t in tweets:
         if not _in_window(t, scope):
             continue
         det = detections.get(t.id)
         rumor = det is not None and det.is_rumor
-        hits = acc.wanted.intersection(tokenize(t.text, tok)) if tok else ()
+        hits = acc.wanted.intersection(tokenize(t.text, tok)) if acc.wanted else ()
         acc.add(t, rumor, det.article_id if rumor else None, hits)
     return acc
 

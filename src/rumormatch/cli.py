@@ -63,7 +63,7 @@ EXIT_EMPTY = 3
 EXIT_EVAL = 4
 
 INDEX_MAGIC = b"RMIX"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 MATCHERS = ("TFIDF", "BM25", "EMBEDDING", "DOCVEC", "LEXICON")
 VECTOR_MATCHERS = ("TFIDF", "BM25", "EMBEDDING", "DOCVEC")
@@ -86,8 +86,6 @@ class RunConfig:
     k1: float = 1.2
     b: float = 0.75
     min_token_len: int = 2
-    strip_urls: bool = True
-    strip_mentions: bool = True
     stemming: bool = False
     window_start: int = analysis.ELECTION_WINDOW.start
     window_end: int = analysis.ELECTION_WINDOW.end
@@ -108,8 +106,6 @@ class RunConfig:
         return textpipe.TokenizerConfig(
             stopwords=stopwords,
             min_token_len=self.min_token_len,
-            strip_urls=self.strip_urls,
-            strip_mentions=self.strip_mentions,
             stemming=self.stemming,
         )
 
@@ -187,6 +183,8 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
         config.bm25_params()
     except ValueError as exc:
         raise ValueError(f"config key {exc}") from None
+    if config.keywords:  # a keyword that makes no single term exits before any output
+        textpipe.keyword_terms(config.keywords, config.tokenizer_config())
     return config
 
 
@@ -335,7 +333,7 @@ class Scorer:
     article_ids: list[Optional[str]]  # one per score column
     score: Callable[[list, Optional[list]], tuple[np.ndarray, np.ndarray]]
     reads_tokens: bool
-    wanted: frozenset[str] = frozenset()  # keywords whose hits the stream reports
+    wanted: frozenset[str] = frozenset()  # keyword terms whose hits the stream reports
 
 
 def make_scorer(config: RunConfig, articles=None, index=None,
@@ -415,7 +413,7 @@ def _score_block(s: Scorer, block):
 
     Returns, in input order: the block's matches.jsonl lines; one
     (article_id, score, rumor) per tweet, as on its line; and the wanted
-    keywords among each tweet's tokens (None when no keyword is wanted).
+    keyword terms among each tweet's tokens (None when no keyword is wanted).
     """
     tokens = None
     if s.reads_tokens or s.wanted:
@@ -583,6 +581,9 @@ def _write_classify(config: RunConfig, labels, results) -> None:
 
 
 def cmd_eval(config: RunConfig, task: str) -> None:
+    if task == "IDENTIFY" and config.matcher.upper() == "LEXICON":
+        raise ValueError("eval identify needs a matcher that names an article: "
+                         f"{', '.join(VECTOR_MATCHERS)} or ALL, not LEXICON")
     tweets_path = _require_file(config.tweets, "tweets")
     articles = _load_articles(config)
     labels = _read_labels(config, articles)
@@ -627,7 +628,8 @@ ANALYSES = ("ratio", "users", "keywords", "attribution", "timeline")
 
 
 def _accumulator(config: RunConfig) -> analysis.Accumulator:
-    return analysis.Accumulator(config.window(), config.bin_width, config.keywords)
+    tok = config.tokenizer_config() if config.keywords else None
+    return analysis.Accumulator(config.window(), config.bin_width, config.keywords, tok)
 
 
 def _write_analyses(config: RunConfig, acc: analysis.Accumulator, which, articles=None) -> None:

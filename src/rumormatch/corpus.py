@@ -58,7 +58,6 @@ class RumorArticle:
     title: str
     body: str
     subjects: frozenset[Subject] = frozenset({Subject.OTHER})
-    source_url: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,6 @@ def load_articles(path) -> list[RumorArticle]:
                 title=str(obj.get("title", "")),
                 body=body,
                 subjects=subjects,
-                source_url=obj.get("source_url"),
             )
         )
     return articles

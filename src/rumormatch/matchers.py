@@ -14,7 +14,6 @@ import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Optional
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     EmptyScoresError,
     VectorFileError,
 )
-from .textpipe import TokenizerConfig, tokenize
+from .textpipe import TokenizerConfig, list_entries, packaged_list, tokenize
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,8 @@ class ArticleIndex:
         counts = _int_array(counts, "counts")
         if any(a.ndim != 1 for a in (self.indptr, self.ordinals, counts)):
             raise ValueError("every array must be flat")
+        if not self.article_ids:
+            raise ValueError("no articles")
         if not set(map(type, self.article_ids)) | set(map(type, self.terms)) <= {str}:
             raise ValueError("article ids and terms must be strings")
         if len(self.term_ids) != len(self.terms):
@@ -534,17 +535,11 @@ class LexiconPatternSet:
 
     @classmethod
     def from_lines(cls, lines):
-        patterns = []
-        for line in lines:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                patterns.append(re.compile(line, re.IGNORECASE))
-        return cls(patterns=patterns)
+        return cls(patterns=[re.compile(p, re.IGNORECASE) for p in list_entries(lines)])
 
 
 def default_lexicon() -> LexiconPatternSet:
-    text = resources.files("rumormatch.data").joinpath("lexicon.txt").read_text("utf-8")
-    return LexiconPatternSet.from_lines(text.splitlines())
+    return LexiconPatternSet.from_lines(packaged_list("lexicon.txt"))
 
 
 def load_lexicon(path) -> LexiconPatternSet:

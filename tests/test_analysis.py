@@ -1,4 +1,6 @@
 import math
+import re
+
 import pytest
 
 from fixture_analysis import ARTICLES, DAY, DAY0, DETECTIONS, TWEETS, WEEK_WINDOW
@@ -16,7 +18,7 @@ from rumormatch.analysis import (
     user_rumor_ratio_ranking,
 )
 from rumormatch.corpus import Group, Subject
-from rumormatch.textpipe import tokenize
+from rumormatch.textpipe import TokenizerConfig, tokenize
 from rumormatch.errors import (
     EmptyDenominatorError,
     NoRumorsError,
@@ -165,6 +167,18 @@ class TestKeywordBreakdown:
             [t for t in TWEETS if t.id == "t2"], DETECTIONS, ["clinton", "email"]
         )
         assert got == {"clinton": (1, 0), "email": (1, 0)}
+
+    def test_stemmed_keyword_counts_its_stem(self):
+        got = keyword_breakdown(TWEETS, DETECTIONS, ["Emails", "diagnosis"],
+                                TokenizerConfig(stemming=True))
+        # email: rumor t2; nonrumors t4,t10. diagnosis: rumors t1,t13
+        assert got == {"emails": (1, 2), "diagnosis": (2, 0)}
+        assert keyword_breakdown(TWEETS, DETECTIONS, ["emails"]) == {"emails": (0, 0)}
+
+    @pytest.mark.parametrize("keyword", ["the", "@cnn", "hillary clinton"])
+    def test_keyword_of_no_single_term_rejected(self, keyword):
+        with pytest.raises(ValueError, match=re.escape(repr(keyword))):
+            keyword_breakdown(TWEETS, DETECTIONS, ["clinton", keyword])
 
 
 class TestContentAttribution:

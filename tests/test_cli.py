@@ -132,6 +132,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             cli.build_config({"bogus": "1"}, {})
 
+    @pytest.mark.parametrize("key", ["strip_urls", "strip_mentions"])
+    def test_removed_tokenizer_switch_is_unknown_key(self, workspace, capsys, key):
+        _, config, out = workspace
+        config.write_text(config.read_text() + f"{key} = false\n")
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_boolean_words(self, workspace, capsys):
         for word in ("true", "TRUE", "1", "yes", "On"):
             assert cli.build_config({"stemming": word}, {}).stemming is True
@@ -243,14 +251,15 @@ class TestIndexCommand:
         _, config, _ = workspace
         olds = {1: b'{"article_ids": ["a1"], "empty_article_ids": [], "doc_len": [1], '
                    b'"avgdl": 1.0, "terms": ["x"], "postings": {"x": [[0], [1]]}}',
-                2: v3_payload(doc_len=[1, 1])}  # v2 also stored doc_len
+                2: index_payload(doc_len=[1, 1]),  # v2 also stored doc_len
+                3: index_payload()}  # v3 may have been built with URLs or mentions kept
         text = config.read_text()
         for version, payload in olds.items():
             old = tmp_path / f"v{version}.rmix"
             old.write_bytes(cli.INDEX_MAGIC + bytes([version]) + payload)
             config.write_text(text + f"index_path = {old}\n")
             assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
-            assert (f"index version {version} not supported (want 3)"
+            assert (f"index version {version} not supported (want {cli.INDEX_VERSION})"
                     in capsys.readouterr().err)
 
     def test_missing_articles_file_exit_2(self, tmp_path):
@@ -512,6 +521,14 @@ class TestEvalCommand:
         assert [r["matcher"] for r in rows] == ["TFIDF", "BM25"]
         assert all(float(r["accuracy"]) == 1.0 for r in rows)
 
+    def test_identify_lexicon_exit_2(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        assert cli.main(["--config", str(config), "--matcher", "LEXICON",
+                         "eval", "identify"]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert all(name in err for name in ("TFIDF", "BM25", "EMBEDDING", "DOCVEC", "ALL"))
+        assert not (out / "identification.csv").exists()
+
     def test_classify_lexicon_fixed_point(self, workspace):
         tmp_path, config, out = workspace
         assert cli.main(["--config", str(config), "--matcher", "LEXICON",
@@ -771,8 +788,8 @@ class TestReproducibility:
         assert results[1, 1].count(b"\n") == 250
 
 
-def v3_payload(**changes) -> bytes:
-    """A well-formed version-3 index payload (two articles, two terms) with changes."""
+def index_payload(**changes) -> bytes:
+    """A well-formed index payload (two articles, two terms) with changes."""
     payload = {"article_ids": ["a1", "a2"], "terms": ["x", "y"],
                "indptr": [0, 1, 2], "ordinals": [0, 1], "counts": [1, 1],
                "tokenizer": {}, "articles_sha256": None}
@@ -792,25 +809,27 @@ class TestInputErrors:
     @pytest.mark.parametrize("payload", [
         b'{"terms": []}',  # missing keys
         b"[]",
-        pytest.param(v3_payload(ordinals={"x": [0]}), id="wrong-type-ordinals"),
+        pytest.param(index_payload(ordinals={"x": [0]}), id="wrong-type-ordinals"),
         b"\xff",
-        pytest.param(v3_payload(ordinals=[0, 2]), id="ordinal-past-last-article"),
-        pytest.param(v3_payload(indptr=[0, 2, 1]), id="falling-indptr"),
-        pytest.param(v3_payload(counts=[1]), id="ordinals-counts-lengths-differ"),
-        pytest.param(v3_payload(terms=["x", "x"]), id="duplicate-term"),
-        pytest.param(v3_payload(indptr=[0, 2, 2], ordinals=[1, 0]), id="falling-ordinals"),
-        pytest.param(v3_payload(article_ids=[1, 2]), id="int-article-ids"),
-        pytest.param(v3_payload(terms=[1, 2]), id="int-terms"),
-        pytest.param(v3_payload(counts=[0, 1]), id="zero-count"),
-        pytest.param(v3_payload(counts=[1, -5]), id="negative-count"),
-        pytest.param(v3_payload(counts=[1.5, 1]), id="fractional-count"),
-        pytest.param(v3_payload(counts=[float("nan"), 1]), id="nan-count"),
-        pytest.param(v3_payload(ordinals=[0.7, 1.2]), id="fractional-ordinals"),
-        pytest.param(v3_payload(indptr=[0, 1.9, 2]), id="fractional-indptr"),
-        pytest.param(v3_payload(ordinals=["0", "1"]), id="string-ordinals"),
-        pytest.param(v3_payload(ordinals=[0, True]), id="boolean-ordinal"),
-        pytest.param(v3_payload(counts=["1", 1]), id="string-count"),
-        pytest.param(v3_payload(ordinals=[0, 2 ** 64]), id="ordinal-past-64-bits"),
+        pytest.param(index_payload(ordinals=[0, 2]), id="ordinal-past-last-article"),
+        pytest.param(index_payload(indptr=[0, 2, 1]), id="falling-indptr"),
+        pytest.param(index_payload(counts=[1]), id="ordinals-counts-lengths-differ"),
+        pytest.param(index_payload(terms=["x", "x"]), id="duplicate-term"),
+        pytest.param(index_payload(indptr=[0, 2, 2], ordinals=[1, 0]), id="falling-ordinals"),
+        pytest.param(index_payload(article_ids=[1, 2]), id="int-article-ids"),
+        pytest.param(index_payload(terms=[1, 2]), id="int-terms"),
+        pytest.param(index_payload(counts=[0, 1]), id="zero-count"),
+        pytest.param(index_payload(counts=[1, -5]), id="negative-count"),
+        pytest.param(index_payload(counts=[1.5, 1]), id="fractional-count"),
+        pytest.param(index_payload(counts=[float("nan"), 1]), id="nan-count"),
+        pytest.param(index_payload(ordinals=[0.7, 1.2]), id="fractional-ordinals"),
+        pytest.param(index_payload(indptr=[0, 1.9, 2]), id="fractional-indptr"),
+        pytest.param(index_payload(ordinals=["0", "1"]), id="string-ordinals"),
+        pytest.param(index_payload(ordinals=[0, True]), id="boolean-ordinal"),
+        pytest.param(index_payload(counts=["1", 1]), id="string-count"),
+        pytest.param(index_payload(ordinals=[0, 2 ** 64]), id="ordinal-past-64-bits"),
+        pytest.param(index_payload(article_ids=[], terms=[], indptr=[0], ordinals=[], counts=[]),
+                     id="no-articles"),
     ])
     def test_malformed_index_payload_exit_2(self, workspace, payload, capsys):
         tmp_path, config, out = workspace
@@ -824,7 +843,7 @@ class TestInputErrors:
         # empty JSON lists hold no value that is not an integer
         index = tmp_path / "empty.rmix"
         index.write_bytes(cli.INDEX_MAGIC + bytes([cli.INDEX_VERSION])
-                          + v3_payload(terms=[], indptr=[0], ordinals=[], counts=[]))
+                          + index_payload(terms=[], indptr=[0], ordinals=[], counts=[]))
         loaded = cli.load_index(index)
         assert (loaded.n_articles, len(loaded.ordinals), loaded.doc_len.tolist()) == (2, 0, [0, 0])
 
@@ -884,6 +903,21 @@ class TestAllCommand:
                 "timeline.csv"} <= set(names)
         for name in names:
             assert (out / name).read_bytes() == (seq / name).read_bytes(), name
+
+    def test_stemmed_keywords_count_their_stems(self, workspace):
+        tmp_path, config, out = workspace
+        config.write_text(config.read_text() + "stemming = true\nkeywords = diagnosis, hoaxes\n")
+        assert cli.main(["--config", str(config), "all"]) == 0
+        assert (out / "keywords.csv").read_text().splitlines() == [
+            "keyword,rumor_count,nonrumor_count", "diagnosis,1,0", "hoaxes,1,0"]
+
+    @pytest.mark.parametrize("keyword", ["the", "@cnn", "hillary clinton"])
+    def test_keyword_of_no_single_term_exit_2(self, workspace, capsys, keyword):
+        tmp_path, config, out = workspace
+        config.write_text(config.read_text() + f"keywords = clinton, {keyword}\n")
+        assert cli.main(["--config", str(config), "all"]) == cli.EXIT_INPUT
+        assert repr(keyword) in capsys.readouterr().err
+        assert not (out / "index.rmix").exists() and not (out / "matches.jsonl").exists()
 
     def test_duplicate_tweet_id_exit_2(self, workspace, capsys):
         tmp_path, config, out = workspace

@@ -259,7 +259,6 @@ class TestLoadArticles:
         articles = corpus.load_articles(p)
         assert len(articles) == 2
         assert articles[0].subjects == frozenset({Subject.CLINTON})
-        assert articles[1].source_url is None
 
     def test_missing_subjects_defaults_to_other(self, tmp_path):
         p = tmp_path / "articles.jsonl"

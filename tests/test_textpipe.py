@@ -22,6 +22,9 @@ class TestTokenize:
             "check", "parkinsons",
         ]
 
+    def test_urls_go_before_mentions(self):
+        assert tokenize("hi @www.cnn.com") == ["hi"]
+
     def test_empty_input(self):
         assert tokenize("") == []
 
@@ -115,3 +118,14 @@ def test_load_stopwords_ignores_comments(tmp_path):
     p = tmp_path / "stop.txt"
     p.write_text("# comment\nfoo\n\nBar\n")
     assert textpipe.load_stopwords(p) == frozenset({"foo", "bar"})
+
+
+def test_keyword_terms_follow_case_and_stemming():
+    config = TokenizerConfig(stemming=True)
+    assert textpipe.keyword_terms(["Hoaxes", "#Diagnosis"], config) == {
+        "hoaxes": "hoax", "#diagnosis": "diagnosi"}
+    assert textpipe.keyword_terms(["Hoaxes"]) == {"hoaxes": "hoaxes"}
+
+
+def test_list_entries_skip_blanks_and_comments():
+    assert textpipe.list_entries(["  # note", "", " Foo \n", "#x", "b.r"]) == ["Foo", "b.r"]
