@@ -164,6 +164,11 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
                 raise ValueError(f"config key {key!r}: {exc}") from None
         setattr(config, key, raw)
     # checked here so that a bad value exits before any output is written
+    matcher = config.matcher.upper()
+    if matcher not in (*MATCHERS, "ALL"):
+        raise ValueError(f"config key 'matcher' must be one of {', '.join(MATCHERS)} or ALL, "
+                         f"got {config.matcher!r}")
+    config.matcher = matcher
     if config.jobs < 0:
         raise ValueError(f"config key 'jobs' must be 0 (all cores) or more, got {config.jobs}")
     if config.top_n < 0:
@@ -279,8 +284,8 @@ def load_index(path, config: Optional[RunConfig] = None) -> matchers.ArticleInde
         raise IndexFormatError(f"{path}: malformed index payload: {exc!r}") from exc
     if config is not None:
         want = index_provenance(config.tokenizer_config(), config.articles)
-        for key, value in want["tokenizer"].items():
-            if built_with.get(key) != value:
+        for key in {**want["tokenizer"], **built_with}:  # a field either record lacks differs
+            if built_with.get(key) != want["tokenizer"].get(key):
                 raise IndexMismatchError(
                     f"{path}: index was built with another {key} than configured; re-run index")
         if want["articles_sha256"] not in (None, built_from):
@@ -345,7 +350,7 @@ def make_scorer(config: RunConfig, articles=None, index=None,
     LEXICON scores 1.0 on a pattern match, else 0.0, in one column against
     no article, at a fixed threshold of 0.
     """
-    matcher = config.matcher.upper()
+    matcher = config.matcher
     if matcher not in MATCHERS:
         raise ValueError(f"unknown matcher {config.matcher!r}")
     tok = config.tokenizer_config()
@@ -569,7 +574,7 @@ def pr_rows(points: Iterable[evaluation.PRPoint]) -> Iterator[tuple]:
 
 def _write_classify(config: RunConfig, labels, results) -> None:
     """pr_curve.csv and max_f1.csv from the labeled tweets' (article, score, rumor)."""
-    if config.matcher.upper() == "LEXICON":
+    if config.matcher == "LEXICON":
         point = evaluation.fixed_point_eval(
             {tid: rumor for tid, (_, _, rumor) in results.items()}, labels)
         points, best = [point], point
@@ -581,7 +586,7 @@ def _write_classify(config: RunConfig, labels, results) -> None:
 
 
 def cmd_eval(config: RunConfig, task: str) -> None:
-    if task == "IDENTIFY" and config.matcher.upper() == "LEXICON":
+    if task == "IDENTIFY" and config.matcher == "LEXICON":
         raise ValueError("eval identify needs a matcher that names an article: "
                          f"{', '.join(VECTOR_MATCHERS)} or ALL, not LEXICON")
     tweets_path = _require_file(config.tweets, "tweets")
@@ -592,7 +597,6 @@ def cmd_eval(config: RunConfig, task: str) -> None:
     tweets = [t for t in corpus.iter_tweets(tweets_path) if t.id in wanted]
     corpus.check_label_tweets(labels, {t.id for t in tweets})
     os.makedirs(config.out, exist_ok=True)
-    matcher = config.matcher.upper()
 
     if task == "CLASSIFY":
         results = run_match(config, tweets, scorer=make_scorer(config, articles), labeled=wanted)
@@ -603,8 +607,8 @@ def cmd_eval(config: RunConfig, task: str) -> None:
     rumor_labels = [l for l in labels if l.label is Label.RUMOR]
     rumor_ids = {l.tweet_id for l in rumor_labels}
     tweets = [t for t in tweets if t.id in rumor_ids]
-    names = [matcher]
-    if matcher == "ALL":  # skip a vector matcher without its file; a named one needs it
+    names = [config.matcher]
+    if config.matcher == "ALL":  # skip a vector matcher without its file; a named one needs it
         missing = {"EMBEDDING": not config.embeddings, "DOCVEC": not config.doc_vectors}
         names = [name for name in VECTOR_MATCHERS if not missing.get(name)]
     index = _get_index(config, articles) if set(names) & set(POSTINGS_MATCHERS) else None
@@ -730,7 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect rumor tweets by matching them against verified rumor articles.",
     )
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--matcher", choices=[*MATCHERS, "ALL"], help="matching algorithm")
+    parser.add_argument("--matcher", help=f"matching algorithm: {', '.join(MATCHERS)}, "
+                        "or ALL for eval identify (any case)")
     parser.add_argument("--threshold", type=float, help="classification threshold h")
     parser.add_argument("--jobs", type=int, help="parallel workers for match (0 = all cores)")
     parser.add_argument("--out", help="output directory")
@@ -761,6 +766,8 @@ def main(argv=None) -> int:
             "quiet": args.quiet,
         }
         config = build_config(file_values, overrides)
+        if config.matcher == "ALL" and getattr(args, "task", None) != "identify":
+            raise ValueError("config key 'matcher' may be ALL only for eval identify")
 
         if args.command == "index":
             cmd_index(config)

@@ -16,15 +16,7 @@ from typing import Container, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    CorpusError,
-    DanglingArticleRefError,
-    DanglingTweetRefError,
-    DuplicateIdError,
-    EmptyBodyError,
-    MalformedLineError,
-    RumorWithoutArticleError,
-)
+from .errors import CorpusError, DanglingTweetRefError, DuplicateIdError, MalformedLineError
 
 
 class Group(str, Enum):
@@ -83,9 +75,12 @@ def _iter_jsonl(path):
 
 
 def _require(obj, key, path, line_no):
-    if key not in obj:
-        raise MalformedLineError(path, line_no, f"missing field {key!r}")
-    return obj[key]
+    """obj[key]; a missing key or a JSON null is a malformed line."""
+    value = obj.get(key)
+    if value is None:
+        reason = f"field {key!r} is null" if key in obj else f"missing field {key!r}"
+        raise MalformedLineError(path, line_no, reason)
+    return value
 
 
 _GROUPS = {g.value: g for g in Group}
@@ -190,7 +185,8 @@ def load_tweets(path) -> list[Tweet]:
 
 
 def load_articles(path) -> list[RumorArticle]:
-    """Parse articles.jsonl; a missing, null or empty subjects list defaults to {OTHER}."""
+    """Parse articles.jsonl; a missing, null or empty subjects list defaults
+    to {OTHER}, and a missing or null title to ""."""
     articles = []
     seen = set()
     for line_no, obj in _iter_jsonl(path):
@@ -202,7 +198,7 @@ def load_articles(path) -> list[RumorArticle]:
         seen.add(aid)
         body = str(_require(obj, "body", path, line_no))
         if not body.strip():
-            raise EmptyBodyError(path, line_no, aid)
+            raise MalformedLineError(path, line_no, f"article {aid!r} has empty body")
         raw_subjects = obj.get("subjects")
         if raw_subjects is not None and type(raw_subjects) is not list:
             raise MalformedLineError(path, line_no,
@@ -211,14 +207,8 @@ def load_articles(path) -> list[RumorArticle]:
             subjects = frozenset(Subject(s) for s in raw_subjects or ["OTHER"])
         except ValueError as exc:
             raise MalformedLineError(path, line_no, str(exc)) from exc
-        articles.append(
-            RumorArticle(
-                id=aid,
-                title=str(obj.get("title", "")),
-                body=body,
-                subjects=subjects,
-            )
-        )
+        title = obj.get("title")
+        articles.append(RumorArticle(aid, "" if title is None else str(title), body, subjects))
     return articles
 
 
@@ -241,15 +231,13 @@ def read_labels(path, article_ids: Container[str]) -> list[LabeledTweet]:
         if article_id is not None and type(article_id) is not str:
             raise MalformedLineError(path, line_no,
                                      f"article_id must be a string, got {article_id!r}")
-        if label is Label.RUMOR:
-            if article_id is None:
-                raise RumorWithoutArticleError(tweet_id)
-            if article_id not in article_ids:
-                raise DanglingArticleRefError(article_id)
-        elif article_id is not None:
-            raise RumorWithoutArticleError(
-                tweet_id, f"nonrumor label for tweet {tweet_id!r} carries an article_id"
-            )
+        if (label is Label.RUMOR) != (article_id is not None):
+            raise MalformedLineError(path, line_no, (
+                f"{label.value} label for tweet {tweet_id!r} has article_id {article_id!r}; "
+                "RUMOR needs one, NONRUMOR takes none"))
+        if article_id is not None and article_id not in article_ids:
+            raise MalformedLineError(path, line_no,
+                                     f"label references unknown article {article_id!r}")
         labels.append(LabeledTweet(tweet_id=tweet_id, label=label, article_id=article_id))
         keys.append(_id_key(tweet_id))
     _check_repeats(path, keys, "tweet_id")

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps each failure to an exit code by its class and prints its
-message as a one-line diagnostic.
+message as a one-line diagnostic. A faulty line of any line-oriented input
+(tweets, articles, labels, matches, a vector file) is a MalformedLineError
+naming ``path:line``; the other classes name faults no one line holds.
 """
 
 
@@ -27,28 +29,10 @@ class DuplicateIdError(CorpusError):
         super().__init__(f"{path}:{line_no}: duplicate id {dup_id!r}")
 
 
-class EmptyBodyError(CorpusError):
-    def __init__(self, path, line_no, article_id):
-        self.article_id = article_id
-        super().__init__(f"{path}:{line_no}: article {article_id!r} has empty body")
-
-
 class DanglingTweetRefError(CorpusError):
     def __init__(self, tweet_id):
         self.tweet_id = tweet_id
         super().__init__(f"label references unknown tweet {tweet_id!r}")
-
-
-class DanglingArticleRefError(CorpusError):
-    def __init__(self, article_id):
-        self.article_id = article_id
-        super().__init__(f"label references unknown article {article_id!r}")
-
-
-class RumorWithoutArticleError(CorpusError):
-    def __init__(self, tweet_id, msg=None):
-        self.tweet_id = tweet_id
-        super().__init__(msg or f"rumor label for tweet {tweet_id!r} lacks an article_id")
 
 
 class EmptyCorpusError(RumorMatchError):
@@ -60,7 +44,7 @@ class AllEmptyAfterTokenizeError(RumorMatchError):
 
 
 class InputFormatError(RumorMatchError, ValueError):
-    """An input file that its reader cannot use (index, vector file)."""
+    """An input its reader cannot use: an index file, or vectors of another shape."""
 
 
 class IndexFormatError(InputFormatError):
@@ -73,16 +57,6 @@ class IndexMismatchError(InputFormatError):
 
 class DimMismatchError(InputFormatError):
     pass
-
-
-class VectorFileError(InputFormatError):
-    """A vector file line that is not '<count> <dim>' (the header) or not
-    '<term> <dim numbers>'."""
-
-    def __init__(self, path, line_no, reason):
-        self.path = path
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {reason}")
 
 
 class EmptyScoresError(RumorMatchError):

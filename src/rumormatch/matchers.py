@@ -24,7 +24,7 @@ from .errors import (
     DimMismatchError,
     EmptyCorpusError,
     EmptyScoresError,
-    VectorFileError,
+    MalformedLineError,
 )
 from .textpipe import TokenizerConfig, list_entries, packaged_list, tokenize
 
@@ -346,10 +346,11 @@ def load_embeddings(path) -> EmbeddingTable:
     """word2vec text format: header '<count> <dim>', then 'term v1 .. vdim'.
 
     A line without a space is skipped; any other line must hold exactly dim
-    single-space-separated components after its term (DimMismatchError
-    otherwise). A repeated term keeps its last vector. The components are
-    parsed a batch of lines at a time by numpy's C reader into one
-    preallocated matrix, so no per-term array is built.
+    single-space-separated numbers after its term. The first header or line
+    that breaks these rules is named by a MalformedLineError. A repeated
+    term keeps its last vector. The components are parsed a batch of lines
+    at a time by numpy's C reader into one preallocated matrix, so no
+    per-term array is built.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -358,7 +359,7 @@ def load_embeddings(path) -> EmbeddingTable:
         except ValueError:  # not two fields, or not two integers
             count = dim = -1
         if count < 0 or dim < 0:
-            raise VectorFileError(path, 1, f"expected a '<count> <dim>' header, got {header}")
+            raise MalformedLineError(path, 1, f"expected a '<count> <dim>' header, got {header}")
         # the header's count is a hint: a row takes at least 2 * dim + 1 bytes
         size = os.fstat(fh.fileno()).st_size
         matrix = np.empty((min(count, size // (2 * dim + 1)), dim))
@@ -372,8 +373,8 @@ def load_embeddings(path) -> EmbeddingTable:
             line_no += len(batch)
             if wrong is not None:
                 _parse_rows(path, [batch[i] for i in at[:wrong]], line_nos, dim)  # first error first
-                raise DimMismatchError(f"{path}:{line_nos[wrong]}: expected {dim} components, "
-                                       f"got {spaces[at[wrong]]}")
+                raise MalformedLineError(path, line_nos[wrong],
+                                         f"expected {dim} components, got {spaces[at[wrong]]}")
             if not at:
                 continue
             lines = [batch[i] for i in at]
@@ -387,8 +388,8 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def _parse_rows(path, lines, line_nos, dim) -> np.ndarray:
-    """(len(lines), dim) components of 'term v1 .. vdim' lines; VectorFileError
-    naming the first line that does not parse."""
+    """(len(lines), dim) components of 'term v1 .. vdim' lines; a
+    MalformedLineError names the first line that does not parse."""
     if not lines:
         return np.empty((0, dim))
     try:
@@ -396,7 +397,7 @@ def _parse_rows(path, lines, line_nos, dim) -> np.ndarray:
                           comments=None, quotechar=None, ndmin=2)
     except ValueError:
         if len(lines) == 1:
-            raise VectorFileError(path, line_nos[0], f"expected {dim} numbers after the term")
+            raise MalformedLineError(path, line_nos[0], f"expected {dim} numbers after the term")
         for line, line_no in zip(lines, line_nos):
             _parse_rows(path, [line], [line_no], dim)
         raise

@@ -8,6 +8,7 @@ stemming. Stopword and lexicon files share one list format, parsed here.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -31,6 +32,7 @@ def packaged_list(name: str) -> list[str]:
                         .read_text("utf-8").splitlines())
 
 
+@functools.cache  # read once per process: TokenizerConfig() calls it
 def default_stopwords() -> frozenset[str]:
     return frozenset(w.lower() for w in packaged_list("stopwords.txt"))
 

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from conftest import make_article
 from oracles import bm25_oracle
 
-from rumormatch import cli
+from rumormatch import cli, errors
 from rumormatch.matchers import BM25Params, build_index
 from rumormatch.textpipe import TokenizerConfig, tokenize
 
@@ -165,6 +165,7 @@ class TestConfig:
         ("b = 1.5", "'b'"),
         ("threshold = nan", "'threshold'"),
         ("peak_k = nan", "'peak_k'"),
+        ("matcher = foo", "'matcher'"),
     ])
     def test_bad_analysis_parameter_exits_before_any_output(self, workspace, capsys, line, key):
         _, config, out = workspace
@@ -172,6 +173,29 @@ class TestConfig:
         for command in (["all"], ["match"], ["index"]):
             assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
             assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matcher_all_only_for_eval_identify(self, workspace, capsys):
+        _, config, out = workspace
+        base = ["--config", str(config), "--matcher", "ALL"]
+        for command in (["all"], ["index"], ["match"], ["eval", "classify"], ["analyze"]):
+            assert cli.main(base + command) == cli.EXIT_INPUT
+            assert "config key 'matcher' may be ALL only for eval identify" in (
+                capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_matcher_in_any_case(self, workspace):
+        _, config, _ = workspace
+        assert cli.build_config({"matcher": "tfidf"}, {}).matcher == "TFIDF"
+        assert cli.build_config({"matcher": "tfidf"}, {"matcher": "Lexicon"}).matcher == "LEXICON"
+        assert cli.main(["--config", str(config), "--matcher", "bm25", "match"]) == 0
+        assert cli.main(["--config", str(config), "--matcher", "all", "eval", "identify"]) == 0
+
+    def test_line_without_equals_exit_2(self, workspace, capsys):
+        _, config, out = workspace
+        config.write_text(config.read_text() + "stemming\n")
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {config}:10: expected 'key = value'\n"
         assert not out.exists()
 
     def test_readme_lists_every_config_key(self):
@@ -298,6 +322,17 @@ class TestIndexProvenance:
         config.write_text(config.read_text() + line.format(tmp=tmp_path) + "\n")
         assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
         assert f"built with another {named} than configured" in capsys.readouterr().err
+        assert not (out / "matches.jsonl").exists()
+
+    def test_field_the_run_lacks_exit_2(self, saved, capsys):
+        tmp_path, config, out = saved
+        index = tmp_path / "saved.rmix"
+        data = index.read_bytes()
+        payload = json.loads(data[5:])
+        payload["tokenizer"]["strip_urls"] = True
+        index.write_bytes(data[:5] + json.dumps(payload).encode("utf-8"))
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert "built with another strip_urls than configured" in capsys.readouterr().err
         assert not (out / "matches.jsonl").exists()
 
     def test_edited_article_exit_2(self, saved, capsys):
@@ -528,6 +563,13 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert all(name in err for name in ("TFIDF", "BM25", "EMBEDDING", "DOCVEC", "ALL"))
         assert not (out / "identification.csv").exists()
+
+    def test_classify_without_nonrumor_labels_exit_4(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        write_jsonl(tmp_path / "labels.jsonl", [l for l in LABELS if l["label"] == "RUMOR"])
+        assert cli.main(["--config", str(config), "eval", "classify"]) == cli.EXIT_EVAL
+        assert capsys.readouterr().err.startswith("error: sweep needs at least one RUMOR")
+        assert not (out / "pr_curve.csv").exists() and not (out / "max_f1.csv").exists()
 
     def test_classify_lexicon_fixed_point(self, workspace):
         tmp_path, config, out = workspace
@@ -878,6 +920,45 @@ class TestInputErrors:
         assert cli.main(["--config", str(config), "--out", str(blocker / "out"),
                          "match"]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# one instance of each concrete error class, with the exit code README.md gives it
+EXIT_CODES = [
+    (errors.MalformedLineError("tweets.jsonl", 3, "empty id"), 2),
+    (errors.DuplicateIdError("tweets.jsonl", 3, "t1"), 2),
+    (errors.DanglingTweetRefError("t9"), 2),
+    (errors.IndexFormatError("index.rmix: bad header"), 2),
+    (errors.IndexMismatchError("index.rmix: other articles"), 2),
+    (errors.DimMismatchError("query vectors have dim 2"), 2),
+    (errors.EmptyCorpusError("no articles"), 3),
+    (errors.AllEmptyAfterTokenizeError("every article is empty"), 3),
+    (errors.EmptyDenominatorError("no tweets in the window"), 3),
+    (errors.NoRumorsError("no rumor tweets"), 3),
+    (errors.ZeroArticlesForSubjectError("TRUMP"), 3),
+    (errors.DegenerateLabelsError("one label class"), 4),
+    (errors.NoRumorLabelsError("no RUMOR labels"), 4),
+    (errors.EmptyScoresError("no scores"), 1),
+]
+
+
+class TestExitCodes:
+    def test_table_covers_every_concrete_error(self):
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.RumorMatchError)]
+        concrete = {c for c in classes if not any(c in d.__bases__ for d in classes)}
+        assert {type(exc) for exc, _ in EXIT_CODES} == concrete
+
+    @pytest.mark.parametrize("exc,code", EXIT_CODES,
+                             ids=[type(exc).__name__ for exc, _ in EXIT_CODES])
+    def test_main_maps_each_error_to_its_code(self, workspace, monkeypatch, capsys, exc, code):
+        _, config, _ = workspace
+
+        def fail(config):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_index", fail)
+        assert cli.main(["--config", str(config), "index"]) == code
+        prefix = "internal error: " if code == cli.EXIT_INTERNAL else "error: "
+        assert capsys.readouterr().err == f"{prefix}{exc}\n"
 
 
 class TestAllCommand:

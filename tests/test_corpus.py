@@ -9,14 +9,7 @@ import pytest
 
 from rumormatch import corpus
 from rumormatch.corpus import Group, Label, Subject
-from rumormatch.errors import (
-    DanglingArticleRefError,
-    DanglingTweetRefError,
-    DuplicateIdError,
-    EmptyBodyError,
-    MalformedLineError,
-    RumorWithoutArticleError,
-)
+from rumormatch.errors import DanglingTweetRefError, DuplicateIdError, MalformedLineError
 
 
 def write_jsonl(path, objs):
@@ -113,6 +106,14 @@ class TestTweetLineEdges:
         pytest.param(['{"id": '], MalformedLineError,
                      ":1: malformed line: Expecting value: line 2 column 1 (char 8)",
                      id="truncated-json"),
+        # raw lines, as tweet_line drops a None key: a null is missing, not "None"
+        *[pytest.param([json.dumps(dict(TWEETS[0], **{key: None}))], MalformedLineError,
+                       f":1: malformed line: field {key!r} is null", id=f"null-{key}")
+          for key in ("id", "text", "group", "timestamp", "user_id")],
+        pytest.param(['{"id": null, "user_id": null, "group": "OTHER", "timestamp": 5, '
+                      '"text": "a b"}'],
+                     MalformedLineError, ":1: malformed line: field 'id' is null",
+                     id="null-ids"),
     ])
     def test_error(self, tmp_path, lines, error, suffix):
         p = tmp_path / "tweets.jsonl"
@@ -271,8 +272,36 @@ class TestLoadArticles:
     def test_empty_body(self, tmp_path):
         p = tmp_path / "articles.jsonl"
         write_jsonl(p, [dict(ARTICLES[0], body=" ")])
-        with pytest.raises(EmptyBodyError):
+        with pytest.raises(MalformedLineError) as exc:
             corpus.load_articles(p)
+        assert str(exc.value) == f"{p}:1: malformed line: article 'a1' has empty body"
+
+    @pytest.mark.parametrize("lines,error,suffix", [
+        pytest.param([dict(ARTICLES[0], id="")], MalformedLineError,
+                     ":1: malformed line: empty id", id="empty-id"),
+        pytest.param([ARTICLES[1], ARTICLES[0], ARTICLES[1]], DuplicateIdError,
+                     ":3: duplicate id 'a2'", id="duplicate-id"),
+        pytest.param([dict(ARTICLES[0], subjects=["CLINTON", "SANDERS"])], MalformedLineError,
+                     ":1: malformed line: 'SANDERS' is not a valid Subject",
+                     id="unknown-subject"),
+        pytest.param([{"id": None, "body": None}], MalformedLineError,
+                     ":1: malformed line: field 'id' is null", id="null-id-and-body"),
+        pytest.param([dict(ARTICLES[0], body=None)], MalformedLineError,
+                     ":1: malformed line: field 'body' is null", id="null-body"),
+    ])
+    def test_error(self, tmp_path, lines, error, suffix):
+        p = tmp_path / "articles.jsonl"
+        write_jsonl(p, lines)
+        with pytest.raises(error) as exc:
+            corpus.load_articles(p)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{p}{suffix}"
+
+    def test_null_title_is_empty(self, tmp_path):
+        p = tmp_path / "articles.jsonl"
+        write_jsonl(p, [dict(ARTICLES[0], title=None, subjects=None)])
+        (article,) = corpus.load_articles(p)
+        assert (article.title, article.subjects) == ("", frozenset({Subject.OTHER}))
 
     @pytest.mark.parametrize("subjects", [5, "CLINTON", {"CLINTON": True}])
     def test_subjects_not_a_list(self, tmp_path, subjects):
@@ -311,21 +340,40 @@ class TestLoadLabels:
     def test_dangling_article(self, tmp_path, loaded):
         p = tmp_path / "labels.jsonl"
         write_jsonl(p, [{"tweet_id": "t1", "label": "RUMOR", "article_id": "a9"}])
-        with pytest.raises(DanglingArticleRefError):
+        with pytest.raises(MalformedLineError) as exc:
             corpus.load_labels(p, *loaded)
+        assert str(exc.value) == f"{p}:1: malformed line: label references unknown article 'a9'"
 
     def test_rumor_without_article(self, tmp_path, loaded):
         p = tmp_path / "labels.jsonl"
         write_jsonl(p, [{"tweet_id": "t1", "label": "RUMOR"}])
-        with pytest.raises(RumorWithoutArticleError):
+        with pytest.raises(MalformedLineError) as exc:
             corpus.load_labels(p, *loaded)
+        assert str(exc.value) == (f"{p}:1: malformed line: RUMOR label for tweet 't1' has "
+                                  "article_id None; RUMOR needs one, NONRUMOR takes none")
 
     def test_nonrumor_with_article(self, tmp_path, loaded):
         p = tmp_path / "labels.jsonl"
         write_jsonl(p, [{"tweet_id": "t1", "label": "NONRUMOR", "article_id": "a1"}])
-        with pytest.raises(RumorWithoutArticleError):
+        with pytest.raises(MalformedLineError) as exc:
             corpus.load_labels(p, *loaded)
+        assert str(exc.value) == (f"{p}:1: malformed line: NONRUMOR label for tweet 't1' has "
+                                  "article_id 'a1'; RUMOR needs one, NONRUMOR takes none")
 
+    @pytest.mark.parametrize("line,reason", [
+        pytest.param({"tweet_id": "t1", "label": "MAYBE"}, "'MAYBE' is not a valid Label",
+                     id="unknown-label"),
+        pytest.param({"tweet_id": None, "label": "NONRUMOR"}, "field 'tweet_id' is null",
+                     id="null-tweet-id"),
+        pytest.param({"tweet_id": "t1", "label": None}, "field 'label' is null",
+                     id="null-label"),
+    ])
+    def test_malformed_label_line(self, tmp_path, loaded, line, reason):
+        p = tmp_path / "labels.jsonl"
+        write_jsonl(p, [{"tweet_id": "t2", "label": "NONRUMOR"}, line])
+        with pytest.raises(MalformedLineError) as exc:
+            corpus.read_labels(p, loaded[0])
+        assert str(exc.value) == f"{p}:2: malformed line: {reason}"
 
     def test_tweet_labeled_twice(self, tmp_path, loaded):
         p = tmp_path / "labels.jsonl"

@@ -23,8 +23,7 @@ from rumormatch.errors import (
     DimMismatchError,
     EmptyCorpusError,
     EmptyScoresError,
-    InputFormatError,
-    VectorFileError,
+    MalformedLineError,
 )
 from rumormatch.matchers import (
     BM25Params,
@@ -356,17 +355,20 @@ class TestLoadEmbeddings:
     ])
     def test_errors_name_path_and_line(self, tmp_path, text, line, message):
         p = self.write(tmp_path, text)
-        with pytest.raises(InputFormatError) as info:
+        with pytest.raises(MalformedLineError) as info:
             load_embeddings(p)
-        assert str(info.value).startswith(f"{p}:{line}: ") and message in str(info.value)
+        assert str(info.value).startswith(f"{p}:{line}: malformed line: ")
+        assert message in str(info.value)
 
     def test_bad_number_in_a_later_batch(self, tmp_path, monkeypatch):
         monkeypatch.setattr(matchers, "VECTOR_BATCH_BYTES", 20)
         lines = [f"w{i} {i} {i}.5" for i in range(40)]
         lines[27] = "w27 2 nan?"
-        with pytest.raises(VectorFileError) as info:
-            load_embeddings(self.write(tmp_path, "40 2\n" + "\n".join(lines) + "\n"))
+        p = self.write(tmp_path, "40 2\n" + "\n".join(lines) + "\n")
+        with pytest.raises(MalformedLineError) as info:
+            load_embeddings(p)
         assert info.value.line_no == 29
+        assert str(info.value) == f"{p}:29: malformed line: expected 2 numbers after the term"
 
 
 class TestLexicon:
@@ -384,6 +386,14 @@ class TestLexicon:
     def test_comments_skipped(self):
         lexicon = LexiconPatternSet.from_lines(["# comment", "", "foo"])
         assert len(lexicon.patterns) == 1
+
+    def test_custom_lexicon_file(self, tmp_path):
+        p = tmp_path / "lexicon.txt"
+        p.write_text("# signal phrases\n\n  fake news  \nhoa+x\n", encoding="utf-8")
+        lexicon = matchers.load_lexicon(p)
+        assert [pat.pattern for pat in lexicon.patterns] == ["fake news", "hoa+x"]
+        assert match_lexicon("total HOAAX", lexicon) and match_lexicon("Fake News!", lexicon)
+        assert not match_lexicon("is it true that she collapsed?", lexicon)
 
 
 class TestBestMatchAndClassify:

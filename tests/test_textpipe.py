@@ -40,6 +40,12 @@ class TestTokenize:
         config = TokenizerConfig(stopwords=frozenset(), stemming=True)
         assert tokenize("running caresses", config) == ["run", "caress"]
 
+    def test_stem_shorter_than_min_token_len_is_dropped(self):
+        config = TokenizerConfig(stopwords=frozenset(), min_token_len=3, stemming=True)
+        assert tokenize("ties running", config) == ["run"]  # "ties" stems to "ti"
+        assert tokenize("ties running", TokenizerConfig(stopwords=frozenset(),
+                                                        min_token_len=3)) == ["ties", "running"]
+
     @given(st.text(max_size=200))
     def test_idempotent_on_own_output(self, text):
         config = TokenizerConfig()
@@ -112,6 +118,15 @@ def test_default_stopwords_shape():
     stopwords = textpipe.default_stopwords()
     assert "at" in stopwords and "the" in stopwords
     assert len(stopwords) > 150
+
+
+def test_packaged_stopwords_are_read_once(monkeypatch):
+    read, calls = textpipe.packaged_list, []
+    monkeypatch.setattr(textpipe, "packaged_list", lambda name: calls.append(name) or read(name))
+    textpipe.default_stopwords.cache_clear()
+    assert tokenize("the zoo") == tokenize("at the zoo") == ["zoo"]
+    assert TokenizerConfig().stopwords is textpipe.default_stopwords()
+    assert calls == ["stopwords.txt"]
 
 
 def test_load_stopwords_ignores_comments(tmp_path):
