@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import copy
 import csv
 import dataclasses
 import itertools
@@ -98,16 +99,26 @@ class RunConfig:
     quiet: bool = False
 
     def tokenizer_config(self) -> textpipe.TokenizerConfig:
-        stopwords = (
-            textpipe.load_stopwords(self.stopwords)
-            if self.stopwords
-            else textpipe.default_stopwords()
-        )
-        return textpipe.TokenizerConfig(
-            stopwords=stopwords,
-            min_token_len=self.min_token_len,
-            stemming=self.stemming,
-        )
+        """The tokenizer config of stopwords, min_token_len and stemming.
+
+        Built once, reading a stopwords file once, and kept with the three
+        values it was built from: a change to any of them builds it anew. A
+        copy.copy of the config keeps it; dataclasses.replace builds it anew.
+        """
+        key = (self.stopwords, self.min_token_len, self.stemming)
+        built = self.__dict__.get("_tokenizer")
+        if built is None or built[0] != key:
+            stopwords = (
+                textpipe.load_stopwords(self.stopwords)
+                if self.stopwords
+                else textpipe.default_stopwords()
+            )
+            built = self._tokenizer = key, textpipe.TokenizerConfig(
+                stopwords=stopwords,
+                min_token_len=self.min_token_len,
+                stemming=self.stemming,
+            )
+        return built[1]
 
     def bm25_params(self) -> matchers.BM25Params:
         return matchers.BM25Params(k1=self.k1, b=self.b)
@@ -328,9 +339,12 @@ PROGRESS_S = 10.0  # seconds between progress lines on stderr
 class Scorer:
     """Everything a worker needs to score tweets with one matcher.
 
-    ``score(block, tokens)`` maps B (tweet_id, text) and, if ``reads_tokens``,
-    their tokens to float64 scores (B, len(article_ids)) and the (B,) bool
-    mask of defined rows; an undefined row scores 0 and is never a rumor.
+    ``score(block, words)`` maps B (tweet_id, text) and, if ``reads_tokens``,
+    their words (``textpipe.tokenize_block``) to float64 scores
+    (B, len(article_ids)) and the (B,) bool mask of defined rows; an
+    undefined row scores 0 and is never a rumor. The words may hold what
+    tokenize drops (stopwords, short words), so a matcher finds in them only
+    the terms of its vocabulary that tokenize can make.
     """
 
     tok: textpipe.TokenizerConfig
@@ -358,7 +372,7 @@ def make_scorer(config: RunConfig, articles=None, index=None,
         lexicon = (matchers.load_lexicon(config.lexicon) if config.lexicon
                    else matchers.default_lexicon())
 
-        def score(block, tokens):
+        def score(block, words):
             hits = [matchers.match_lexicon(text, lexicon) for _, text in block]
             return np.array(hits, dtype=np.float64)[:, None], np.ones(len(block), dtype=bool)
         return Scorer(tok, 0.0, [None], score, False, wanted)
@@ -367,8 +381,9 @@ def make_scorer(config: RunConfig, articles=None, index=None,
         table = (index.bm25_table(config.bm25_params()) if matcher == "BM25"
                  else index.tfidf_table())
 
-        def score(block, tokens):
-            return matchers.score_block(tokens, index, table), np.ones(len(block), dtype=bool)
+        # every index term is a tokenize output: a word tokenize drops has no id
+        def score(block, words):
+            return matchers.score_block(words, index, table), np.ones(len(block), dtype=bool)
         return Scorer(tok, config.threshold, index.article_ids, score, True, wanted)
     if articles is None:
         articles = _load_articles(config)
@@ -378,14 +393,17 @@ def make_scorer(config: RunConfig, articles=None, index=None,
     if matcher == "EMBEDDING":
         table = matchers.load_embeddings(_require_file(config.embeddings, "embeddings"))
         art_vecs = matchers.embed_articles(articles, table, tok)
+        kept = matchers.tokenizer_mask(table.rows, len(table.matrix), tok)
 
-        def score(block, tokens):
-            return matchers.cosine_block(matchers.mean_vectors(tokens, table), art_vecs, norms)
+        def score(block, words):
+            ids, lens = matchers.lookup_ids(table.rows, words)
+            means = matchers.mean_rows(np.where(kept[ids], ids, -1), lens, table)
+            return matchers.cosine_block(means, art_vecs, norms)
     else:  # DOCVEC: one file holds the article and the tweet vectors, keyed by id
         table = matchers.load_embeddings(_require_file(config.doc_vectors, "doc_vectors"))
         art_vecs = table.lookup(article_ids)
 
-        def score(block, tokens):
+        def score(block, words):
             return matchers.cosine_block(table.lookup([tid for tid, _ in block]), art_vecs, norms)
     norms = matchers.article_norms(art_vecs)
     return Scorer(tok, config.threshold, article_ids, score, matcher == "EMBEDDING", wanted)
@@ -420,10 +438,10 @@ def _score_block(s: Scorer, block):
     (article_id, score, rumor) per tweet, as on its line; and the wanted
     keyword terms among each tweet's tokens (None when no keyword is wanted).
     """
-    tokens = None
+    words = None
     if s.reads_tokens or s.wanted:
-        tokens = [textpipe.tokenize(text, s.tok) for _, text in block]
-    scores, defined = s.score(block, tokens)
+        words = textpipe.tokenize_block([text for _, text in block], s.tok)
+    scores, defined = s.score(block, words)
     ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
     top = scores[np.arange(len(block)), ordinals]
     rumor = (top > s.threshold) & defined  # strictly above h; undefined is never a rumor
@@ -431,7 +449,7 @@ def _score_block(s: Scorer, block):
     results = [(ids[o] if r else None, v, r)
                for o, v, r in zip(ordinals.tolist(), top.tolist(), rumor.tolist())]
     text = "\n".join([_match_line(tweet_id, *r) for (tweet_id, _), r in zip(block, results)])
-    hits = [s.wanted.intersection(t) for t in tokens] if s.wanted else None
+    hits = [s.wanted.intersection(w) for w in words] if s.wanted else None  # keywords are terms
     return text + "\n", results, hits
 
 
@@ -572,6 +590,12 @@ def pr_rows(points: Iterable[evaluation.PRPoint]) -> Iterator[tuple]:
         yield ("fixed" if math.isnan(p.threshold) else p.threshold, p.precision, p.recall, p.f1)
 
 
+def _check_classes(config: RunConfig, labels) -> None:
+    """Raise, before any tweet is scored, the label-class error that
+    _write_classify would raise after the pass."""
+    evaluation.check_classes(labels, fixed_point=config.matcher == "LEXICON")
+
+
 def _write_classify(config: RunConfig, labels, results) -> None:
     """pr_curve.csv and max_f1.csv from the labeled tweets' (article, score, rumor)."""
     if config.matcher == "LEXICON":
@@ -592,6 +616,8 @@ def cmd_eval(config: RunConfig, task: str) -> None:
     tweets_path = _require_file(config.tweets, "tweets")
     articles = _load_articles(config)
     labels = _read_labels(config, articles)
+    if task == "CLASSIFY":
+        _check_classes(config, labels)
     wanted = {l.tweet_id for l in labels}
     # only the labeled tweets are held: they are scored once per matcher
     tweets = [t for t in corpus.iter_tweets(tweets_path) if t.id in wanted]
@@ -614,8 +640,10 @@ def cmd_eval(config: RunConfig, task: str) -> None:
     index = _get_index(config, articles) if set(names) & set(POSTINGS_MATCHERS) else None
     rows = []
     for name in names:
-        # threshold -inf: identification needs the argmax article of every tweet
-        sub = dataclasses.replace(config, matcher=name, threshold=float("-inf"))
+        # threshold -inf: identification needs the argmax article of every tweet;
+        # a copy keeps the tokenizer config the run has built
+        sub = copy.copy(config)
+        sub.matcher, sub.threshold = name, float("-inf")
         results = run_match(sub, tweets, scorer=make_scorer(sub, articles, index),
                             labeled=rumor_ids)
         matches = {
@@ -710,8 +738,10 @@ def cmd_all(config: RunConfig) -> None:
     write when run one after another.
     """
     articles = _load_articles(config)
-    index = cmd_index(config, articles)
     labels = _read_labels(config, articles) if config.labels else None
+    if labels is not None:
+        _check_classes(config, labels)
+    index = cmd_index(config, articles)
     acc = _accumulator(config)
     results = run_match(
         config, corpus.iter_tweets(_require_file(config.tweets, "tweets")),

@@ -59,19 +59,65 @@ class LabeledTweet:
     article_id: Optional[str] = None  # present iff label == RUMOR
 
 
-def _iter_jsonl(path):
-    """Yield (line_no, parsed object) for each non-blank line, fail-fast."""
+# json.loads' own C scanner, without its checks for leading whitespace, a
+# BOM and trailing data: _iter_jsonl takes its result only for a line that
+# is one JSON value and its newline, for which json.loads gives the same.
+_scan_value = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _text_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, in order.
+
+    Read as text in one pass. A byte that is not UTF-8 stops that pass at
+    the chunk it is in, so the file is read on from the last line yielded
+    with the bytes kept, and the first line that does not decode is a
+    MalformedLineError naming it, raised after the lines before it.
+    """
+    done = 0
     with open(path, encoding="utf-8") as fh:
+        try:
+            for done, line in enumerate(fh, start=1):
+                yield line
+            return
+        except UnicodeDecodeError:
+            pass
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if line_no <= done:
+                continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # an undecodable byte, kept as a lone surrogate
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise MalformedLineError(path, line_no, str(exc)) from None
+            yield line
+
+
+def _iter_jsonl(path):
+    """Yield (line_no, parsed object) for each non-blank line, fail-fast.
+
+    A line that is one JSON value followed by its newline is parsed by the
+    scanner alone; any other line (blank, with whitespace around its value,
+    a BOM, trailing data, no newline, or not JSON) goes through json.loads,
+    which gives the same object or the error named.
+    """
+    for line_no, line in enumerate(_text_lines(path), start=1):
+        try:
+            obj, end = _scan_value(line, 0)
+        except (ValueError, StopIteration):
+            end = -1
+        if end != len(line) - 1 or line[end] != "\n":
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedLineError(path, line_no, str(exc)) from exc
-            if not isinstance(obj, dict):
-                raise MalformedLineError(path, line_no, "expected a JSON object")
-            yield line_no, obj
+        if not isinstance(obj, dict):
+            raise MalformedLineError(path, line_no, "expected a JSON object")
+        yield line_no, obj
 
 
 def _require(obj, key, path, line_no):
@@ -174,7 +220,7 @@ def _checked_tweet(obj, tid, path, line_no) -> tuple:
     except ValueError as exc:
         raise MalformedLineError(path, line_no, str(exc)) from exc
     ts = _require(obj, "timestamp", path, line_no)
-    if not isinstance(ts, int):
+    if type(ts) is not int:  # JSON true is a bool, which is an int
         raise MalformedLineError(path, line_no, "timestamp must be an integer")
     return str(_require(obj, "user_id", path, line_no)), group, ts, text
 

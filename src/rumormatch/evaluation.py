@@ -71,6 +71,20 @@ class SweepResult:
     max_f1_point: PRPoint
 
 
+def check_classes(labels: list[LabeledTweet], fixed_point: bool = False) -> int:
+    """The number of RUMOR labels, if the labels can be evaluated: a sweep
+    needs both classes (DegenerateLabelsError), a fixed point one RUMOR
+    label (NoRumorLabelsError). Needs no score, so a caller can check
+    before it scores a tweet."""
+    n_rumor = sum(1 for l in labels if l.label is Label.RUMOR)
+    if fixed_point:
+        if n_rumor == 0:
+            raise NoRumorLabelsError("no RUMOR labels to evaluate against")
+    elif n_rumor == 0 or n_rumor == len(labels):
+        raise DegenerateLabelsError("sweep needs at least one RUMOR and one NONRUMOR label")
+    return n_rumor
+
+
 def sweep(scores: Mapping[str, float], labels: list[LabeledTweet]) -> SweepResult:
     """Evaluate every classification threshold the score set can induce.
 
@@ -83,10 +97,7 @@ def sweep(scores: Mapping[str, float], labels: list[LabeledTweet]) -> SweepResul
     missing = [l.tweet_id for l in labels if l.tweet_id not in scores]
     if missing:
         raise KeyError(f"labeled tweets without scores: {missing[:5]}")
-    n_rumor = sum(1 for l in labels if l.label is Label.RUMOR)
-    n_nonrumor = len(labels) - n_rumor
-    if n_rumor == 0 or n_nonrumor == 0:
-        raise DegenerateLabelsError("sweep needs at least one RUMOR and one NONRUMOR label")
+    n_rumor = check_classes(labels)
 
     # group tweets by score, walk groups in descending score order
     pairs = sorted(
@@ -122,18 +133,14 @@ def fixed_point_eval(predictions: Mapping[str, bool], labels: list[LabeledTweet]
     missing = [l.tweet_id for l in labels if l.tweet_id not in predictions]
     if missing:
         raise KeyError(f"labeled tweets without predictions: {missing[:5]}")
+    n_rumor = check_classes(labels, fixed_point=True)
     tp = fp = 0
-    n_rumor = 0
     for l in labels:
-        is_rumor = l.label is Label.RUMOR
-        n_rumor += is_rumor
         if predictions[l.tweet_id]:
-            if is_rumor:
+            if l.label is Label.RUMOR:
                 tp += 1
             else:
                 fp += 1
-    if n_rumor == 0:
-        raise NoRumorLabelsError("no RUMOR labels to evaluate against")
     return _pr_point(float("nan"), tp, fp, n_rumor)
 
 

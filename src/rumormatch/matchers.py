@@ -9,6 +9,8 @@ statistics are precomputed once into an inverted index.
 from __future__ import annotations
 
 import array
+import functools
+import itertools
 import math
 import os
 import re
@@ -26,7 +28,7 @@ from .errors import (
     EmptyScoresError,
     MalformedLineError,
 )
-from .textpipe import TokenizerConfig, list_entries, packaged_list, tokenize
+from .textpipe import TokenizerConfig, list_entries, packaged_list, tokenize_texts
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,11 @@ class ImpactTable:
     dense_slot: np.ndarray  # (V,) int64 row of dense_rows, or -1
     dense_rows: np.ndarray  # (n_dense, n_articles) float64
     query_idf: Optional[np.ndarray] = None  # (V,) float64, TF-IDF only
+
+    @functools.cached_property
+    def dense_views(self) -> list[np.ndarray]:
+        """The rows of dense_rows as a list of views, made once per table."""
+        return list(self.dense_rows)
 
 
 class ArticleIndex:
@@ -189,12 +196,18 @@ def _int_array(values, name) -> np.ndarray:
         raise ValueError(f"{name} must fit in 64 bits") from None
 
 
+# Articles tokenized at a time by build_index and embed_articles, and
+# averaged at a time by embed_articles.
+EMBED_BLOCK = 64
+
+
 def build_index(articles, tok: Optional[TokenizerConfig] = None) -> ArticleIndex:
     """Tokenize the article bodies and index them; term ids follow first appearance.
 
-    One article's tokens are held at a time: each is mapped to its term id
-    before the next article is tokenized, so only the int term ids of the
-    whole corpus are kept until the postings are inverted.
+    One block of EMBED_BLOCK articles' tokens is held at a time: each token
+    is mapped to its term id before the next block is tokenized, so only
+    the int term ids of the whole corpus are kept until the postings are
+    inverted.
     """
     if not articles:
         raise EmptyCorpusError("no articles to index")
@@ -203,10 +216,11 @@ def build_index(articles, tok: Optional[TokenizerConfig] = None) -> ArticleIndex
     term_ids: dict[str, int] = {}
     ids = array.array("q")  # every token's term id, article by article
     doc_len = np.empty(n, dtype=np.int64)
-    for j, a in enumerate(articles):
-        tokens = tokenize(a.body, tok)
-        doc_len[j] = len(tokens)
-        ids.extend([term_ids.setdefault(t, len(term_ids)) for t in tokens])
+    for start in range(0, n, EMBED_BLOCK):
+        bodies = [a.body for a in articles[start:start + EMBED_BLOCK]]
+        for j, tokens in enumerate(tokenize_texts(bodies, tok), start):
+            doc_len[j] = len(tokens)
+            ids.extend([term_ids.setdefault(t, len(term_ids)) for t in tokens])
     if not ids:
         raise AllEmptyAfterTokenizeError("every article tokenized to empty")
     # one (term id, ordinal) key per token; unique keys sort term-major
@@ -220,20 +234,36 @@ def build_index(articles, tok: Optional[TokenizerConfig] = None) -> ArticleIndex
     return ArticleIndex([a.id for a in articles], list(term_ids), indptr, ordinals, counts)
 
 
+def lookup_ids(vocab: Mapping[str, int], token_lists: list[list[str]]
+               ) -> tuple[np.ndarray, list[int]]:
+    """Every token's id in vocab, -1 where it has none, as one int64 array
+    in order, and the number of tokens in each list."""
+    lens = [len(tokens) for tokens in token_lists]
+    ids = np.fromiter(map(vocab.get, itertools.chain.from_iterable(token_lists),
+                          itertools.repeat(-1)), dtype=np.int64, count=sum(lens))
+    return ids, lens
+
+
 def score_block(token_lists: list[list[str]], index: ArticleIndex,
                 table: ImpactTable) -> np.ndarray:
-    """Scores of a block of tweets against every article, shape (B, n_articles).
+    """Scores of a block of tweets against every article, shape (B, n_articles):
+    score_ids of their tokens' term ids."""
+    return score_ids(*lookup_ids(index.term_ids, token_lists), table)
 
-    Each tweet's tokens become its sorted unique term ids. Every score sums
-    its terms in one canonical order: CSR terms in ascending term id (one
+
+def score_ids(ids: np.ndarray, lens: list[int], table: ImpactTable) -> np.ndarray:
+    """Scores of a block of tweets against every article, shape (B, n_articles),
+    from the term ids of their tokens (-1 for a token without one), row
+    after row, and each row's number of tokens.
+
+    Each row's ids become its sorted unique term ids. Every score sums its
+    terms in one canonical order: CSR terms in ascending term id (one
     bincount over row * N + ordinal), then dense terms in ascending term id.
     A row's result therefore does not depend on the other rows of the block,
     the block size, the worker count or the string hash seed.
     """
-    n_rows, n, vocab = len(token_lists), table.n_articles, len(index.terms)
-    term_ids = index.term_ids
-    ids = np.array([term_ids.get(t, -1) for toks in token_lists for t in toks], dtype=np.int64)
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), [len(toks) for toks in token_lists])
+    n_rows, n, vocab = len(lens), table.n_articles, len(table.dense_slot)
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
     known = ids >= 0
     keys, tf = np.unique(rows[known] * vocab + ids[known], return_counts=True)
     rows, ids = keys // vocab, keys % vocab
@@ -250,29 +280,29 @@ def score_block(token_lists: list[list[str]], index: ArticleIndex,
     slot = table.dense_slot[ids]
     tail = slot < 0
     starts = table.indptr[ids[tail]]
-    lens = table.indptr[ids[tail] + 1] - starts
-    ends = np.cumsum(lens)
-    pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lens), lens)
+    spans = table.indptr[ids[tail] + 1] - starts
+    ends = np.cumsum(spans)
+    pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - spans), spans)
     impacts = table.data[pos]
     if scale is not None:
-        impacts = impacts * np.repeat(scale[tail], lens)
-    scores = np.bincount(np.repeat(rows[tail] * n, lens) + table.indices[pos],
+        impacts = impacts * np.repeat(scale[tail], spans)
+    scores = np.bincount(np.repeat(rows[tail] * n, spans) + table.indices[pos],
                          weights=impacts, minlength=n_rows * n)
     # bincount of no postings returns integer zeros
     scores = scores.astype(np.float64, copy=False).reshape(n_rows, n)
 
     head = ~tail
-    dense = table.dense_rows
+    dense, out = table.dense_views, list(scores)
     # in place on row views: no temporary row and no write-back per term
     if scale is None:
         for r, k in zip(rows[head].tolist(), slot[head].tolist()):
-            row = scores[r]
-            np.add(row, dense[k], out=row)
+            row = out[r]
+            np.add(row, dense[k], row)
     else:
         buf = np.empty(n)
         for r, k, q in zip(rows[head].tolist(), slot[head].tolist(), scale[head].tolist()):
-            row = scores[r]
-            np.add(row, np.multiply(dense[k], q, out=buf), out=row)
+            row = out[r]
+            np.add(row, np.multiply(dense[k], q, buf), row)
     return scores
 
 
@@ -335,6 +365,28 @@ class EmbeddingTable:
             np.take(self.matrix.T, np.maximum(rows, 0), axis=1, out=cols, mode="clip")
             cols[:, rows < 0] = 0.0
         return cols.T
+
+
+def tokenizer_mask(vocab: Mapping[str, int], size: int, tok: TokenizerConfig) -> np.ndarray:
+    """(size + 1,) bool over the ids of vocab (each below size): True where
+    the term is one tokenize can make under tok, False at stopwords and at
+    terms shorter than min_token_len, and a last False, which the id -1
+    indexes.
+
+    The words of textpipe.tokenize_block keep what tokenize drops, and no
+    word has the case, characters or edge apostrophes that tokenize
+    removes, so masking their ids with this leaves exactly the terms of
+    tokenize. Under stemming the words are tokenize's own terms, and every
+    id is True.
+    """
+    kept = np.ones(size + 1, dtype=bool)
+    kept[-1] = False
+    if not tok.stemming:
+        ids = np.fromiter(vocab.values(), dtype=np.int64, count=len(vocab))
+        lens = np.fromiter(map(len, vocab), dtype=np.int64, count=len(vocab))
+        kept[ids[lens < tok.min_token_len]] = False
+        kept[[vocab[w] for w in tok.stopwords if w in vocab]] = False
+    return kept
 
 
 # Bytes of lines load_embeddings reads and parses at a time: 1 MB parsed a
@@ -405,16 +457,22 @@ def _parse_rows(path, lines, line_nos, dim) -> np.ndarray:
 
 def mean_vectors(token_lists: list[list[str]], table: EmbeddingTable) -> np.ndarray:
     """(B, dim): each token list's mean over the vectors of its in-vocabulary
-    tokens, zeros where it has none.
+    tokens, zeros where it has none: mean_rows of their row ids."""
+    return mean_rows(*lookup_ids(table.rows, token_lists), table)
+
+
+def mean_rows(ids: np.ndarray, lens: list[int], table: EmbeddingTable) -> np.ndarray:
+    """(B, dim): each row's mean over the table rows of its ids (-1 for a
+    token without a row), given row after row with each row's number of
+    ids; zeros where a row has none.
 
     Each component is summed in token order, the first vector then each next
     one added, and divided by the count. The rows are ranked longest first,
     so the vectors at one token position are added with one gather into a
     prefix of the ranks.
     """
-    n_rows, get = len(token_lists), table.rows.get
-    ids = np.array([get(t, -1) for tokens in token_lists for t in tokens], dtype=np.int64)
-    owner = np.repeat(np.arange(n_rows), [len(tokens) for tokens in token_lists])
+    n_rows = len(lens)
+    owner = np.repeat(np.arange(n_rows), lens)
     known = ids >= 0
     ids, owner = ids[known], owner[known]
     lens = np.bincount(owner, minlength=n_rows)
@@ -437,9 +495,6 @@ def mean_vectors(token_lists: list[list[str]], table: EmbeddingTable) -> np.ndar
     return acc[rank]
 
 
-EMBED_BLOCK = 64  # articles tokenized and averaged at a time by embed_articles
-
-
 def embed_articles(articles, table: EmbeddingTable, tok=None) -> np.ndarray:
     """Average each article body through the table; undefined articles get zeros.
 
@@ -452,7 +507,7 @@ def embed_articles(articles, table: EmbeddingTable, tok=None) -> np.ndarray:
     for start in range(0, len(articles), EMBED_BLOCK):
         block = articles[start:start + EMBED_BLOCK]
         cols[:, start:start + len(block)] = mean_vectors(
-            [tokenize(a.body, tok) for a in block], table).T
+            tokenize_texts([a.body for a in block], tok), table).T
     return cols.T
 
 

@@ -1014,7 +1014,7 @@ class TestAllCommand:
             assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
             assert capsys.readouterr().err == (
                 f"error: {tmp_path / 'labels.jsonl'}:5: duplicate id 't1'\n")
-        assert [p.name for p in out.iterdir()] == ["index.rmix"]  # `all` indexes first
+        assert not out.exists()  # `all` reads the labels before it indexes
 
     def test_dangling_label_exit_2(self, workspace, capsys):
         tmp_path, config, out = workspace
@@ -1133,3 +1133,119 @@ class TestAtomicWrites:
         assert capsys.readouterr().err == f"error: {tweets}:5: duplicate id 't1'\n"
         assert (out / "matches.jsonl").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == sorted(indexed + ["matches.jsonl"])
+
+
+class TestStopwordsFile:
+    @pytest.fixture
+    def loads(self, workspace, monkeypatch):
+        tmp_path, config, _ = workspace
+        (tmp_path / "stop.txt").write_text("the\nis\nit\nabout\n")
+        config.write_text(config.read_text() + f"stopwords = {tmp_path / 'stop.txt'}\n"
+                          "keywords = clinton,trump\n")
+        calls = []
+        load = cli.textpipe.load_stopwords
+        monkeypatch.setattr(cli.textpipe, "load_stopwords",
+                            lambda path: calls.append(path) or load(path))
+        return calls
+
+    @pytest.mark.parametrize("command", [["all"], ["eval", "identify"], ["match"]])
+    def test_read_once_per_run(self, workspace, vector_files, loads, command):
+        _, config, out = workspace
+        emb, dv = vector_files
+        config.write_text(config.read_text() + f"embeddings = {emb}\ndoc_vectors = {dv}\n"
+                          f"index_path = {out / 'index.rmix'}\n")
+        assert cli.main(["--config", str(config), "index"]) == 0  # match loads the saved index
+        loads.clear()
+        matcher = ["--matcher", "ALL"] if command[0] == "eval" else []
+        assert cli.main(["--config", str(config), *matcher, *command]) == 0
+        assert len(loads) == 1
+
+    def test_built_anew_when_its_fields_change(self, workspace, loads):
+        tmp_path, config, _ = workspace
+        (tmp_path / "other.txt").write_text("clinton\n")
+        run = cli.build_config(cli.parse_config_file(config), {})
+        tok = run.tokenizer_config()
+        assert run.tokenizer_config() is tok and len(loads) == 1
+        other = dataclasses.replace(run, stopwords=str(tmp_path / "other.txt"))
+        assert other.tokenizer_config().stopwords == frozenset({"clinton"})
+        assert dataclasses.replace(run).tokenizer_config() == tok
+        run.min_token_len = 3
+        assert run.tokenizer_config().min_token_len == 3
+        assert run.tokenizer_config().stopwords == tok.stopwords
+
+
+class TestLabelClassesBeforeThePass:
+    """A label-class fault needs no tweet: it is raised before any is read or scored."""
+
+    @pytest.fixture
+    def unscored(self, monkeypatch):
+        def run_match(*args, **kwargs):
+            raise AssertionError("run_match called")
+
+        monkeypatch.setattr(cli, "run_match", run_match)
+
+    @pytest.mark.parametrize("matcher,kept,message", [
+        ("BM25", "RUMOR", "sweep needs at least one RUMOR and one NONRUMOR label"),
+        ("TFIDF", "NONRUMOR", "sweep needs at least one RUMOR and one NONRUMOR label"),
+        ("LEXICON", "NONRUMOR", "no RUMOR labels to evaluate against"),
+    ])
+    @pytest.mark.parametrize("command", [["all"], ["eval", "classify"]])
+    def test_exit_4_with_nothing_written(self, workspace, capsys, unscored, matcher, kept,
+                                         message, command):
+        tmp_path, config, out = workspace
+        write_jsonl(tmp_path / "labels.jsonl", [l for l in LABELS if l["label"] == kept])
+        assert cli.main(["--config", str(config), "--matcher", matcher,
+                         *command]) == cli.EXIT_EVAL
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_lexicon_needs_no_nonrumor_label(self, workspace):
+        tmp_path, config, out = workspace
+        write_jsonl(tmp_path / "labels.jsonl", [l for l in LABELS if l["label"] == "RUMOR"])
+        assert cli.main(["--config", str(config), "--matcher", "LEXICON", "all"]) == 0
+        assert (out / "max_f1.csv").exists()
+
+
+class TestTweetsAreNotTokenizedOneByOne:
+    """With stemming off, the scoring stream turns tweets into words a block at a
+    time: tokenize is called for the article bodies and the keywords only."""
+
+    @pytest.fixture
+    def texts(self, workspace, monkeypatch):
+        tmp_path, config, _ = workspace
+        rng = random.Random(5)
+        words = "clinton parkinsons trump tax orlando hoax true it's the @user #Tax".split()
+        write_jsonl(tmp_path / "tweets.jsonl", [
+            dict(TWEETS[i % 4], id=f"t{i}", text=" ".join(rng.choices(words, k=6)) + f" n{i}")
+            for i in range(300)])
+        config.write_text(config.read_text() + "keywords = clinton,hoax\n")
+        texts = []
+        original = tokenize
+        for module in (cli.textpipe, cli.matchers, cli.analysis):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name,
+                                        lambda text, *a, **k: texts.append(text) or original(
+                                            text, *a, **k))
+        return texts
+
+    @pytest.mark.parametrize("command", [
+        ["match"], ["--matcher", "TFIDF", "match"], ["--matcher", "EMBEDDING", "match"],
+        ["all"], ["eval", "classify"], ["--matcher", "ALL", "eval", "identify"]])
+    def test_only_articles_and_keywords(self, workspace, vector_files, texts, command):
+        _, config, _ = workspace
+        config.write_text(config.read_text() + f"embeddings = {vector_files[0]}\n")
+        assert cli.main(["--config", str(config), *command]) == 0
+        assert texts and set(texts) <= {a["body"] for a in ARTICLES} | {"clinton", "hoax"}
+
+
+class TestFaultyTweetBytes:
+    def test_bad_byte_exit_2_naming_the_line(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_bytes(tweets.read_bytes().replace(b"tax", b"t\xffx"))  # in line 2
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {tweets}:2: malformed line: 'utf-8' codec can't decode byte 0xff in "
+            "position 98: invalid start byte\n")
+        assert list(out.iterdir()) == []

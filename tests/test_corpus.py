@@ -6,8 +6,9 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rumormatch import corpus
+from rumormatch import cli, corpus
 from rumormatch.corpus import Group, Label, Subject
 from rumormatch.errors import DanglingTweetRefError, DuplicateIdError, MalformedLineError
 
@@ -97,6 +98,8 @@ class TestTweetLineEdges:
                      ":1: malformed line: ['OTHER'] is not a valid Group", id="list-group"),
         pytest.param([tweet_line(timestamp=1462060800.0)], MalformedLineError,
                      ":1: malformed line: timestamp must be an integer", id="float-timestamp"),
+        pytest.param([tweet_line(timestamp=True)], MalformedLineError,  # bool is an int
+                     ":1: malformed line: timestamp must be an integer", id="bool-timestamp"),
         pytest.param([tweet_line(text=" \t ")], MalformedLineError,
                      ":1: malformed line: tweet 't1' has empty text", id="blank-text"),
         pytest.param(['["t1"]'], MalformedLineError, ":1: malformed line: expected a JSON object",
@@ -129,7 +132,6 @@ class TestTweetLineEdges:
         ({"user_id": 7}, "user_id", "7"),
         ({"text": 42}, "text", "42"),
         ({"text": ["a b"]}, "text", "['a b']"),
-        ({"timestamp": True}, "timestamp", True),
     ])
     def test_coerced(self, tmp_path, changes, field, value):
         p = tmp_path / "tweets.jsonl"
@@ -251,6 +253,105 @@ class TestDuplicateCheck:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def reference_jsonl(path):
+    """_iter_jsonl without its scanner fast path: json.loads on every non-blank line."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedLineError(path, line_no, str(exc)) from exc
+            if not isinstance(obj, dict):
+                raise MalformedLineError(path, line_no, "expected a JSON object")
+            yield line_no, obj
+
+
+def outcome(lines):
+    """The (line_no, repr(object)) pairs a reader yields, or the text of its error."""
+    try:
+        return [(n, repr(obj)) for n, obj in lines]
+    except MalformedLineError as exc:
+        return str(exc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+# what a line is turned into: its JSON text as it is, or mutated
+MUTATIONS = {
+    "plain": lambda text: text,
+    "leading space": lambda text: " " + text,
+    "trailing space": lambda text: text + " \t",
+    "bom": lambda text: "\ufeff" + text,
+    "extra data": lambda text: text + " {}",
+    "junk": lambda text: text + "x",
+    "truncated": lambda text: text[:len(text) // 2],
+    "blank": lambda text: "  ",
+    "empty": lambda text: "",
+    "nan": lambda text: '{"x": NaN, "y": -Infinity}',
+    "array": lambda text: "[1, 2]",
+    "crlf": lambda text: text + "\r",
+}
+LINES = st.tuples(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3),
+                  st.sampled_from(sorted(MUTATIONS)), st.booleans()).map(
+    lambda t: MUTATIONS[t[1]](json.dumps(t[0], ensure_ascii=t[2])))
+
+
+class TestLineReader:
+    """The scanner fast path of _iter_jsonl gives the objects, or the error
+    text, of json.loads on every line; a byte that is not UTF-8 is a
+    malformed line named by its number, in file order."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(LINES, max_size=6), st.booleans())
+    def test_same_as_json_loads(self, tmp_path_factory, lines, last_newline):
+        p = tmp_path_factory.mktemp("lines") / "in.jsonl"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + ("\n" if last_newline and lines else ""))
+        assert outcome(corpus._iter_jsonl(p)) == outcome(reference_jsonl(p))
+
+    @pytest.mark.parametrize("read,lines", [
+        (corpus.load_tweets, [json.dumps(t) for t in TWEETS]),
+        (corpus.load_articles, [json.dumps(dict(ARTICLES[0], id=f"a{i}")) for i in range(3)]),
+        (lambda p: corpus.read_labels(p, {"a1"}), [
+            json.dumps({"tweet_id": f"t{i}", "label": "NONRUMOR"}) for i in range(3)]),
+        (lambda p: list(cli.load_detections(p)), [
+            json.dumps({"tweet_id": f"t{i}", "article_id": None, "score": 0.0,
+                        "label": "NONRUMOR"}) for i in range(3)]),
+    ], ids=["tweets", "articles", "labels", "matches"])
+    def test_bad_byte_names_its_line(self, tmp_path, read, lines):
+        p = tmp_path / "in.jsonl"
+        bad = lines[1].encode().replace(b'{"', b'{"\xff', 1)  # in the first key
+        p.write_bytes(b"\n".join([lines[0].encode(), bad, lines[2].encode()]) + b"\n")
+        with pytest.raises(MalformedLineError) as exc:
+            read(p)
+        assert str(exc.value) == (f"{p}:2: malformed line: 'utf-8' codec can't decode byte "
+                                  "0xff in position 2: invalid start byte")
+
+    def test_lines_before_a_bad_byte_are_read_in_order(self, tmp_path):
+        # the bad byte is chunks past the first line, and the lines before it are yielded
+        p = tmp_path / "tweets.jsonl"
+        lines = [tweet_line(id=f"t{i}").encode() for i in range(1, 400)]
+        p.write_bytes(b"\n".join(lines) + b"\n\xe2\x82\n" + lines[0] + b"\n")
+        seen = []
+        with pytest.raises(MalformedLineError) as exc:
+            seen.extend(t.id for t in corpus.iter_tweets(p))
+        assert seen == [f"t{i}" for i in range(1, 400)]
+        assert str(exc.value) == (f"{p}:400: malformed line: 'utf-8' codec can't decode bytes "
+                                  "in position 0-1: invalid continuation byte")
+
+    def test_fault_before_a_bad_byte_wins(self, tmp_path):
+        p = tmp_path / "tweets.jsonl"
+        p.write_bytes(b"not json\n\xff\n")
+        with pytest.raises(MalformedLineError) as exc:
+            corpus.load_tweets(p)
+        assert str(exc.value) == f"{p}:1: malformed line: Expecting value: line 1 column 1 (char 0)"
 
 
 class TestLoadArticles:

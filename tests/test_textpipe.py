@@ -2,9 +2,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rumormatch import textpipe
+from rumormatch import matchers, textpipe
 from rumormatch.errors import EmptyCorpusError
 from rumormatch.corpus import RumorArticle
 from rumormatch.matchers import build_index
@@ -144,3 +144,86 @@ def test_keyword_terms_follow_case_and_stemming():
 
 def test_list_entries_skip_blanks_and_comments():
     assert textpipe.list_entries(["  # note", "", " Foo \n", "#x", "b.r"]) == ["Foo", "b.r"]
+
+
+# Pieces a text is run together from: each crosses a rule of tokenize (URLs
+# and mentions at text ends, hashtags, apostrophe runs, separators, NUL,
+# case, and non-ASCII that lowercases to ASCII: U+0130 to "i" and a
+# combining dot, the Kelvin sign to "k").
+PIECES = ["the", "it's", "don't", "a", "I", "x", "ab", "zoo", "Trump", "HILLARY", "rock'n'roll",
+          "'", "''", "'''", "'quoted''", "a''b", "|", "\n", "\t", " ", "  ", "\x00", "!?", "-",
+          "İ", "İstanbul", "Kelvin", "café", "日本", "ΣΑΣ",
+          "@user", "@", "@café", "#Tag", "#", "http://t.co/x", "https://", "http", "www.",
+          "www.cnn.com", "WWW.CNN.COM", "HTTPS://X.Y", "12", "3"]
+TEXTS = st.lists(st.sampled_from(PIECES), max_size=12).map("".join)
+# Vocabulary terms: tokenize outputs, and stopwords, short, uppercase, empty
+# and apostrophe-edged terms that it never makes.
+TERMS = st.sampled_from(["zoo", "trump", "hillary", "rock'n'roll", "quoted", "a''b", "tag",
+                         "stanbul", "kelvin", "caf", "12", "3", "x", "i", "a", "ab", "the",
+                         "it's", "don't", "Trump", "", "'quoted", "user", "t", "co", "cnn", "http"])
+TOKENIZER = st.builds(TokenizerConfig, stopwords=st.sampled_from([
+    frozenset(), frozenset({"the", "it's", "ab", "zoo"}), textpipe.default_stopwords()]),
+    min_token_len=st.integers(1, 3))
+
+
+class TestTokenizeBlock:
+    """tokenize_block plus a vocabulary lookup finds, text by text, exactly
+    the terms tokenize makes."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(TEXTS, max_size=6), st.lists(TERMS, unique=True), TOKENIZER)
+    def test_lookup_equals_tokenize(self, texts, terms, config):
+        vocab = {t: i for i, t in enumerate(terms)}
+        ids, lens = matchers.lookup_ids(vocab, textpipe.tokenize_block(texts, config))
+        ids = np.where(matchers.tokenizer_mask(vocab, len(vocab), config)[ids], ids, -1)
+        rows = np.split(ids, np.cumsum(lens)[:-1]) if texts else []
+        for text, row in zip(texts, rows, strict=True):
+            assert row[row >= 0].tolist() == [vocab[t] for t in tokenize(text, config)
+                                              if t in vocab]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(TEXTS, max_size=6), TOKENIZER)
+    def test_words_are_tokenize_with_the_dropped_words_left_in(self, texts, config):
+        words = textpipe.tokenize_block(texts, config)
+        assert len(words) == len(texts)
+        for text, row in zip(texts, words):
+            assert [w for w in row if len(w) >= config.min_token_len
+                    and w not in config.stopwords] == tokenize(text, config)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(TEXTS, max_size=6), TOKENIZER, st.booleans())
+    def test_tokenize_texts_is_tokenize_per_text(self, texts, config, stemming):
+        config = TokenizerConfig(config.stopwords, config.min_token_len, stemming)
+        assert textpipe.tokenize_texts(texts, config) == [tokenize(t, config) for t in texts]
+
+    def test_separator_in_a_text_sends_the_block_per_text(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(textpipe, "tokenize", lambda text, config: calls.append(text) or [])
+        texts = ["zoo keeper", "nul\x00 inside"]
+        textpipe.tokenize_block(texts, TokenizerConfig())
+        assert calls == texts
+        calls.clear()
+        assert textpipe.tokenize_block(["zoo keeper", "no nul"], TokenizerConfig()) == [
+            ["zoo", "keeper"], ["no", "nul"]]
+        assert calls == []
+
+    def test_stemming_goes_per_text(self):
+        config = TokenizerConfig(stopwords=frozenset(), stemming=True)
+        assert textpipe.tokenize_block(["running caresses", "ponies"], config) == [
+            ["run", "caress"], ["poni"]]
+
+    def test_no_texts(self):
+        assert textpipe.tokenize_block([], TokenizerConfig()) == []
+
+    def test_rules_stop_at_text_ends(self):
+        texts = ["see http://t.co/x", "www.a.com next", "hi @", "user there", "'', ''"]
+        assert textpipe.tokenize_block(texts, TokenizerConfig(stopwords=frozenset())) == [
+            ["see"], ["next"], ["hi"], ["user", "there"], []]
+
+    def test_stemmed_stopword_keeps_its_id(self):
+        # under stemming "ones" becomes "on", a stopword that tokenize keeps
+        stemmed = TokenizerConfig(stopwords=frozenset({"on"}), stemming=True)
+        assert tokenize("ones", stemmed) == ["on"]
+        assert matchers.tokenizer_mask({"on": 0}, 1, stemmed).tolist() == [True, False]
+        unstemmed = TokenizerConfig(stopwords=frozenset({"on"}))
+        assert matchers.tokenizer_mask({"on": 0}, 1, unstemmed).tolist() == [False, False]
