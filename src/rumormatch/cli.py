@@ -342,9 +342,10 @@ class Scorer:
     ``score(block, words)`` maps B (tweet_id, text) and, if ``reads_tokens``,
     their words (``textpipe.tokenize_block``) to float64 scores
     (B, len(article_ids)) and the (B,) bool mask of defined rows; an
-    undefined row scores 0 and is never a rumor. The words may hold what
-    tokenize drops (stopwords, short words), so a matcher finds in them only
-    the terms of its vocabulary that tokenize can make.
+    undefined row scores 0 and is never a rumor. The words may hold
+    stopwords and short words, which no matcher's vocabulary holds: the
+    index's terms are tokenize's, and the vector file's are trimmed by
+    ``textpipe.trim_vocabulary``.
     """
 
     tok: textpipe.TokenizerConfig
@@ -381,7 +382,7 @@ def make_scorer(config: RunConfig, articles=None, index=None,
         table = (index.bm25_table(config.bm25_params()) if matcher == "BM25"
                  else index.tfidf_table())
 
-        # every index term is a tokenize output: a word tokenize drops has no id
+        # every index term is a term of tokenize: a stopword or short word has no id
         def score(block, words):
             return matchers.score_block(words, index, table), np.ones(len(block), dtype=bool)
         return Scorer(tok, config.threshold, index.article_ids, score, True, wanted)
@@ -392,13 +393,11 @@ def make_scorer(config: RunConfig, articles=None, index=None,
     article_ids = [a.id for a in articles]
     if matcher == "EMBEDDING":
         table = matchers.load_embeddings(_require_file(config.embeddings, "embeddings"))
+        textpipe.trim_vocabulary(table.rows, tok)  # a stopword or short word has no row
         art_vecs = matchers.embed_articles(articles, table, tok)
-        kept = matchers.tokenizer_mask(table.rows, len(table.matrix), tok)
 
         def score(block, words):
-            ids, lens = matchers.lookup_ids(table.rows, words)
-            means = matchers.mean_rows(np.where(kept[ids], ids, -1), lens, table)
-            return matchers.cosine_block(means, art_vecs, norms)
+            return matchers.cosine_block(matchers.mean_vectors(words, table), art_vecs, norms)
     else:  # DOCVEC: one file holds the article and the tweet vectors, keyed by id
         table = matchers.load_embeddings(_require_file(config.doc_vectors, "doc_vectors"))
         art_vecs = table.lookup(article_ids)
@@ -713,19 +712,28 @@ def cmd_analyze(config: RunConfig, which: list[str]) -> None:
     tweets_path = _require_file(config.tweets, "tweets")
     acc = _accumulator(config)
     tok = config.tokenizer_config() if "keywords" in which and acc.wanted else None
-    # line k of matches.jsonl is the result for the k-th tweet, as run_match writes it
-    line_no = 0
-    for t, line in itertools.zip_longest(corpus.iter_tweets(tweets_path),
-                                         load_detections(matches_path)):
-        line_no, tweet_id, article_id, rumor = line or (line_no + 1, None, None, False)
-        if t is None or tweet_id != t.id:
-            raise MalformedLineError(matches_path, line_no, (
-                f"no line for tweet {t.id!r}" if line is None else
-                f"tweet {tweet_id!r} after the last tweet" if t is None else
-                f"tweet {tweet_id!r} where {t.id!r} is due"
-            ) + f"; the lines must follow the tweets of {tweets_path} one for one")
-        hits = acc.wanted.intersection(textpipe.tokenize(t.text, tok)) if tok else ()
-        acc.add(t, rumor, article_id, hits)
+
+    def pairs():
+        # line k of matches.jsonl is the result for the k-th tweet, as run_match writes it
+        line_no = 0
+        for t, line in itertools.zip_longest(corpus.iter_tweets(tweets_path),
+                                             load_detections(matches_path)):
+            line_no, tweet_id, article_id, rumor = line or (line_no + 1, None, None, False)
+            if t is None or tweet_id != t.id:
+                raise MalformedLineError(matches_path, line_no, (
+                    f"no line for tweet {t.id!r}" if line is None else
+                    f"tweet {tweet_id!r} after the last tweet" if t is None else
+                    f"tweet {tweet_id!r} where {t.id!r} is due"
+                ) + f"; the lines must follow the tweets of {tweets_path} one for one")
+            yield t, article_id, rumor
+
+    for block in _batches(pairs(), BLOCK):  # keyword hits a block of checked pairs at a time
+        hits = itertools.repeat(())
+        if tok:
+            words = textpipe.tokenize_block([t.text for t, _, _ in block], tok)
+            hits = [acc.wanted.intersection(w) for w in words]  # keywords are terms
+        for (t, article_id, rumor), h in zip(block, hits):
+            acc.add(t, rumor, article_id, h)
     _write_analyses(config, acc, which)
 
 

@@ -129,6 +129,15 @@ def _require(obj, key, path, line_no):
     return value
 
 
+def _id(obj, key, path, line_no) -> str:
+    """obj[key] as an id string, a number as str() writes it; a JSON true
+    or false is a malformed line."""
+    value = _require(obj, key, path, line_no)
+    if type(value) is bool:
+        raise MalformedLineError(path, line_no, f"field {key!r} is {json.dumps(value)}, not an id")
+    return str(value)
+
+
 _GROUPS = {g.value: g for g in Group}
 
 
@@ -201,8 +210,8 @@ def iter_tweets(path) -> Iterator[Tweet]:
 
 
 def _checked_id(obj, path, line_no) -> str:
-    """The id of one tweet line, coerced to str; raises if missing or empty."""
-    tid = str(_require(obj, "id", path, line_no))
+    """The id of one tweet or article line; raises if missing, a bool or empty."""
+    tid = _id(obj, "id", path, line_no)
     if not tid:
         raise MalformedLineError(path, line_no, "empty id")
     return tid
@@ -222,7 +231,7 @@ def _checked_tweet(obj, tid, path, line_no) -> tuple:
     ts = _require(obj, "timestamp", path, line_no)
     if type(ts) is not int:  # JSON true is a bool, which is an int
         raise MalformedLineError(path, line_no, "timestamp must be an integer")
-    return str(_require(obj, "user_id", path, line_no)), group, ts, text
+    return _id(obj, "user_id", path, line_no), group, ts, text
 
 
 def load_tweets(path) -> list[Tweet]:
@@ -236,9 +245,7 @@ def load_articles(path) -> list[RumorArticle]:
     articles = []
     seen = set()
     for line_no, obj in _iter_jsonl(path):
-        aid = str(_require(obj, "id", path, line_no))
-        if not aid:
-            raise MalformedLineError(path, line_no, "empty id")
+        aid = _checked_id(obj, path, line_no)
         if aid in seen:
             raise DuplicateIdError(path, line_no, aid)
         seen.add(aid)
@@ -259,33 +266,40 @@ def load_articles(path) -> list[RumorArticle]:
 
 
 def read_labels(path, article_ids: Container[str]) -> list[LabeledTweet]:
-    """Parse labels.jsonl, checking every article reference, then that no
+    """Parse labels.jsonl, checking every article reference and that no
     tweet is labeled twice (naming the second line).
 
-    Tweet references are left to check_label_tweets, so that a caller can
-    check them against tweets it streams instead of holding.
+    As in iter_tweets, the tweet ids are checked for repeats at the end of
+    the file or at the first malformed line, before that error is raised,
+    so the first fault in file order is named. Tweet references are left to
+    check_label_tweets, so that a caller can check them against tweets it
+    streams instead of holding.
     """
     labels = []
     keys = array.array("q")
-    for line_no, obj in _iter_jsonl(path):
-        tweet_id = str(_require(obj, "tweet_id", path, line_no))
-        try:
-            label = Label(_require(obj, "label", path, line_no))
-        except ValueError as exc:
-            raise MalformedLineError(path, line_no, str(exc)) from exc
-        article_id = obj.get("article_id")
-        if article_id is not None and type(article_id) is not str:
-            raise MalformedLineError(path, line_no,
-                                     f"article_id must be a string, got {article_id!r}")
-        if (label is Label.RUMOR) != (article_id is not None):
-            raise MalformedLineError(path, line_no, (
-                f"{label.value} label for tweet {tweet_id!r} has article_id {article_id!r}; "
-                "RUMOR needs one, NONRUMOR takes none"))
-        if article_id is not None and article_id not in article_ids:
-            raise MalformedLineError(path, line_no,
-                                     f"label references unknown article {article_id!r}")
-        labels.append(LabeledTweet(tweet_id=tweet_id, label=label, article_id=article_id))
-        keys.append(_id_key(tweet_id))
+    try:
+        for line_no, obj in _iter_jsonl(path):
+            tweet_id = _id(obj, "tweet_id", path, line_no)
+            keys.append(_id_key(tweet_id))  # a repeat is the first fault of its line
+            try:
+                label = Label(_require(obj, "label", path, line_no))
+            except ValueError as exc:
+                raise MalformedLineError(path, line_no, str(exc)) from exc
+            article_id = obj.get("article_id")
+            if article_id is not None and type(article_id) is not str:
+                raise MalformedLineError(path, line_no,
+                                         f"article_id must be a string, got {article_id!r}")
+            if (label is Label.RUMOR) != (article_id is not None):
+                raise MalformedLineError(path, line_no, (
+                    f"{label.value} label for tweet {tweet_id!r} has article_id {article_id!r}; "
+                    "RUMOR needs one, NONRUMOR takes none"))
+            if article_id is not None and article_id not in article_ids:
+                raise MalformedLineError(path, line_no,
+                                         f"label references unknown article {article_id!r}")
+            labels.append(LabeledTweet(tweet_id=tweet_id, label=label, article_id=article_id))
+    except CorpusError:
+        _check_repeats(path, keys, "tweet_id")
+        raise
     _check_repeats(path, keys, "tweet_id")
     return labels
 

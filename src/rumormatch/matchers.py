@@ -246,22 +246,16 @@ def lookup_ids(vocab: Mapping[str, int], token_lists: list[list[str]]
 
 def score_block(token_lists: list[list[str]], index: ArticleIndex,
                 table: ImpactTable) -> np.ndarray:
-    """Scores of a block of tweets against every article, shape (B, n_articles):
-    score_ids of their tokens' term ids."""
-    return score_ids(*lookup_ids(index.term_ids, token_lists), table)
-
-
-def score_ids(ids: np.ndarray, lens: list[int], table: ImpactTable) -> np.ndarray:
     """Scores of a block of tweets against every article, shape (B, n_articles),
-    from the term ids of their tokens (-1 for a token without one), row
-    after row, and each row's number of tokens.
+    from their tokens; a token that is no index term adds nothing.
 
-    Each row's ids become its sorted unique term ids. Every score sums its
+    Each row's tokens become its sorted unique term ids. Every score sums its
     terms in one canonical order: CSR terms in ascending term id (one
     bincount over row * N + ordinal), then dense terms in ascending term id.
     A row's result therefore does not depend on the other rows of the block,
     the block size, the worker count or the string hash seed.
     """
+    ids, lens = lookup_ids(index.term_ids, token_lists)
     n_rows, n, vocab = len(lens), table.n_articles, len(table.dense_slot)
     rows = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
     known = ids >= 0
@@ -367,28 +361,6 @@ class EmbeddingTable:
         return cols.T
 
 
-def tokenizer_mask(vocab: Mapping[str, int], size: int, tok: TokenizerConfig) -> np.ndarray:
-    """(size + 1,) bool over the ids of vocab (each below size): True where
-    the term is one tokenize can make under tok, False at stopwords and at
-    terms shorter than min_token_len, and a last False, which the id -1
-    indexes.
-
-    The words of textpipe.tokenize_block keep what tokenize drops, and no
-    word has the case, characters or edge apostrophes that tokenize
-    removes, so masking their ids with this leaves exactly the terms of
-    tokenize. Under stemming the words are tokenize's own terms, and every
-    id is True.
-    """
-    kept = np.ones(size + 1, dtype=bool)
-    kept[-1] = False
-    if not tok.stemming:
-        ids = np.fromiter(vocab.values(), dtype=np.int64, count=len(vocab))
-        lens = np.fromiter(map(len, vocab), dtype=np.int64, count=len(vocab))
-        kept[ids[lens < tok.min_token_len]] = False
-        kept[[vocab[w] for w in tok.stopwords if w in vocab]] = False
-    return kept
-
-
 # Bytes of lines load_embeddings reads and parses at a time: 1 MB parsed a
 # few percent faster but held about 1 MB more at the peak.
 VECTOR_BATCH_BYTES = 1 << 18
@@ -457,20 +429,14 @@ def _parse_rows(path, lines, line_nos, dim) -> np.ndarray:
 
 def mean_vectors(token_lists: list[list[str]], table: EmbeddingTable) -> np.ndarray:
     """(B, dim): each token list's mean over the vectors of its in-vocabulary
-    tokens, zeros where it has none: mean_rows of their row ids."""
-    return mean_rows(*lookup_ids(table.rows, token_lists), table)
-
-
-def mean_rows(ids: np.ndarray, lens: list[int], table: EmbeddingTable) -> np.ndarray:
-    """(B, dim): each row's mean over the table rows of its ids (-1 for a
-    token without a row), given row after row with each row's number of
-    ids; zeros where a row has none.
+    tokens, zeros where it has none.
 
     Each component is summed in token order, the first vector then each next
     one added, and divided by the count. The rows are ranked longest first,
     so the vectors at one token position are added with one gather into a
     prefix of the ranks.
     """
+    ids, lens = lookup_ids(table.rows, token_lists)
     n_rows = len(lens)
     owner = np.repeat(np.arange(n_rows), lens)
     known = ids >= 0

@@ -3,11 +3,12 @@
 Every matcher and the keyword breakdown consume the same tokenizer output:
 lowercase, drop URLs, then @-mentions, keep hashtag words without the '#',
 strip punctuation, drop stopwords and too-short tokens, optional Porter
-stemming. ``tokenize`` does this for one text; ``tokenize_block`` does it
-for a block of texts in one pass and leaves the stopword and length
-filters to the vocabulary the words are looked up in, and
-``tokenize_texts`` applies them. Stopword and lexicon files share one list
-format, parsed here.
+stemming. ``tokenize_block`` is the one implementation of these rules: it
+runs them over a block of texts in one pass and, with stemming off, leaves
+the stopword and length filters to the vocabulary its words are looked up
+in, trimmed by ``trim_vocabulary``. ``tokenize_texts`` applies the filters
+itself, and ``tokenize`` is it for one text. Stopword and lexicon files
+share one list format, parsed here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import stemmer
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@\w+")
-_TOKEN_RE = re.compile(r"[a-z0-9][a-z0-9']*")
 # Joins the texts of a block: whitespace on both sides, so that no URL or
 # mention runs across it, and a NUL that the character filter keeps.
 _SEP = " \x00 "
@@ -64,63 +64,73 @@ class TokenizerConfig:
 
 def tokenize(text: str, config: Optional[TokenizerConfig] = None) -> list[str]:
     """Normalize raw text into a token sequence. Deterministic; may be empty."""
-    config = config or TokenizerConfig()
-    text = _URL_RE.sub(" ", text.lower())
-    text = _MENTION_RE.sub(" ", text)  # after URLs: "@www.cnn.com" leaves no "cnn", "com"
-    # hashtags contribute their word form; _TOKEN_RE then drops the '#'
-    tokens = []
-    for tok in _TOKEN_RE.findall(text):
-        tok = tok.strip("'")
-        if len(tok) < config.min_token_len or tok in config.stopwords:
-            continue
-        if config.stemming:
-            tok = stemmer.stem(tok)
-            if len(tok) < config.min_token_len:
-                continue
-        tokens.append(tok)
-    return tokens
+    return tokenize_texts([text], config)[0]
 
 
 def tokenize_block(texts: list[str], config: Optional[TokenizerConfig] = None
                    ) -> list[list[str]]:
-    """Each text's words, in order: ``tokenize(text, config)`` with the
-    words it drops as stopwords or as shorter than ``min_token_len`` left
-    in. Looked up in a vocabulary of tokenize outputs, they find exactly
-    the terms of tokenize.
+    """Each text's words, in order. Under stemming they are the text's
+    terms; otherwise they also hold the stopwords and words shorter than
+    ``min_token_len`` that its terms leave out, and looked up in a
+    vocabulary trimmed by trim_vocabulary they find exactly its terms.
 
     The block is normalized as one string: its texts joined by a separator
-    with whitespace on both sides, lowercased once, URLs removed only if it
-    holds "http" or "www." and mentions only if it holds "@" (with the
-    regexes of tokenize), every character outside [a-z0-9'] made a space,
-    and apostrophes stripped at word edges only if it holds one. It is then
-    split per text on the separator, and each part on whitespace. Under
-    stemming, or when a text holds the separator's NUL, each text goes
-    through tokenize instead, whose output is already the words kept.
+    with whitespace on both sides (a NUL inside a text made U+0001 first:
+    the character filter drops both, and a URL runs through both where a
+    space would end it), lowercased once, URLs removed only if it holds
+    "http" or "www." and then mentions only if it holds "@", every
+    character outside [a-z0-9'] made a space, and apostrophes stripped at
+    word edges only if it holds one. It is then split per text on the
+    separator, and each part on whitespace. Under stemming, the stopwords
+    and short words are dropped, the rest stemmed, and the stems shorter
+    than ``min_token_len`` dropped.
     """
+    if not texts:
+        return []
     config = config or TokenizerConfig()
-    block = _SEP.join(texts).lower()
-    if config.stemming or block.count("\x00") != len(texts) - 1:
-        return [tokenize(text, config) for text in texts]
+    block = _SEP.join(texts)
+    if block.count("\x00") != len(texts) - 1:
+        block = _SEP.join([text.replace("\x00", "\x01") for text in texts])
+    block = block.lower()
     if "http" in block or "www." in block:
         block = _URL_RE.sub(" ", block)
-    if "@" in block:
+    if "@" in block:  # after URLs: "@www.cnn.com" leaves no "cnn", "com"
         block = _MENTION_RE.sub(" ", block)
     block = block.encode("ascii", "replace").translate(_WORD_BYTES).decode("ascii")
     if "'" in block:
         block = _EDGE_APOSTROPHES.sub(" ", block)
-    return [part.split() for part in block.split("\x00")]
+    words = [part.split() for part in block.split("\x00")]
+    if not config.stemming:
+        return words
+    stems = [[stemmer.stem(w) for w in row] for row in _kept(words, config)]
+    return [[s for s in row if len(s) >= config.min_token_len] for row in stems]
+
+
+def _kept(words: list[list[str]], config: TokenizerConfig) -> list[list[str]]:
+    """The words that are neither stopwords nor shorter than ``min_token_len``."""
+    shortest, stopwords = config.min_token_len, config.stopwords
+    return [[w for w in row if len(w) >= shortest and w not in stopwords] for row in words]
 
 
 def tokenize_texts(texts: list[str], config: Optional[TokenizerConfig] = None
                    ) -> list[list[str]]:
-    """``[tokenize(text, config) for text in texts]``, made by tokenize_block
-    with the stopwords and short words then dropped."""
+    """Each text's terms: tokenize_block's words without the stopwords and
+    short words it leaves in."""
     config = config or TokenizerConfig()
     words = tokenize_block(texts, config)
-    if config.stemming:  # the words are tokenize's own terms
-        return words
+    return words if config.stemming else _kept(words, config)  # stemmed words are the terms
+
+
+def trim_vocabulary(vocab: dict, config: TokenizerConfig) -> None:
+    """Drop from vocab, in place, the terms that tokenize_block's words may
+    be and tokenize never makes: with stemming off, the stopwords and the
+    terms shorter than ``min_token_len``. A word looked up in what is left
+    finds only the terms of tokenize."""
+    if config.stemming:
+        return
     shortest, stopwords = config.min_token_len, config.stopwords
-    return [[w for w in row if len(w) >= shortest and w not in stopwords] for row in words]
+    for term in [t for t in vocab if len(t) < shortest or t in stopwords]:
+        del vocab[term]
 
 
 def keyword_terms(keywords: Iterable[str],

@@ -1,14 +1,42 @@
 """Independent reference implementations used to check the engine.
 
-These deliberately avoid the inverted index and any sparse machinery:
-dense vectors and double loops only, so a bug in the engine cannot hide
-in a shared code path.
+These deliberately avoid the inverted index, any sparse machinery and the
+block tokenizer: dense vectors, double loops and per-text regexes only, so
+a bug in the engine cannot hide in a shared code path.
 """
 
 import math
+import re
 from collections import Counter
 
+from rumormatch import stemmer
 from rumormatch.corpus import Label
+from rumormatch.textpipe import TokenizerConfig
+
+_URL_RE = re.compile(r"https?://\S+|www\.\S+")
+_MENTION_RE = re.compile(r"@\w+")
+_TOKEN_RE = re.compile(r"[a-z0-9][a-z0-9']*")
+
+
+def tokenize_oracle(text, config=None):
+    """The tokenizer rules applied to one text by regexes, token by token:
+    lowercase, drop URLs, then @-mentions, take [a-z0-9][a-z0-9']* runs
+    (a hashtag's word without the '#'), strip their edge apostrophes, drop
+    stopwords and short tokens, stem, and drop short stems."""
+    config = config or TokenizerConfig()
+    text = _URL_RE.sub(" ", text.lower())
+    text = _MENTION_RE.sub(" ", text)  # after URLs: "@www.cnn.com" leaves no "cnn", "com"
+    tokens = []
+    for tok in _TOKEN_RE.findall(text):
+        tok = tok.strip("'")
+        if len(tok) < config.min_token_len or tok in config.stopwords:
+            continue
+        if config.stemming:
+            tok = stemmer.stem(tok)
+            if len(tok) < config.min_token_len:
+                continue
+        tokens.append(tok)
+    return tokens
 
 
 def tfidf_cosine_oracle(doc_token_lists, query_tokens):

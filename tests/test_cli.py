@@ -400,6 +400,19 @@ class TestMatchCommand:
         assert (scores[~defined] == 0.0).all()
         assert defined.all() == (matcher not in ("EMBEDDING", "DOCVEC"))
 
+    def test_embedding_words_find_only_terms(self, workspace):
+        tmp_path, config, _ = workspace
+        emb = tmp_path / "stop.vec"
+        emb.write_text("3 2\nthe 0 1\nx 0 1\nclinton 1 0\n")  # a stopword and a short term
+        scorer = cli.make_scorer(cli.build_config(cli.parse_config_file(config), {
+            "matcher": "EMBEDDING", "embeddings": str(emb)}))
+        block = [("t1", "The clinton X"), ("t2", "the x")]
+        words = cli.textpipe.tokenize_block([text for _, text in block], scorer.tok)
+        assert words == [["the", "clinton", "x"], ["the", "x"]]
+        scores, defined = scorer.score(block, words)
+        assert scores.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        assert defined.tolist() == [True, False]
+
     def test_jobs_do_not_change_bytes(self, workspace):
         tmp_path, config, out = workspace
         cli.main(["--config", str(config), "--jobs", "1", "match"])
@@ -1207,8 +1220,9 @@ class TestLabelClassesBeforeThePass:
 
 
 class TestTweetsAreNotTokenizedOneByOne:
-    """With stemming off, the scoring stream turns tweets into words a block at a
-    time: tokenize is called for the article bodies and the keywords only."""
+    """Every command turns tweets into words a block at a time, under any
+    tokenizer config: no text is tokenized on its own (by tokenize, or by
+    tokenize_block as a block of one) but an article body or a keyword."""
 
     @pytest.fixture
     def texts(self, workspace, monkeypatch):
@@ -1220,23 +1234,38 @@ class TestTweetsAreNotTokenizedOneByOne:
             for i in range(300)])
         config.write_text(config.read_text() + "keywords = clinton,hoax\n")
         texts = []
-        original = tokenize
+        original, block = tokenize, cli.textpipe.tokenize_block
         for module in (cli.textpipe, cli.matchers, cli.analysis):
             for name, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, name,
                                         lambda text, *a, **k: texts.append(text) or original(
                                             text, *a, **k))
+        monkeypatch.setattr(cli.textpipe, "tokenize_block", lambda block_texts, *a, **k: (
+            texts.extend(block_texts if len(block_texts) == 1 else ())
+            or block(block_texts, *a, **k)))
         return texts
 
-    @pytest.mark.parametrize("command", [
-        ["match"], ["--matcher", "TFIDF", "match"], ["--matcher", "EMBEDDING", "match"],
-        ["all"], ["eval", "classify"], ["--matcher", "ALL", "eval", "identify"]])
-    def test_only_articles_and_keywords(self, workspace, vector_files, texts, command):
+    COMMANDS = [["match"], ["--matcher", "TFIDF", "match"], ["--matcher", "EMBEDDING", "match"],
+                ["all"], ["eval", "classify"], ["--matcher", "ALL", "eval", "identify"]]
+
+    def run(self, workspace, vector_files, texts, commands, extra=""):
         _, config, _ = workspace
-        config.write_text(config.read_text() + f"embeddings = {vector_files[0]}\n")
-        assert cli.main(["--config", str(config), *command]) == 0
+        config.write_text(config.read_text() + f"embeddings = {vector_files[0]}\n" + extra)
+        for command in commands:
+            assert cli.main(["--config", str(config), *command]) == 0
         assert texts and set(texts) <= {a["body"] for a in ARTICLES} | {"clinton", "hoax"}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_articles_and_keywords(self, workspace, vector_files, texts, command):
+        self.run(workspace, vector_files, texts, [command])
+
+    def test_analyze_with_keywords(self, workspace, vector_files, texts):
+        self.run(workspace, vector_files, texts, [["match"], ["analyze"]])
+
+    def test_stemming(self, workspace, vector_files, texts):
+        self.run(workspace, vector_files, texts, [*self.COMMANDS, ["analyze"]],
+                 "stemming = true\n")
 
 
 class TestFaultyTweetBytes:
@@ -1248,4 +1277,13 @@ class TestFaultyTweetBytes:
         assert capsys.readouterr().err == (
             f"error: {tweets}:2: malformed line: 'utf-8' codec can't decode byte 0xff in "
             "position 98: invalid start byte\n")
+        assert list(out.iterdir()) == []
+
+    def test_bool_ids_exit_2(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        tweets = tmp_path / "tweets.jsonl"
+        write_jsonl(tweets, [dict(TWEETS[0], id=True, user_id=False)])
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {tweets}:1: malformed line: field 'id' is true, not an id\n")
         assert list(out.iterdir()) == []

@@ -117,6 +117,11 @@ class TestTweetLineEdges:
                       '"text": "a b"}'],
                      MalformedLineError, ":1: malformed line: field 'id' is null",
                      id="null-ids"),
+        pytest.param([tweet_line(id=True, user_id=False)], MalformedLineError,
+                     ":1: malformed line: field 'id' is true, not an id", id="bool-id"),
+        pytest.param([tweet_line(), tweet_line(id="t2", user_id=False)], MalformedLineError,
+                     ":2: malformed line: field 'user_id' is false, not an id",
+                     id="bool-user-id"),
     ])
     def test_error(self, tmp_path, lines, error, suffix):
         p = tmp_path / "tweets.jsonl"
@@ -389,6 +394,8 @@ class TestLoadArticles:
                      ":1: malformed line: field 'id' is null", id="null-id-and-body"),
         pytest.param([dict(ARTICLES[0], body=None)], MalformedLineError,
                      ":1: malformed line: field 'body' is null", id="null-body"),
+        pytest.param([ARTICLES[0], dict(ARTICLES[1], id=False)], MalformedLineError,
+                     ":2: malformed line: field 'id' is false, not an id", id="bool-id"),
     ])
     def test_error(self, tmp_path, lines, error, suffix):
         p = tmp_path / "articles.jsonl"
@@ -468,6 +475,8 @@ class TestLoadLabels:
                      id="null-tweet-id"),
         pytest.param({"tweet_id": "t1", "label": None}, "field 'label' is null",
                      id="null-label"),
+        pytest.param({"tweet_id": True, "label": "NONRUMOR"},
+                     "field 'tweet_id' is true, not an id", id="bool-tweet-id"),
     ])
     def test_malformed_label_line(self, tmp_path, loaded, line, reason):
         p = tmp_path / "labels.jsonl"
@@ -484,6 +493,15 @@ class TestLoadLabels:
         with pytest.raises(DuplicateIdError) as exc:
             corpus.read_labels(p, loaded[0])
         assert str(exc.value) == f"{p}:3: duplicate id 't1'"
+
+    def test_repeat_before_a_faulty_line_is_named(self, tmp_path, loaded):
+        p = tmp_path / "labels.jsonl"
+        write_jsonl(p, [{"tweet_id": "t1", "label": "NONRUMOR"},
+                        {"tweet_id": "t1", "label": "NONRUMOR"},
+                        {"tweet_id": "t2", "label": "MAYBE"}])
+        with pytest.raises(DuplicateIdError) as exc:
+            corpus.read_labels(p, loaded[0])
+        assert str(exc.value) == f"{p}:2: duplicate id 't1'"
 
     @pytest.mark.parametrize("article_id", [["a1"], 1, {"a1": True}])
     def test_non_string_article_id(self, tmp_path, loaded, article_id):

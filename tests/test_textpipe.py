@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import tokenize_oracle
+
 from rumormatch import matchers, textpipe
 from rumormatch.errors import EmptyCorpusError
 from rumormatch.corpus import RumorArticle
@@ -162,24 +164,26 @@ TERMS = st.sampled_from(["zoo", "trump", "hillary", "rock'n'roll", "quoted", "a'
                          "stanbul", "kelvin", "caf", "12", "3", "x", "i", "a", "ab", "the",
                          "it's", "don't", "Trump", "", "'quoted", "user", "t", "co", "cnn", "http"])
 TOKENIZER = st.builds(TokenizerConfig, stopwords=st.sampled_from([
-    frozenset(), frozenset({"the", "it's", "ab", "zoo"}), textpipe.default_stopwords()]),
-    min_token_len=st.integers(1, 3))
+    frozenset(), frozenset({"the", "it's", "ab", "zoo", "on"}), textpipe.default_stopwords()]),
+    min_token_len=st.integers(1, 3), stemming=st.booleans())
 
 
 class TestTokenizeBlock:
     """tokenize_block plus a vocabulary lookup finds, text by text, exactly
-    the terms tokenize makes."""
+    the terms of the regex reference tokenize_oracle, and tokenize and
+    tokenize_texts make them."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.lists(TEXTS, max_size=6), st.lists(TERMS, unique=True), TOKENIZER)
     def test_lookup_equals_tokenize(self, texts, terms, config):
-        vocab = {t: i for i, t in enumerate(terms)}
+        full = {t: i for i, t in enumerate(terms)}
+        vocab = dict(full)
+        textpipe.trim_vocabulary(vocab, config)
         ids, lens = matchers.lookup_ids(vocab, textpipe.tokenize_block(texts, config))
-        ids = np.where(matchers.tokenizer_mask(vocab, len(vocab), config)[ids], ids, -1)
         rows = np.split(ids, np.cumsum(lens)[:-1]) if texts else []
         for text, row in zip(texts, rows, strict=True):
-            assert row[row >= 0].tolist() == [vocab[t] for t in tokenize(text, config)
-                                              if t in vocab]
+            assert row[row >= 0].tolist() == [full[t] for t in tokenize_oracle(text, config)
+                                              if t in full]
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.lists(TEXTS, max_size=6), TOKENIZER)
@@ -187,33 +191,45 @@ class TestTokenizeBlock:
         words = textpipe.tokenize_block(texts, config)
         assert len(words) == len(texts)
         for text, row in zip(texts, words):
-            assert [w for w in row if len(w) >= config.min_token_len
-                    and w not in config.stopwords] == tokenize(text, config)
+            if not config.stemming:  # under stemming the words are the terms
+                row = [w for w in row if len(w) >= config.min_token_len
+                       and w not in config.stopwords]
+            assert row == tokenize_oracle(text, config)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(st.lists(TEXTS, max_size=6), TOKENIZER, st.booleans())
-    def test_tokenize_texts_is_tokenize_per_text(self, texts, config, stemming):
-        config = TokenizerConfig(config.stopwords, config.min_token_len, stemming)
-        assert textpipe.tokenize_texts(texts, config) == [tokenize(t, config) for t in texts]
+    @given(st.lists(TEXTS, max_size=6), TOKENIZER)
+    def test_tokenize_texts_is_tokenize_per_text(self, texts, config):
+        expected = [tokenize_oracle(t, config) for t in texts]
+        assert textpipe.tokenize_texts(texts, config) == expected
+        assert [tokenize(t, config) for t in texts] == expected
 
-    def test_separator_in_a_text_sends_the_block_per_text(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(textpipe, "tokenize", lambda text, config: calls.append(text) or [])
-        texts = ["zoo keeper", "nul\x00 inside"]
-        textpipe.tokenize_block(texts, TokenizerConfig())
-        assert calls == texts
-        calls.clear()
-        assert textpipe.tokenize_block(["zoo keeper", "no nul"], TokenizerConfig()) == [
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.text(max_size=200), TOKENIZER)
+    def test_tokenize_equals_the_oracle_on_any_text(self, text, config):
+        assert tokenize(text, config) == tokenize_oracle(text, config)
+
+    def test_separator_in_a_text_sends_the_block_per_text(self):
+        texts = ["zoo keeper", "nul\x00 inside", "a\x00b \x00", "\x00"]
+        config = TokenizerConfig(stopwords=frozenset(), min_token_len=1)
+        assert textpipe.tokenize_block(texts, config) == [
+            ["zoo", "keeper"], ["nul", "inside"], ["a", "b"], []]
+        assert textpipe.tokenize_block(["zoo keeper", "no nul"], config) == [
             ["zoo", "keeper"], ["no", "nul"]]
-        assert calls == []
+
+    def test_nul_inside_a_url_is_part_of_it(self):
+        config = TokenizerConfig(stopwords=frozenset())
+        assert textpipe.tokenize_block(["http://x\x00word", "next"], config) == [[], ["next"]]
+        assert tokenize("see http://x\x00word", config) == ["see"]
+        assert tokenize("hi @us\x00er", config) == ["hi", "er"]
 
     def test_stemming_goes_per_text(self):
-        config = TokenizerConfig(stopwords=frozenset(), stemming=True)
-        assert textpipe.tokenize_block(["running caresses", "ponies"], config) == [
-            ["run", "caress"], ["poni"]]
+        config = TokenizerConfig(stopwords=frozenset({"the"}), min_token_len=3, stemming=True)
+        assert textpipe.tokenize_block(["running the caresses", "ponies ties"], config) == [
+            ["run", "caress"], ["poni"]]  # "ties" stems to "ti", shorter than 3
 
     def test_no_texts(self):
         assert textpipe.tokenize_block([], TokenizerConfig()) == []
+        assert textpipe.tokenize_texts([], TokenizerConfig()) == []
 
     def test_rules_stop_at_text_ends(self):
         texts = ["see http://t.co/x", "www.a.com next", "hi @", "user there", "'', ''"]
@@ -224,6 +240,8 @@ class TestTokenizeBlock:
         # under stemming "ones" becomes "on", a stopword that tokenize keeps
         stemmed = TokenizerConfig(stopwords=frozenset({"on"}), stemming=True)
         assert tokenize("ones", stemmed) == ["on"]
-        assert matchers.tokenizer_mask({"on": 0}, 1, stemmed).tolist() == [True, False]
-        unstemmed = TokenizerConfig(stopwords=frozenset({"on"}))
-        assert matchers.tokenizer_mask({"on": 0}, 1, unstemmed).tolist() == [False, False]
+        vocab = {"on": 0, "a": 1, "zoo": 2}
+        textpipe.trim_vocabulary(vocab, stemmed)
+        assert vocab == {"on": 0, "a": 1, "zoo": 2}
+        textpipe.trim_vocabulary(vocab, TokenizerConfig(stopwords=frozenset({"on"})))
+        assert vocab == {"zoo": 2}
