@@ -2,8 +2,8 @@
 concentration and ranking, keyword breakdowns, candidate content attribution,
 and rumor timelines with peak detection.
 
-Every analysis reads one Accumulator, fed one tweet at a time, so a single
-pass over the tweets serves them all. The module functions are pure over
+Every analysis reads one Accumulator, fed a block of tweets at a time, so a
+single pass over the tweets serves them all. The module functions are pure over
 (tweets, detections, parameters); input ordering never changes a result.
 """
 
@@ -20,7 +20,7 @@ from .errors import (
     NoRumorsError,
     ZeroArticlesForSubjectError,
 )
-from .textpipe import TokenizerConfig, keyword_terms, tokenize
+from .textpipe import TokenizerConfig, keyword_terms, tokenize_block
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,8 @@ class TimeWindow:
 ELECTION_WINDOW = TimeWindow(start=1459468800, end=1475280000)
 
 
-def _in_window(tweet: Tweet, window: Optional[TimeWindow]) -> bool:
-    return window is None or tweet.timestamp in window
-
-
 class Accumulator:
-    """The counters every analysis reads, fed one tweet at a time.
+    """The counters every analysis reads, fed a block of tweets at a time.
 
     Counts are kept per (group, in window), per user, per (group, article)
     and per timeline bin, never per tweet, so a pass over any number of
@@ -77,6 +73,7 @@ class Accumulator:
             raise ValueError("bin_width must be positive")
         self.window = window
         self.bin_width = bin_width
+        self.tok = tok
         self.keyword_terms = keyword_terms(keywords, tok)
         self.wanted = frozenset(self.keyword_terms.values())
         self.group_tweets: Counter[tuple[Group, bool]] = Counter()
@@ -85,25 +82,27 @@ class Accumulator:
         self.user_rumors: Counter[str] = Counter()
         self.article_rumors: Counter[tuple[Group, Optional[str]]] = Counter()
         self.bin_rumors: Counter[int] = Counter()
-        self.keyword_counts = {k: [0, 0] for k in self.wanted}
+        self.keyword_counts: Counter[tuple[str, bool]] = Counter()
 
-    def add(
-        self, tweet: Tweet, rumor: bool, article_id: Optional[str] = None,
-        hits: Iterable[str] = (),
-    ) -> None:
-        """Count one tweet; ``hits`` are the wanted terms among its tokens."""
-        in_window = tweet.timestamp in self.window
-        key = (tweet.group, in_window)
-        self.group_tweets[key] += 1
-        self.user_tweets[tweet.user_id] += 1
-        for k in hits:
-            self.keyword_counts[k][0 if rumor else 1] += 1
-        if rumor:
-            self.group_rumors[key] += 1
-            self.user_rumors[tweet.user_id] += 1
-            self.article_rumors[tweet.group, article_id] += 1
-            if in_window:
-                self.bin_rumors[(tweet.timestamp - self.window.start) // self.bin_width] += 1
+    def add_block(self, tweets: Sequence[Tweet], rumors: Sequence[bool],
+                  article_ids: Sequence[Optional[str]], hits=None) -> None:
+        """Count a block of tweets, each with its detection; ``hits`` are the
+        wanted terms among each tweet's tokens, by default those of one
+        tokenize_block of the block's texts."""
+        if hits is None and self.wanted:  # keywords are terms
+            hits = [self.wanted.intersection(w)
+                    for w in tokenize_block([t.text for t in tweets], self.tok)]
+        keys = [(t.group, t.timestamp in self.window) for t in tweets]
+        self.group_tweets.update(keys)
+        self.user_tweets.update([t.user_id for t in tweets])
+        found = [(t, key, a) for t, key, r, a in zip(tweets, keys, rumors, article_ids) if r]
+        self.group_rumors.update([key for _, key, _ in found])
+        self.user_rumors.update([t.user_id for t, _, _ in found])
+        self.article_rumors.update([(t.group, a) for t, _, a in found])
+        self.bin_rumors.update([(t.timestamp - self.window.start) // self.bin_width
+                                for t, (_, in_window), _ in found if in_window])
+        if hits:
+            self.keyword_counts.update([(k, r) for h, r in zip(hits, rumors) for k in h])
 
     def groups(self) -> list[Group]:
         """The follower groups seen, in name order."""
@@ -137,32 +136,39 @@ class Accumulator:
         return rows[:top_n]
 
     def keyword_breakdown(self) -> dict[str, tuple[int, int]]:
-        return {k: tuple(self.keyword_counts[t]) for k, t in self.keyword_terms.items()}
+        counts = self.keyword_counts
+        return {k: (counts[t, True], counts[t, False]) for k, t in self.keyword_terms.items()}
 
     def content_attribution(
         self, articles: list[RumorArticle], group: Group,
         subjects: Optional[list[Subject]] = None,
     ) -> dict[Subject, float]:
-        subjects = subjects or [Subject.CLINTON, Subject.TRUMP]
+        article_counts = subject_article_counts(articles, subjects)
         article_subjects = {a.id: a.subjects for a in articles}
-        subject_article_count = Counter()
-        for a in articles:
-            for s in a.subjects:
-                subject_article_count[s] += 1
-        for s in subjects:
-            if subject_article_count[s] == 0:
-                raise ZeroArticlesForSubjectError(s.value)
         tweet_counts: Counter[Subject] = Counter()
         for (g, article_id), n in self.article_rumors.items():
             if g is group:
                 for s in article_subjects.get(article_id, frozenset()):
                     tweet_counts[s] += n
-        return {s: tweet_counts[s] / subject_article_count[s] for s in subjects}
+        return {s: tweet_counts[s] / count for s, count in article_counts.items()}
 
     def timeline(self) -> list[tuple[int, int]]:
         start, width = self.window.start, self.bin_width
         n_bins = math.ceil((self.window.end - start) / width)
         return [(start + i * width, self.bin_rumors[i]) for i in range(n_bins)]
+
+
+def subject_article_counts(articles: list[RumorArticle],
+                           subjects: Optional[list[Subject]] = None) -> dict[Subject, int]:
+    """The number of articles about each subject (default CLINTON, TRUMP), which
+    the content attribution divides by: a subject of none is a
+    ZeroArticlesForSubjectError, which a caller can raise before any tweet is read."""
+    counts = Counter(s for a in articles for s in a.subjects)
+    subjects = subjects or [Subject.CLINTON, Subject.TRUMP]
+    for s in subjects:
+        if counts[s] == 0:
+            raise ZeroArticlesForSubjectError(s.value)
+    return {s: counts[s] for s in subjects}
 
 
 def _accumulate(
@@ -172,15 +178,12 @@ def _accumulate(
     tok: Optional[TokenizerConfig] = None,
     **params,
 ) -> Accumulator:
-    """An accumulator fed the tweets in scope, keyword hits as ``tok`` tokenizes."""
+    """An accumulator fed the tweets in scope as one block, keyword hits as ``tok`` tokenizes."""
     acc = Accumulator(tok=tok, **params)
-    for t in tweets:
-        if not _in_window(t, scope):
-            continue
-        det = detections.get(t.id)
-        rumor = det is not None and det.is_rumor
-        hits = acc.wanted.intersection(tokenize(t.text, tok)) if acc.wanted else ()
-        acc.add(t, rumor, det.article_id if rumor else None, hits)
+    block = [t for t in tweets if scope is None or t.timestamp in scope]
+    found = [detections.get(t.id) for t in block]
+    acc.add_block(block, [det is not None and det.is_rumor for det in found],
+                  [det.article_id if det else None for det in found])
     return acc
 
 
@@ -273,7 +276,8 @@ def detect_peaks(series: list[int], k: float = 2.0) -> list[int]:
         raise ValueError("series must be nonempty")
     n = len(series)
     mean = sum(series) / n
-    std = math.sqrt(sum((x - mean) ** 2 for x in series) / n)
+    # d * d and fsum: IEEE basic operations only, so every host gives the same bits
+    std = math.sqrt(math.fsum(d * d for d in [x - mean for x in series]) / n)
     cutoff = mean + k * std
     peaks = []
     for i, x in enumerate(series):

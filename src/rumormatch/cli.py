@@ -499,8 +499,8 @@ def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scor
               acc: Optional[analysis.Accumulator] = None) -> dict[str, tuple]:
     """Score every tweet once, in input order, and hand each result on.
 
-    Each tweet's matches.jsonl line goes to ``out_path`` (if given), its
-    detection and keyword hits to ``acc`` (if given), and for the tweet ids
+    Each tweet's matches.jsonl line goes to ``out_path`` (if given), each
+    block's detections and keyword hits to ``acc`` (if given), and for the tweet ids
     in ``labeled`` its (article_id, score, rumor) to the returned dict.
     ``tweets`` may be any iterable of Tweet; nothing is kept per tweet but
     the labeled results. Output order equals input order regardless of
@@ -523,9 +523,8 @@ def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scor
             if labeled:
                 kept.update((t.id, r) for t, r in zip(block, results) if t.id in labeled)
             if acc is not None:
-                hits = hits or itertools.repeat(())
-                for t, (article_id, _, rumor), h in zip(block, results, hits):
-                    acc.add(t, rumor, article_id, h)
+                article_ids, _, rumors = zip(*results)
+                acc.add_block(block, rumors, article_ids, hits)
             done += len(block)
             if not config.quiet and time.monotonic() - last >= PROGRESS_S:
                 print(f"matched {done:,} tweets", file=sys.stderr)
@@ -533,10 +532,12 @@ def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scor
     return kept
 
 
-def load_detections(path) -> Iterator[tuple[int, str, Optional[str], bool]]:
+def load_detections(path, article_ids: Optional[Container[str]] = None
+                    ) -> Iterator[tuple[int, str, Optional[str], bool]]:
     """Yield (line_no, tweet_id, article_id, rumor) for each line of a
     matches.jsonl, in file order; article_id is None for a NONRUMOR line
-    and for a LEXICON rumor. Each line is checked before it is yielded."""
+    and for a LEXICON rumor. Each line is checked before it is yielded,
+    against ``article_ids`` too when given."""
     for line_no, obj in corpus._iter_jsonl(path):
         tweet_id = corpus._require(obj, "tweet_id", path, line_no)
         if type(tweet_id) is not str:
@@ -551,6 +552,9 @@ def load_detections(path) -> Iterator[tuple[int, str, Optional[str], bool]]:
         if article_id is not None and type(article_id) is not str:
             raise MalformedLineError(path, line_no,
                                      f"article_id must be a string, got {article_id!r}")
+        if article_ids is not None and article_id is not None and article_id not in article_ids:
+            raise MalformedLineError(path, line_no,
+                                     f"article_id {article_id!r} is not the id of an article")
         yield line_no, tweet_id, article_id, rumor
 
 
@@ -589,12 +593,6 @@ def pr_rows(points: Iterable[evaluation.PRPoint]) -> Iterator[tuple]:
         yield ("fixed" if math.isnan(p.threshold) else p.threshold, p.precision, p.recall, p.f1)
 
 
-def _check_classes(config: RunConfig, labels) -> None:
-    """Raise, before any tweet is scored, the label-class error that
-    _write_classify would raise after the pass."""
-    evaluation.check_classes(labels, fixed_point=config.matcher == "LEXICON")
-
-
 def _write_classify(config: RunConfig, labels, results) -> None:
     """pr_curve.csv and max_f1.csv from the labeled tweets' (article, score, rumor)."""
     if config.matcher == "LEXICON":
@@ -615,8 +613,8 @@ def cmd_eval(config: RunConfig, task: str) -> None:
     tweets_path = _require_file(config.tweets, "tweets")
     articles = _load_articles(config)
     labels = _read_labels(config, articles)
-    if task == "CLASSIFY":
-        _check_classes(config, labels)
+    # a label-class fault needs no tweet: it is raised before any is read
+    evaluation.check_classes(labels, fixed_point=task == "IDENTIFY" or config.matcher == "LEXICON")
     wanted = {l.tweet_id for l in labels}
     # only the labeled tweets are held: they are scored once per matcher
     tweets = [t for t in corpus.iter_tweets(tweets_path) if t.id in wanted]
@@ -658,12 +656,14 @@ def cmd_eval(config: RunConfig, task: str) -> None:
 ANALYSES = ("ratio", "users", "keywords", "attribution", "timeline")
 
 
-def _accumulator(config: RunConfig) -> analysis.Accumulator:
-    tok = config.tokenizer_config() if config.keywords else None
-    return analysis.Accumulator(config.window(), config.bin_width, config.keywords, tok)
+def _accumulator(config: RunConfig, which=ANALYSES) -> analysis.Accumulator:
+    """The accumulator of the analyses in ``which``, counting keyword hits for keywords only."""
+    keywords = config.keywords if "keywords" in which else []
+    tok = config.tokenizer_config() if keywords else None
+    return analysis.Accumulator(config.window(), config.bin_width, keywords, tok)
 
 
-def _write_analyses(config: RunConfig, acc: analysis.Accumulator, which, articles=None) -> None:
+def _write_analyses(config: RunConfig, acc: analysis.Accumulator, which, articles) -> None:
     """Write the selected analyses, in ANALYSES order, from one filled accumulator."""
     os.makedirs(config.out, exist_ok=True)
     out = config.out
@@ -688,8 +688,6 @@ def _write_analyses(config: RunConfig, acc: analysis.Accumulator, which, article
                   [(k, *counts) for k, counts in acc.keyword_breakdown().items()])
 
     if "attribution" in which:
-        if articles is None:
-            articles = _load_articles(config)
         rows = []
         for group in groups:
             values = acc.content_attribution(articles, group)
@@ -710,14 +708,18 @@ def cmd_analyze(config: RunConfig, which: list[str]) -> None:
     matches_path = os.path.join(config.out, "matches.jsonl")
     _require_file(matches_path, "matches")
     tweets_path = _require_file(config.tweets, "tweets")
-    acc = _accumulator(config)
-    tok = config.tokenizer_config() if "keywords" in which and acc.wanted else None
+    articles = article_ids = None
+    if "attribution" in which:  # a subject that no article is about fails before the pass
+        articles = _load_articles(config)
+        analysis.subject_article_counts(articles)
+        article_ids = {a.id for a in articles}
+    acc = _accumulator(config, which)
 
     def pairs():
         # line k of matches.jsonl is the result for the k-th tweet, as run_match writes it
         line_no = 0
         for t, line in itertools.zip_longest(corpus.iter_tweets(tweets_path),
-                                             load_detections(matches_path)):
+                                             load_detections(matches_path, article_ids)):
             line_no, tweet_id, article_id, rumor = line or (line_no + 1, None, None, False)
             if t is None or tweet_id != t.id:
                 raise MalformedLineError(matches_path, line_no, (
@@ -725,16 +727,11 @@ def cmd_analyze(config: RunConfig, which: list[str]) -> None:
                     f"tweet {tweet_id!r} after the last tweet" if t is None else
                     f"tweet {tweet_id!r} where {t.id!r} is due"
                 ) + f"; the lines must follow the tweets of {tweets_path} one for one")
-            yield t, article_id, rumor
+            yield t, rumor, article_id
 
-    for block in _batches(pairs(), BLOCK):  # keyword hits a block of checked pairs at a time
-        hits = itertools.repeat(())
-        if tok:
-            words = textpipe.tokenize_block([t.text for t, _, _ in block], tok)
-            hits = [acc.wanted.intersection(w) for w in words]  # keywords are terms
-        for (t, article_id, rumor), h in zip(block, hits):
-            acc.add(t, rumor, article_id, h)
-    _write_analyses(config, acc, which)
+    for block in _batches(pairs(), BLOCK):
+        acc.add_block(*zip(*block))
+    _write_analyses(config, acc, which, articles)
 
 
 def cmd_all(config: RunConfig) -> None:
@@ -746,9 +743,11 @@ def cmd_all(config: RunConfig) -> None:
     write when run one after another.
     """
     articles = _load_articles(config)
+    # the faults that the articles and labels show are raised before any output
+    analysis.subject_article_counts(articles)
     labels = _read_labels(config, articles) if config.labels else None
     if labels is not None:
-        _check_classes(config, labels)
+        evaluation.check_classes(labels, fixed_point=config.matcher == "LEXICON")
     index = cmd_index(config, articles)
     acc = _accumulator(config)
     results = run_match(

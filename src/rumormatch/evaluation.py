@@ -73,9 +73,9 @@ class SweepResult:
 
 def check_classes(labels: list[LabeledTweet], fixed_point: bool = False) -> int:
     """The number of RUMOR labels, if the labels can be evaluated: a sweep
-    needs both classes (DegenerateLabelsError), a fixed point one RUMOR
-    label (NoRumorLabelsError). Needs no score, so a caller can check
-    before it scores a tweet."""
+    needs both classes (DegenerateLabelsError), a fixed point or an
+    identification one RUMOR label (NoRumorLabelsError). Needs no score, so
+    a caller can check before it reads a tweet."""
     n_rumor = sum(1 for l in labels if l.label is Label.RUMOR)
     if fixed_point:
         if n_rumor == 0:
@@ -148,9 +148,8 @@ def identification_accuracy(
     matches: Mapping[str, MatchResult], labels: list[LabeledTweet]
 ) -> float:
     """Fraction of rumor-labeled tweets whose best article equals the labeled one."""
+    check_classes(labels, fixed_point=True)
     rumor_labels = [l for l in labels if l.label is Label.RUMOR]
-    if not rumor_labels:
-        raise NoRumorLabelsError("identification is evaluated over RUMOR labels only")
     correct = 0
     for l in rumor_labels:
         match = matches.get(l.tweet_id)

@@ -132,7 +132,9 @@ class ArticleIndex:
         return np.repeat(np.arange(len(self.terms), dtype=np.int64), np.diff(self.indptr))
 
     def _idf(self, formula) -> np.ndarray:
-        """Per-term idf from document frequency; math.log keeps it the same on every host."""
+        """Per-term idf from document frequency, through math.log. A libm need not
+        round log correctly (glibc 2.36 is more than 0.5 ulp off for some of
+        these arguments), so a host with another libm may give other bits."""
         n = self.n_articles
         return np.array([formula(n, int(df)) for df in np.diff(self.indptr)], dtype=np.float64)
 

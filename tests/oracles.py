@@ -134,3 +134,61 @@ def sweep_oracle(scores, labels):
                     fp += 1
         table.append((h, tp, fp, n_rumor - tp))
     return table
+
+
+def analyses_oracle(tweets, detections, window, bin_width, keywords, articles, subjects,
+                    config=None):
+    """The five analyses recounted from scratch, tweet by tweet.
+
+    ``detections`` holds one (rumor, article_id) per tweet. Keyword hits
+    come from tokenize_oracle. A reading whose denominator is zero is None.
+    Returns a dict of the group ratios per (group, windowed), the user
+    concentration per top fraction (1/10, 1/2 and 1), the full user
+    ranking, the keyword breakdown, the content attribution per group and
+    the timeline.
+    """
+    rows = [(t, rumor, article_id, window.start <= t.timestamp < window.end)
+            for t, (rumor, article_id) in zip(tweets, detections)]
+    groups = sorted({t.group for t in tweets}, key=lambda g: g.value)
+
+    ratio = {}
+    for g in groups:
+        for windowed in (False, True):
+            scope = [r for t, r, _, inside in rows if t.group is g and (inside or not windowed)]
+            ratio[g, windowed] = sum(scope) / len(scope) if scope else None
+
+    users = sorted({t.user_id for t in tweets})
+    user_rumors = {u: sum(r for t, r, _, _ in rows if t.user_id == u) for u in users}
+    user_totals = {u: sum(1 for t in tweets if t.user_id == u) for u in users}
+    ranked = sorted(users, key=lambda u: (-user_rumors[u], u))
+    total = sum(user_rumors.values())
+    concentration = {
+        f: sum(user_rumors[u] for u in ranked[:math.ceil(f * len(users))]) / total
+        if total else None
+        for f in (0.1, 0.5, 1.0)
+    }
+    ranking = sorted(
+        ((u, user_rumors[u], user_totals[u], user_rumors[u] / user_totals[u]) for u in users),
+        key=lambda row: (-row[3], -row[1], row[0]))
+
+    breakdown = {}
+    for keyword in keywords:
+        (term,) = tokenize_oracle(keyword, config)
+        hit = [(r, term in tokenize_oracle(t.text, config)) for t, r, _, _ in rows]
+        breakdown[keyword.lower()] = (sum(1 for r, h in hit if h and r),
+                                      sum(1 for r, h in hit if h and not r))
+
+    about = {a.id: a.subjects for a in articles}
+    attribution = {
+        g: {s: sum(1 for t, r, a, _ in rows if r and t.group is g and s in about.get(a, ()))
+            / sum(1 for a in articles if s in a.subjects) for s in subjects}
+        for g in groups
+    }
+
+    n_bins = math.ceil((window.end - window.start) / bin_width)
+    timeline = [(window.start + i * bin_width,
+                 sum(1 for t, r, _, inside in rows
+                     if r and inside and (t.timestamp - window.start) // bin_width == i))
+                for i in range(n_bins)]
+    return {"ratio": ratio, "concentration": concentration, "ranking": ranking,
+            "keywords": breakdown, "attribution": attribution, "timeline": timeline}

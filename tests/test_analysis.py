@@ -2,8 +2,10 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixture_analysis import ARTICLES, DAY, DAY0, DETECTIONS, TWEETS, WEEK_WINDOW
+from oracles import analyses_oracle
 
 from rumormatch import analysis
 from rumormatch.analysis import (
@@ -17,8 +19,8 @@ from rumormatch.analysis import (
     user_concentration,
     user_rumor_ratio_ranking,
 )
-from rumormatch.corpus import Group, Subject
-from rumormatch.textpipe import TokenizerConfig, tokenize
+from rumormatch.corpus import Group, RumorArticle, Subject, Tweet
+from rumormatch.textpipe import TokenizerConfig
 from rumormatch.errors import (
     EmptyDenominatorError,
     NoRumorsError,
@@ -212,6 +214,12 @@ class TestContentAttribution:
         with pytest.raises(ZeroArticlesForSubjectError):
             content_attribution(TWEETS, DETECTIONS, no_trump, Group.CLINTON_FOLLOWER)
 
+    def test_subject_article_counts(self):
+        assert analysis.subject_article_counts(ARTICLES) == {Subject.CLINTON: 3, Subject.TRUMP: 2}
+        assert analysis.subject_article_counts(ARTICLES, [Subject.OTHER]) == {Subject.OTHER: 1}
+        with pytest.raises(ZeroArticlesForSubjectError, match="TRUMP"):
+            analysis.subject_article_counts(ARTICLES[:2])
+
 
 class TestTimeline:
     def test_fixture_week_daily_bins(self):
@@ -275,6 +283,14 @@ class TestDetectPeaks:
         with pytest.raises(ValueError):
             detect_peaks([])
 
+    def test_cutoff_rounds_the_same_on_every_host(self):
+        # the exact cutoff is 28.99999999999999732... (80 digits), so both 29s
+        # are above it; squares by libm pow or a plain float sum can round it to 29
+        series = [16, 26, 29, 21, 6, 0, 23, 3, 20, 5, 15, 24, 18, 19, 24, 12, 15, 6, 16, 2,
+                  17, 23, 18, 9, 16, 22, 16, 14, 17, 9, 11, 16, 3, 13, 28, 5, 18, 3, 9, 21,
+                  28, 12, 15, 17, 23, 21, 27, 28, 8, 15, 11, 29, 10, 1, 13]
+        assert detect_peaks(series, 1.7379453335986241) == [2, 51]
+
 
 class TestDetectionInvariant:
     def test_article_id_iff_rumor(self):
@@ -298,9 +314,8 @@ class TestOrderIndependence:
 class TestAccumulator:
     def test_one_pass_feeds_every_analysis(self):
         acc = analysis.Accumulator(WEEK_WINDOW, DAY, ["clinton", "Email"])
-        for t in TWEETS:
-            det = DETECTIONS[t.id]
-            acc.add(t, det.is_rumor, det.article_id, acc.wanted.intersection(tokenize(t.text)))
+        dets = [DETECTIONS[t.id] for t in TWEETS]
+        acc.add_block(TWEETS, [d.is_rumor for d in dets], [d.article_id for d in dets])
         assert acc.groups() == [Group.CLINTON_FOLLOWER, Group.TRUMP_FOLLOWER]
         assert acc.group_ratio(Group.CLINTON_FOLLOWER) == 3 / 10
         assert acc.group_ratio(Group.CLINTON_FOLLOWER, windowed=True) == 2 / 6
@@ -319,3 +334,71 @@ class TestAccumulator:
     def test_bin_width_must_be_positive(self):
         with pytest.raises(ValueError):
             analysis.Accumulator(WEEK_WINDOW, 0)
+
+
+# A small world for generated blocks: two bins' worth of edge timestamps, and
+# words that keep, drop or split a keyword (mentions, URLs, a hashtag).
+GEN_WINDOW = TimeWindow(1000, 1700)
+GEN_ARTICLES = [
+    RumorArticle("a1", "", "x", frozenset({Subject.CLINTON})),
+    RumorArticle("a2", "", "x", frozenset({Subject.TRUMP})),
+    RumorArticle("a3", "", "x", frozenset({Subject.CLINTON, Subject.TRUMP})),
+    RumorArticle("a4", "", "x"),
+]
+GEN_KEYWORDS = ["Clinton", "email", "hoaxes"]
+GEN_WORDS = ["clinton", "Clinton's", "email", "e-mail", "hoaxes", "#hoaxes", "@clinton",
+             "www.email.com", "the", "a", "tax", "\x00", "clintonemail"]
+GEN_TWEETS = st.lists(
+    st.builds(
+        Tweet,
+        id=st.just(""),
+        user_id=st.sampled_from(["u0", "u1", "u2", "u3"]),
+        group=st.sampled_from(list(Group)),
+        timestamp=st.one_of(st.sampled_from([999, 1000, 1099, 1100, 1699, 1700]),
+                            st.integers(900, 1800)),
+        text=st.lists(st.sampled_from(GEN_WORDS), max_size=5).map(" ".join),
+    ),
+    max_size=30,
+)
+GEN_DETECTIONS = st.one_of(st.just((False, None)),
+                           st.tuples(st.just(True), st.sampled_from(["a1", "a2", "a3", "a4"])),
+                           st.just((True, None)))  # a LEXICON rumor names no article
+
+
+class TestAddBlockEqualsRecount:
+    """add_block over any split of the tweets into blocks gives every analysis
+    the counts of a naive tweet-by-tweet recount (oracles.analyses_oracle)."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(GEN_TWEETS, st.data(), st.sampled_from([1, 100, 333, 700, 1000]), st.booleans())
+    def test_any_split(self, tweets, data, bin_width, stemming):
+        detections = data.draw(st.lists(GEN_DETECTIONS, min_size=len(tweets),
+                                        max_size=len(tweets)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(tweets)), max_size=4)))
+        tok = TokenizerConfig(stemming=stemming)
+        acc = analysis.Accumulator(GEN_WINDOW, bin_width, GEN_KEYWORDS, tok)
+        for lo, hi in zip([0, *cuts], [*cuts, len(tweets)]):
+            acc.add_block(tweets[lo:hi], [r for r, _ in detections[lo:hi]],
+                          [a for _, a in detections[lo:hi]])
+        subjects = [Subject.CLINTON, Subject.TRUMP]
+        want = analyses_oracle(tweets, detections, GEN_WINDOW, bin_width, GEN_KEYWORDS,
+                               GEN_ARTICLES, subjects, tok)
+
+        assert acc.groups() == sorted({g for g, _ in want["ratio"]}, key=lambda g: g.value)
+        for (group, windowed), ratio in want["ratio"].items():
+            if ratio is None:
+                with pytest.raises(EmptyDenominatorError):
+                    acc.group_ratio(group, windowed)
+            else:
+                assert acc.group_ratio(group, windowed) == ratio
+        for fraction, share in want["concentration"].items():
+            if share is None:
+                with pytest.raises(NoRumorsError):
+                    acc.user_concentration(fraction)
+            else:
+                assert acc.user_concentration(fraction) == share
+        assert acc.user_ranking(len(tweets)) == want["ranking"]
+        assert acc.keyword_breakdown() == want["keywords"]
+        for group, values in want["attribution"].items():
+            assert acc.content_attribution(GEN_ARTICLES, group, subjects) == values
+        assert acc.timeline() == want["timeline"]

@@ -1219,6 +1219,60 @@ class TestLabelClassesBeforeThePass:
         assert (out / "max_f1.csv").exists()
 
 
+class TestInputFaultsBeforeThePass:
+    """A fault that the articles or the labels show is raised before any
+    tweet is read: out/ keeps the bytes it had, and no temp file is left."""
+
+    @staticmethod
+    def files(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    @staticmethod
+    def unread(monkeypatch):
+        def iter_tweets(*args, **kwargs):
+            raise AssertionError("tweets read")
+
+        monkeypatch.setattr(cli.corpus, "iter_tweets", iter_tweets)
+
+    @pytest.mark.parametrize("command", ["all", "analyze"])
+    def test_no_trump_article_exit_3(self, workspace, monkeypatch, capsys, command):
+        tmp_path, config, out = workspace
+        assert cli.main(["--config", str(config), "all"]) == 0
+        before = self.files(out)
+        write_jsonl(tmp_path / "articles.jsonl", [
+            dict(a, subjects=["OTHER"]) if a["subjects"] == ["TRUMP"] else a for a in ARTICLES])
+        self.unread(monkeypatch)
+        assert cli.main(["--config", str(config), command]) == cli.EXIT_EMPTY
+        assert capsys.readouterr().err == (
+            "error: no reference articles tagged with subject TRUMP\n")
+        assert self.files(out) == before
+
+    def test_identify_without_a_rumor_label_exit_4(self, workspace, monkeypatch, capsys):
+        tmp_path, config, out = workspace
+        assert cli.main(["--config", str(config), "eval", "identify"]) == 0
+        before = self.files(out)
+        write_jsonl(tmp_path / "labels.jsonl", [l for l in LABELS if l["label"] == "NONRUMOR"])
+        self.unread(monkeypatch)
+        assert cli.main(["--config", str(config), "eval", "identify"]) == cli.EXIT_EVAL
+        assert capsys.readouterr().err == "error: no RUMOR labels to evaluate against\n"
+        assert self.files(out) == before
+
+    def test_attribution_of_an_unknown_article_exit_2(self, workspace, capsys):
+        _, config, out = workspace
+        assert cli.main(["--config", str(config), "match"]) == 0
+        path = out / "matches.jsonl"
+        lines = path.read_text().splitlines()
+        rumor = json.dumps({"tweet_id": "t2", "article_id": "zzz", "score": 9.0,
+                            "label": "RUMOR"})
+        path.write_text("\n".join([lines[0], rumor, *lines[2:]]) + "\n")
+        assert cli.main(["--config", str(config), "analyze", "attribution"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: malformed line: article_id 'zzz' is not the id of an article\n")
+        assert [p.name for p in out.iterdir()] == ["matches.jsonl"]
+        path.write_text("\n".join([lines[0], rumor.replace('"zzz"', "null"), *lines[2:]]) + "\n")
+        assert cli.main(["--config", str(config), "analyze", "attribution"]) == 0  # a LEXICON rumor
+
+
 class TestTweetsAreNotTokenizedOneByOne:
     """Every command turns tweets into words a block at a time, under any
     tokenizer config: no text is tokenized on its own (by tokenize, or by
@@ -1235,15 +1289,19 @@ class TestTweetsAreNotTokenizedOneByOne:
         config.write_text(config.read_text() + "keywords = clinton,hoax\n")
         texts = []
         original, block = tokenize, cli.textpipe.tokenize_block
-        for module in (cli.textpipe, cli.matchers, cli.analysis):
+        wrappers = {
+            original: lambda text, *a, **k: texts.append(text) or original(text, *a, **k),
+            block: lambda block_texts, *a, **k: (
+                texts.extend(block_texts if len(block_texts) == 1 else ())
+                or block(block_texts, *a, **k)),
+        }
+        # every module that holds either function, by import or by attribute
+        for module in (cli, cli.corpus, cli.textpipe, cli.matchers, cli.analysis,
+                       cli.evaluation):
             for name, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, name,
-                                        lambda text, *a, **k: texts.append(text) or original(
-                                            text, *a, **k))
-        monkeypatch.setattr(cli.textpipe, "tokenize_block", lambda block_texts, *a, **k: (
-            texts.extend(block_texts if len(block_texts) == 1 else ())
-            or block(block_texts, *a, **k)))
+                for function, wrapper in wrappers.items():
+                    if value is function:
+                        monkeypatch.setattr(module, name, wrapper)
         return texts
 
     COMMANDS = [["match"], ["--matcher", "TFIDF", "match"], ["--matcher", "EMBEDDING", "match"],
@@ -1266,6 +1324,15 @@ class TestTweetsAreNotTokenizedOneByOne:
     def test_stemming(self, workspace, vector_files, texts):
         self.run(workspace, vector_files, texts, [*self.COMMANDS, ["analyze"]],
                  "stemming = true\n")
+
+    @pytest.mark.parametrize("stemming", [False, True])
+    def test_library_keyword_breakdown(self, workspace, texts, stemming):
+        tmp_path, _, _ = workspace
+        tweets = list(cli.corpus.iter_tweets(tmp_path / "tweets.jsonl"))
+        counts = cli.analysis.keyword_breakdown(tweets, {}, ["clinton", "hoax"],
+                                                TokenizerConfig(stemming=stemming))
+        assert counts["clinton"][1] > 0 and counts["hoax"][1] > 0
+        assert set(texts) <= {"clinton", "hoax"}
 
 
 class TestFaultyTweetBytes:
