@@ -11,6 +11,8 @@ never leaves a truncated artifact.
 from __future__ import annotations
 
 import argparse
+import array
+import bisect
 import collections
 import contextlib
 import copy
@@ -25,6 +27,7 @@ import sys
 import tempfile
 import time
 import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, Iterator, Optional
 
@@ -44,6 +47,7 @@ from .corpus import Label, LabeledTweet
 from .errors import (
     AllEmptyAfterTokenizeError,
     CorpusError,
+    DanglingTweetRefError,
     DegenerateLabelsError,
     EmptyCorpusError,
     EmptyDenominatorError,
@@ -258,22 +262,45 @@ def index_provenance(tok: textpipe.TokenizerConfig, articles_path) -> dict:
 
 
 INDEX_ARRAYS = ("article_ids", "terms", "indptr", "ordinals", "counts")
+INDEX_SLICE = 8192  # list items per write of save_index
 
 
 def save_index(index: matchers.ArticleIndex, path, provenance: dict):
     """Versioned binary: magic + version byte + canonical JSON payload of the
-    index arrays (INDEX_ARRAYS) and its provenance."""
+    index arrays (INDEX_ARRAYS) and its provenance.
+
+    The payload's bytes are json.dumps(payload, ensure_ascii=False,
+    sort_keys=True), written one key at a time and each list INDEX_SLICE
+    items at a time, so neither the payload's text nor a whole array as
+    Python ints is ever held.
+    """
     payload = {
         "article_ids": index.article_ids,
         "terms": index.terms,
-        "indptr": index.indptr.tolist(),
-        "ordinals": index.ordinals.tolist(),
-        "counts": index.counts.astype(np.int64).tolist(),
+        "indptr": index.indptr,
+        "ordinals": index.ordinals,
+        "counts": index.counts,  # float64: each slice is written as ints
         **provenance,
     }
-    body = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
     with atomic_write_text(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(INDEX_MAGIC + bytes([INDEX_VERSION]) + body)
+        def write(text):
+            fh.write(text.encode("utf-8"))
+        fh.write(INDEX_MAGIC + bytes([INDEX_VERSION]))
+        for n, key in enumerate(sorted(payload)):
+            value = payload[key]
+            write(("{" if n == 0 else ", ") + json.dumps(key, ensure_ascii=False) + ": ")
+            if not isinstance(value, (list, np.ndarray)):
+                write(json.dumps(value, ensure_ascii=False, sort_keys=True))
+                continue
+            write("[")
+            for start in range(0, len(value), INDEX_SLICE):
+                part = value[start:start + INDEX_SLICE]
+                if isinstance(part, np.ndarray):
+                    part = part.astype(np.int64).tolist()
+                items = json.dumps(part, ensure_ascii=False)
+                write((", " if start else "") + items[1:-1])
+            write("]")
+        write("}")
 
 
 def load_index(path, config: Optional[RunConfig] = None) -> matchers.ArticleIndex:
@@ -433,9 +460,10 @@ def _match_line(tweet_id: str, article_id: Optional[str], score: float, rumor) -
 def _score_block(s: Scorer, block):
     """block: list of (tweet_id, text).
 
-    Returns, in input order: the block's matches.jsonl lines; one
-    (article_id, score, rumor) per tweet, as on its line; and the wanted
-    keyword terms among each tweet's tokens (None when no keyword is wanted).
+    Returns, in input order: the block's matches.jsonl lines; each tweet's
+    argmax article ordinal, its score and whether it is a rumor, as three
+    lists; and the wanted keyword terms among each tweet's tokens (None when
+    no keyword is wanted).
     """
     words = None
     if s.reads_tokens or s.wanted:
@@ -444,12 +472,17 @@ def _score_block(s: Scorer, block):
     ordinals = scores.argmax(axis=1)  # the first maximum: lowest ordinal wins ties
     top = scores[np.arange(len(block)), ordinals]
     rumor = (top > s.threshold) & defined  # strictly above h; undefined is never a rumor
-    ids = s.article_ids
-    results = [(ids[o] if r else None, v, r)
-               for o, v, r in zip(ordinals.tolist(), top.tolist(), rumor.tolist())]
-    text = "\n".join([_match_line(tweet_id, *r) for (tweet_id, _), r in zip(block, results)])
+    ordinals, top, rumor = ordinals.tolist(), top.tolist(), rumor.tolist()
+    text = "\n".join([_match_line(tweet_id, a, v, r) for (tweet_id, _), a, v, r
+                      in zip(block, _rumor_articles(s.article_ids, ordinals, rumor), top, rumor)])
     hits = [s.wanted.intersection(w) for w in words] if s.wanted else None  # keywords are terms
-    return text + "\n", results, hits
+    return text + "\n", (ordinals, top, rumor), hits
+
+
+def _rumor_articles(article_ids, ordinals, rumor) -> list[Optional[str]]:
+    """Each tweet's article as matches.jsonl names it: its argmax article if
+    it is a rumor, else None."""
+    return [article_ids[o] if r else None for o, r in zip(ordinals, rumor)]
 
 
 def _score_chunk(chunk):
@@ -494,22 +527,135 @@ def _scored_blocks(jobs: int, scorer: Scorer, tweets):
             yield from zip(_batches(done, BLOCK), result.get())
 
 
+class LabeledResults:
+    """The result of each labeled tweet, as numbers by label position.
+
+    ``scores`` (float64), ``ordinals`` (int32 argmax article ordinal),
+    ``rumor`` and ``seen`` (bool) hold one entry per label, filled as the
+    stream reaches its tweet. Tweets are found by their ids' 8-byte keys
+    (corpus._id_key), sorted once; a key hit is confirmed by comparing the
+    ids, so a key collision never mixes two tweets. The evaluations read the
+    results through read-only tweet id -> value Mapping views.
+    """
+
+    def __init__(self, labels: list[LabeledTweet]):
+        self.labels = labels
+        n = len(labels)
+        keys = np.fromiter((corpus._id_key(l.tweet_id) for l in labels), np.int64, n)
+        order = np.argsort(keys, kind="stable")
+        # the sorted keys and their label positions, read one at a time through the
+        # arrays and a block at a time through the numpy views of their memory
+        self._keys = array.array("q", keys[order].tobytes())
+        self._order = array.array("q", order.astype(np.int64).tobytes())
+        self._keys_view = np.frombuffer(self._keys, dtype=np.int64)
+        self._order_view = np.frombuffer(self._order, dtype=np.int64)
+        self.scores = np.zeros(n)
+        self.ordinals = np.zeros(n, dtype=np.int32)
+        self.rumor = np.zeros(n, dtype=bool)
+        self.seen = np.zeros(n, dtype=bool)
+
+    def _find(self, tweet_id: str, key: int, k: int) -> int:
+        """The position of the label of tweet_id, or -1; k is the first sorted slot of its key."""
+        while k < len(self._keys) and self._keys[k] == key:
+            i = self._order[k]
+            if self.labels[i].tweet_id == tweet_id:
+                return i
+            k += 1
+        return -1
+
+    def position(self, tweet_id: str) -> int:
+        """The position of the label of tweet_id, or -1 if no label names it."""
+        key = corpus._id_key(tweet_id)
+        return self._find(tweet_id, key, bisect.bisect_left(self._keys, key))
+
+    def positions(self, tweet_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(js, label positions): each tweet_ids[j] of js, in order, is labeled,
+        at the position alongside."""
+        keys = np.fromiter(map(corpus._id_key, tweet_ids), np.int64, len(tweet_ids))
+        if not self._keys:
+            return keys[:0], keys[:0]
+        at = self._keys_view.searchsorted(keys)
+        js = np.flatnonzero(self._keys_view.take(at, mode="clip") == keys)
+        found = self._order_view.take(at[js])
+        misses = [k for k, (j, i) in enumerate(zip(js.tolist(), found.tolist()))
+                  if self.labels[i].tweet_id != tweet_ids[j]]
+        if misses:  # the first label of the key is another tweet's
+            for k in misses:
+                j = js[k]
+                found[k] = self._find(tweet_ids[j], int(keys[j]), int(at[j]))
+            labeled = found >= 0
+            js, found = js[labeled], found[labeled]
+        return js, found
+
+    def select(self, tweets: Iterable[corpus.Tweet]) -> Iterator[corpus.Tweet]:
+        """The labeled tweets among ``tweets``, in order, looked up a block at a time."""
+        for block in _batches(tweets, CHUNK):
+            js, _ = self.positions([t.id for t in block])
+            yield from (block[j] for j in js.tolist())
+
+    def add_block(self, tweet_ids, ordinals, scores, rumor) -> None:
+        """Keep the results, as _score_block gives them, of the labeled tweets among tweet_ids."""
+        js, found = self.positions(tweet_ids)
+        js = js.tolist()
+        self.ordinals[found] = [ordinals[j] for j in js]
+        self.scores[found] = [scores[j] for j in js]
+        self.rumor[found] = [rumor[j] for j in js]
+        self.seen[found] = True
+
+    def check_seen(self) -> None:
+        """Raise DanglingTweetRefError for the first label whose tweet was not seen."""
+        unseen = np.flatnonzero(~self.seen)
+        if len(unseen):
+            raise DanglingTweetRefError(self.labels[unseen[0]].tweet_id)
+
+    def score_view(self) -> Mapping[str, float]:
+        return _LabelView(self, lambda i: float(self.scores[i]))
+
+    def rumor_view(self) -> Mapping[str, bool]:
+        return _LabelView(self, lambda i: bool(self.rumor[i]))
+
+    def match_view(self, article_ids) -> Mapping[str, matchers.MatchResult]:
+        """Each seen label's MatchResult: its argmax article if it is a rumor, else None."""
+        return _LabelView(self, lambda i: matchers.MatchResult(
+            self.labels[i].tweet_id, article_ids[self.ordinals[i]] if self.rumor[i] else None,
+            float(self.scores[i])))
+
+
+class _LabelView(Mapping):
+    """Read-only tweet id -> value(label position) over the labels whose tweet was seen."""
+
+    def __init__(self, results: LabeledResults, value: Callable[[int], object]):
+        self._results, self._value = results, value
+
+    def __getitem__(self, tweet_id):
+        i = self._results.position(tweet_id)
+        if i < 0 or not self._results.seen[i]:
+            raise KeyError(tweet_id)
+        return self._value(i)
+
+    def __iter__(self):
+        labels = self._results.labels
+        return (labels[i].tweet_id for i in np.flatnonzero(self._results.seen).tolist())
+
+    def __len__(self):
+        return int(np.count_nonzero(self._results.seen))
+
+
 def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scorer] = None,
-              labeled: Container[str] = frozenset(),
-              acc: Optional[analysis.Accumulator] = None) -> dict[str, tuple]:
+              labeled: Optional[LabeledResults] = None,
+              acc: Optional[analysis.Accumulator] = None) -> None:
     """Score every tweet once, in input order, and hand each result on.
 
     Each tweet's matches.jsonl line goes to ``out_path`` (if given), each
-    block's detections and keyword hits to ``acc`` (if given), and for the tweet ids
-    in ``labeled`` its (article_id, score, rumor) to the returned dict.
-    ``tweets`` may be any iterable of Tweet; nothing is kept per tweet but
-    the labeled results. Output order equals input order regardless of
-    worker count, so parallel and serial runs produce identical bytes.
+    block's detections and keyword hits to ``acc`` (if given), and the
+    results of the labeled tweets to ``labeled`` (if given). ``tweets`` may
+    be any iterable of Tweet; nothing is kept per tweet but the labeled
+    results. Output order equals input order regardless of worker count, so
+    parallel and serial runs produce identical bytes.
     """
     if scorer is None:
         scorer = make_scorer(config)
     jobs = config.jobs or (os.cpu_count() or 1)
-    kept = {}
     done, last = 0, time.monotonic()
     with contextlib.ExitStack() as stack:
         write = None
@@ -517,19 +663,18 @@ def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scor
             tmp = stack.enter_context(atomic_write_text(out_path))
             write = stack.enter_context(open(tmp, "w", encoding="utf-8", newline="")).write
         stream = stack.enter_context(contextlib.closing(_scored_blocks(jobs, scorer, tweets)))
-        for block, (text, results, hits) in stream:
+        for block, (text, (ordinals, scores, rumor), hits) in stream:
             if write:
                 write(text)
-            if labeled:
-                kept.update((t.id, r) for t, r in zip(block, results) if t.id in labeled)
+            if labeled is not None:
+                labeled.add_block([t.id for t in block], ordinals, scores, rumor)
             if acc is not None:
-                article_ids, _, rumors = zip(*results)
-                acc.add_block(block, rumors, article_ids, hits)
+                acc.add_block(block, rumor, _rumor_articles(scorer.article_ids, ordinals, rumor),
+                              hits)
             done += len(block)
             if not config.quiet and time.monotonic() - last >= PROGRESS_S:
                 print(f"matched {done:,} tweets", file=sys.stderr)
                 last = time.monotonic()
-    return kept
 
 
 def load_detections(path, article_ids: Optional[Container[str]] = None
@@ -581,7 +726,7 @@ def cmd_match(config: RunConfig) -> None:
 
 
 def _read_labels(config: RunConfig, articles) -> list[LabeledTweet]:
-    return corpus.read_labels(_require_file(config.labels, "labels"), {a.id for a in articles})
+    return corpus.read_labels(_require_file(config.labels, "labels"), [a.id for a in articles])
 
 
 PR_HEADER = ("threshold", "precision", "recall", "f1")
@@ -593,14 +738,13 @@ def pr_rows(points: Iterable[evaluation.PRPoint]) -> Iterator[tuple]:
         yield ("fixed" if math.isnan(p.threshold) else p.threshold, p.precision, p.recall, p.f1)
 
 
-def _write_classify(config: RunConfig, labels, results) -> None:
-    """pr_curve.csv and max_f1.csv from the labeled tweets' (article, score, rumor)."""
+def _write_classify(config: RunConfig, labels, results: LabeledResults) -> None:
+    """pr_curve.csv and max_f1.csv from the labeled tweets' results."""
     if config.matcher == "LEXICON":
-        point = evaluation.fixed_point_eval(
-            {tid: rumor for tid, (_, _, rumor) in results.items()}, labels)
+        point = evaluation.fixed_point_eval(results.rumor_view(), labels)
         points, best = [point], point
     else:
-        result = evaluation.sweep({tid: score for tid, (_, score, _) in results.items()}, labels)
+        result = evaluation.sweep(results.score_view(), labels)
         points, best = result.points, result.max_f1_point
     write_csv(os.path.join(config.out, "pr_curve.csv"), PR_HEADER, pr_rows(points))
     write_csv(os.path.join(config.out, "max_f1.csv"), PR_HEADER, pr_rows([best]))
@@ -615,18 +759,19 @@ def cmd_eval(config: RunConfig, task: str) -> None:
     labels = _read_labels(config, articles)
     # a label-class fault needs no tweet: it is raised before any is read
     evaluation.check_classes(labels, fixed_point=task == "IDENTIFY" or config.matcher == "LEXICON")
-    wanted = {l.tweet_id for l in labels}
-    # only the labeled tweets are held: they are scored once per matcher
-    tweets = [t for t in corpus.iter_tweets(tweets_path) if t.id in wanted]
-    corpus.check_label_tweets(labels, {t.id for t in tweets})
+    labeled = LabeledResults(labels)
+    tweets = labeled.select(corpus.iter_tweets(tweets_path))
     os.makedirs(config.out, exist_ok=True)
 
     if task == "CLASSIFY":
-        results = run_match(config, tweets, scorer=make_scorer(config, articles), labeled=wanted)
-        _write_classify(config, labels, results)
+        run_match(config, tweets, scorer=make_scorer(config, articles), labeled=labeled)
+        labeled.check_seen()
+        _write_classify(config, labels, labeled)
         return
 
-    # IDENTIFY
+    # IDENTIFY: the labeled RUMOR tweets are held, as each matcher scores them
+    tweets = list(tweets)
+    corpus.check_label_tweets(labels, {t.id for t in tweets})
     rumor_labels = [l for l in labels if l.label is Label.RUMOR]
     rumor_ids = {l.tweet_id for l in rumor_labels}
     tweets = [t for t in tweets if t.id in rumor_ids]
@@ -641,13 +786,11 @@ def cmd_eval(config: RunConfig, task: str) -> None:
         # a copy keeps the tokenizer config the run has built
         sub = copy.copy(config)
         sub.matcher, sub.threshold = name, float("-inf")
-        results = run_match(sub, tweets, scorer=make_scorer(sub, articles, index),
-                            labeled=rumor_ids)
-        matches = {
-            tid: matchers.MatchResult(tid, article_id, score)
-            for tid, (article_id, score, _) in results.items()
-        }
-        accuracy = evaluation.identification_accuracy(matches, rumor_labels)
+        scorer = make_scorer(sub, articles, index)
+        results = LabeledResults(rumor_labels)
+        run_match(sub, tweets, scorer=scorer, labeled=results)
+        accuracy = evaluation.identification_accuracy(
+            results.match_view(scorer.article_ids), rumor_labels)
         rows.append((name, accuracy, len(rumor_labels)))
     write_csv(os.path.join(config.out, "identification.csv"),
               ("matcher", "accuracy", "n_evaluated"), rows)
@@ -750,15 +893,15 @@ def cmd_all(config: RunConfig) -> None:
         evaluation.check_classes(labels, fixed_point=config.matcher == "LEXICON")
     index = cmd_index(config, articles)
     acc = _accumulator(config)
-    results = run_match(
+    labeled = LabeledResults(labels) if labels is not None else None
+    run_match(
         config, corpus.iter_tweets(_require_file(config.tweets, "tweets")),
         os.path.join(config.out, "matches.jsonl"),
-        scorer=make_scorer(config, articles, index, acc.wanted),
-        labeled={l.tweet_id for l in labels or ()}, acc=acc,
+        scorer=make_scorer(config, articles, index, acc.wanted), labeled=labeled, acc=acc,
     )
-    if labels is not None:
-        corpus.check_label_tweets(labels, results)
-        _write_classify(config, labels, results)
+    if labeled is not None:
+        labeled.check_seen()
+        _write_classify(config, labels, labeled)
     _write_analyses(config, acc, ANALYSES, articles)
 
 

@@ -12,7 +12,7 @@ import contextlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Container, Iterator, NamedTuple, Optional
+from typing import Container, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class RumorArticle:
     subjects: frozenset[Subject] = frozenset({Subject.OTHER})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledTweet:
     tweet_id: str
     label: Label
@@ -265,9 +265,12 @@ def load_articles(path) -> list[RumorArticle]:
     return articles
 
 
-def read_labels(path, article_ids: Container[str]) -> list[LabeledTweet]:
+def read_labels(path, article_ids: Iterable[str]) -> list[LabeledTweet]:
     """Parse labels.jsonl, checking every article reference and that no
     tweet is labeled twice (naming the second line).
+
+    A RUMOR label's article_id is the string of ``article_ids`` it equals,
+    so the labels of one article share one string.
 
     As in iter_tweets, the tweet ids are checked for repeats at the end of
     the file or at the first malformed line, before that error is raised,
@@ -277,6 +280,7 @@ def read_labels(path, article_ids: Container[str]) -> list[LabeledTweet]:
     """
     labels = []
     keys = array.array("q")
+    own = {aid: aid for aid in article_ids}
     try:
         for line_no, obj in _iter_jsonl(path):
             tweet_id = _id(obj, "tweet_id", path, line_no)
@@ -293,9 +297,11 @@ def read_labels(path, article_ids: Container[str]) -> list[LabeledTweet]:
                 raise MalformedLineError(path, line_no, (
                     f"{label.value} label for tweet {tweet_id!r} has article_id {article_id!r}; "
                     "RUMOR needs one, NONRUMOR takes none"))
-            if article_id is not None and article_id not in article_ids:
-                raise MalformedLineError(path, line_no,
-                                         f"label references unknown article {article_id!r}")
+            if article_id is not None:
+                if article_id not in own:
+                    raise MalformedLineError(path, line_no,
+                                             f"label references unknown article {article_id!r}")
+                article_id = own[article_id]
             labels.append(LabeledTweet(tweet_id=tweet_id, label=label, article_id=article_id))
     except CorpusError:
         _check_repeats(path, keys, "tweet_id")
@@ -311,7 +317,7 @@ def check_label_tweets(labels: list[LabeledTweet], tweet_ids: Container[str]) ->
             raise DanglingTweetRefError(l.tweet_id)
 
 
-def load_labels(path, article_ids: Container[str],
+def load_labels(path, article_ids: Iterable[str],
                 tweet_ids: Container[str]) -> list[LabeledTweet]:
     """Parse labels.jsonl, checking every article and tweet reference."""
     labels = read_labels(path, article_ids)

@@ -12,6 +12,8 @@ import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Label, LabeledTweet
 from .errors import (
     DegenerateLabelsError,
@@ -91,36 +93,35 @@ def sweep(scores: Mapping[str, float], labels: list[LabeledTweet]) -> SweepResul
     Candidate thresholds are the distinct observed scores (classification is
     strict >, so each induces one confusion matrix), plus a final -inf point
     where every tweet is classified positive: without it the sweep could
-    never reach recall 1. The max-F1 point is the first, highest-threshold
-    one among equal F1.
+    never reach recall 1. A NaN score is below every threshold, as in
+    classification (NaN > h is false): it is never a candidate and its tweet
+    is never counted positive, not even at the final -inf point. The max-F1
+    point is the first, highest-threshold one among equal F1. ``scores`` is
+    read once per label.
     """
-    missing = [l.tweet_id for l in labels if l.tweet_id not in scores]
-    if missing:
-        raise KeyError(f"labeled tweets without scores: {missing[:5]}")
+    try:
+        values = np.fromiter((scores[l.tweet_id] for l in labels), np.float64, len(labels))
+    except KeyError:
+        missing = [l.tweet_id for l in labels if l.tweet_id not in scores]
+        raise KeyError(f"labeled tweets without scores: {missing[:5]}") from None
     n_rumor = check_classes(labels)
-
-    # group tweets by score, walk groups in descending score order
-    pairs = sorted(
-        ((scores[l.tweet_id], l.label is Label.RUMOR) for l in labels), reverse=True
-    )
-    thresholds, tps, fps = array.array("d"), array.array("q"), array.array("q")
-    tp = fp = 0
-    i = 0
-    while i < len(pairs):
-        threshold = pairs[i][0]
-        # positives at this threshold are the strictly-higher groups processed so far
-        thresholds.append(threshold)
-        tps.append(tp)
-        fps.append(fp)
-        while i < len(pairs) and pairs[i][0] == threshold:
-            if pairs[i][1]:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-    thresholds.append(float("-inf"))
-    tps.append(tp)
-    fps.append(fp)
+    is_rumor = np.fromiter((l.label is Label.RUMOR for l in labels), bool, len(labels))
+    ranked = ~np.isnan(values)
+    values, is_rumor = values[ranked], is_rumor[ranked]
+    # descending score, RUMOR first among equal scores, then label order: a group
+    # of equal scores (0.0 == -0.0) takes its threshold from its first member
+    order = np.lexsort((~is_rumor, -values))
+    values, is_rumor = values[order], is_rumor[order]
+    first = np.ones(len(values), dtype=bool)  # the first tweet of each group of equal scores
+    first[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(first)
+    # the positives at a group's threshold are the tweets of the higher groups;
+    # the final -inf point counts every ranked tweet
+    ends = np.append(starts, len(values))
+    tp = np.concatenate(([0], np.cumsum(is_rumor)))[ends]
+    thresholds = array.array("d", np.append(values[starts], -np.inf).tobytes())
+    tps = array.array("q", tp.astype(np.int64).tobytes())
+    fps = array.array("q", (ends - tp).astype(np.int64).tobytes())
 
     points = PRPoints(thresholds, tps, fps, n_rumor)
     # max returns the first maximum; f1 alone spares building a PRPoint per point
@@ -129,14 +130,17 @@ def sweep(scores: Mapping[str, float], labels: list[LabeledTweet]) -> SweepResul
 
 
 def fixed_point_eval(predictions: Mapping[str, bool], labels: list[LabeledTweet]) -> PRPoint:
-    """Single PR point for a threshold-free classifier (lexicon matching)."""
-    missing = [l.tweet_id for l in labels if l.tweet_id not in predictions]
-    if missing:
-        raise KeyError(f"labeled tweets without predictions: {missing[:5]}")
+    """Single PR point for a threshold-free classifier (lexicon matching);
+    ``predictions`` is read once per label."""
+    try:
+        positive = [predictions[l.tweet_id] for l in labels]
+    except KeyError:
+        missing = [l.tweet_id for l in labels if l.tweet_id not in predictions]
+        raise KeyError(f"labeled tweets without predictions: {missing[:5]}") from None
     n_rumor = check_classes(labels, fixed_point=True)
     tp = fp = 0
-    for l in labels:
-        if predictions[l.tweet_id]:
+    for l, p in zip(labels, positive):
+        if p:
             if l.label is Label.RUMOR:
                 tp += 1
             else:

@@ -372,11 +372,12 @@ def load_embeddings(path) -> EmbeddingTable:
     """word2vec text format: header '<count> <dim>', then 'term v1 .. vdim'.
 
     A line without a space is skipped; any other line must hold exactly dim
-    single-space-separated numbers after its term. The first header or line
-    that breaks these rules is named by a MalformedLineError. A repeated
-    term keeps its last vector. The components are parsed a batch of lines
-    at a time by numpy's C reader into one preallocated matrix, so no
-    per-term array is built.
+    single-space-separated numbers after its term, and may end in one space
+    before its newline, as word2vec's and fastText's writers leave it. The
+    first header or line that breaks these rules is named by a
+    MalformedLineError. A repeated term keeps its last vector. The
+    components are parsed a batch of lines at a time by numpy's C reader
+    into one preallocated matrix, so no per-term array is built.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -393,6 +394,8 @@ def load_embeddings(path) -> EmbeddingTable:
         n = line_no = 0
         while batch := fh.readlines(VECTOR_BATCH_BYTES):
             spaces = [line.count(" ") for line in batch]  # components: len(line.split(" ")) - 1
+            spaces = [k - 1 if k == dim + 1 and line.endswith(" \n") else k  # but a row's end space
+                      for k, line in zip(spaces, batch)]
             at = [i for i, k in enumerate(spaces) if k]  # a line without a space is skipped
             wrong = next((j for j, i in enumerate(at) if spaces[i] != dim), None)
             line_nos = [line_no + 2 + i for i in at]  # the header is line 1

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import signal
 
 import pytest
 
@@ -36,6 +38,25 @@ def random_token_corpus(rng: random.Random, max_docs=100, max_vocab=50):
     # at least one doc must be nonempty for indexing; they all are
     query = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
     return docs, query
+
+
+class Overran(Exception):
+    """Raised in the main thread when a deadline block runs too long."""
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise Overran if the block is still running after `seconds`, so that a
+    test of a loop that would never end fails instead of hanging."""
+    def expire(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -118,11 +118,13 @@ def bm25_oracle(doc_token_lists, query_tokens, k1=1.2, b=0.75):
 def sweep_oracle(scores, labels):
     """Re-classify every tweet from scratch at each candidate threshold.
 
-    Candidates are the distinct observed scores plus -inf (all positive).
+    Candidates are the distinct observed scores but NaN, plus -inf (all
+    positive but NaN: NaN > h is false, so a NaN score is never positive).
     Returns a list of (threshold, tp, fp, fn) in descending-threshold order.
     """
     n_rumor = sum(1 for l in labels if l.label is Label.RUMOR)
-    thresholds = sorted(set(scores.values()), reverse=True) + [float("-inf")]
+    observed = {s for s in scores.values() if not math.isnan(s)}
+    thresholds = sorted(observed, reverse=True) + [float("-inf")]
     table = []
     for h in thresholds:
         tp = fp = 0

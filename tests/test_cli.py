@@ -9,16 +9,18 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_article
+from conftest import deadline, make_article, make_tweet
 from oracles import bm25_oracle
 
-from rumormatch import cli, errors
-from rumormatch.matchers import BM25Params, build_index
+from rumormatch import cli, corpus, errors, matchers
+from rumormatch.corpus import Label, LabeledTweet
+from rumormatch.matchers import BM25Params, MatchResult, build_index
 from rumormatch.textpipe import TokenizerConfig, tokenize
 
 
@@ -250,6 +252,36 @@ class TestIndexCommand:
             for f in dataclasses.fields(a):
                 x, y = getattr(a, f.name), getattr(b, f.name)
                 assert (x.tobytes() == y.tobytes()) if isinstance(x, np.ndarray) else x == y
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_streamed_save_writes_the_canonical_payload(self, tmp_path_factory, data):
+        # the bytes json.dumps gives the whole payload, with every list written in
+        # slices of 1-3 items, so that postings span several slices
+        text = st.text(st.one_of(st.sampled_from('"\\é☃\x00'), st.characters()), max_size=5)
+        n = data.draw(st.integers(1, 4), "articles")
+        article_ids = data.draw(st.lists(text, min_size=n, max_size=n, unique=True))
+        terms = data.draw(st.lists(text, max_size=6, unique=True))
+        indptr, ordinals, counts = [0], [], []
+        for _ in terms:
+            rows = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 10**12)))
+            ordinals += sorted(rows)
+            counts += [rows[o] for o in sorted(rows)]
+            indptr.append(len(ordinals))
+        index = matchers.ArticleIndex(article_ids, terms, indptr, ordinals, counts)
+        provenance = cli.index_provenance(TokenizerConfig(stopwords=frozenset({"é", "a"})), None)
+        provenance["articles_sha256"] = data.draw(st.none() | st.text("0123456789abcdef"))
+        path = tmp_path_factory.mktemp("index") / "index.rmix"
+        with unittest.mock.patch.object(cli, "INDEX_SLICE", data.draw(st.integers(1, 3))):
+            cli.save_index(index, path, provenance)
+        payload = {"article_ids": article_ids, "terms": terms, "indptr": indptr,
+                   "ordinals": ordinals, "counts": counts, **provenance}
+        assert path.read_bytes() == cli.INDEX_MAGIC + bytes([cli.INDEX_VERSION]) + json.dumps(
+            payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        loaded = cli.load_index(path)
+        assert (loaded.article_ids, loaded.terms) == (article_ids, terms)
+        assert (loaded.indptr.tolist(), loaded.ordinals.tolist()) == (indptr, ordinals)
+        assert loaded.counts.tolist() == counts
 
     @pytest.mark.parametrize("matcher", ["BM25", "TFIDF"])
     def test_saved_index_scores_like_built_index(self, workspace, matcher):
@@ -584,6 +616,23 @@ class TestEvalCommand:
         assert capsys.readouterr().err.startswith("error: sweep needs at least one RUMOR")
         assert not (out / "pr_curve.csv").exists() and not (out / "max_f1.csv").exists()
 
+    def test_classify_with_nan_scores_ends(self, workspace, vector_files):
+        # a nan component makes t4's EMBEDDING score NaN: never a RUMOR, never a threshold
+        tmp_path, config, out = workspace
+        emb, _ = vector_files
+        emb.write_text(emb.read_text().replace("true 0 0 1", "true nan 0 1"))
+        config.write_text(config.read_text() + f"embeddings = {emb}\nthreshold = 0.5\n")
+        assert cli.main(["--config", str(config), "--matcher", "EMBEDDING", "match"]) == 0
+        assert '"tweet_id": "t4", "article_id": null, "score": NaN' in (
+            out / "matches.jsonl").read_text()
+        with deadline(2):
+            assert cli.main(["--config", str(config), "--matcher", "EMBEDDING",
+                             "eval", "classify"]) == 0
+        rows = (out / "pr_curve.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows] == ["threshold", "1.0", "0.0", "-inf"]
+        # t4, a RUMOR label, stays negative at -inf: recall 2/3
+        assert rows[-1] == "-inf," + ",".join([repr(2 / 3)] * 3)
+
     def test_classify_lexicon_fixed_point(self, workspace):
         tmp_path, config, out = workspace
         assert cli.main(["--config", str(config), "--matcher", "LEXICON",
@@ -591,6 +640,60 @@ class TestEvalCommand:
         lines = (out / "pr_curve.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("fixed,")
+
+
+class TestLabeledResults:
+    LABELS = [LabeledTweet("t2", Label.RUMOR, "a2"), LabeledTweet("t9", Label.NONRUMOR),
+              LabeledTweet("t1", Label.RUMOR, "a1")]
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_results_go_to_their_label(self, monkeypatch, collide):
+        if collide:  # every id one key: a key hit alone never places a result
+            monkeypatch.setattr(corpus, "_id_key", lambda tid: 7)
+        results = cli.LabeledResults(self.LABELS)
+        results.add_block(["t0", "t1", "t3"], [0, 1, 2], [0.5, 1.5, 2.5], [False, True, True])
+        results.add_block(["t2"], [2], [3.5], [True])
+        assert results.scores.tolist() == [3.5, 0.0, 1.5]
+        assert results.ordinals.tolist() == [2, 0, 1]
+        assert (results.rumor.tolist(), results.seen.tolist()) == (
+            [True, False, True], [True, False, True])
+        scores = results.score_view()
+        assert dict(scores) == {"t2": 3.5, "t1": 1.5} and len(scores) == 2
+        assert "t9" not in scores and "t0" not in scores
+        assert results.match_view(["a0", "a1", "a2"])["t1"] == MatchResult("t1", "a1", 1.5)
+        with pytest.raises(errors.DanglingTweetRefError, match="t9"):
+            results.check_seen()
+        tweets = [make_tweet(f"t{i}", "x") for i in range(12)]
+        assert [t.id for t in results.select(tweets)] == ["t1", "t2", "t9"]
+
+    def test_labels_and_results_hold_numbers_per_label(self, tmp_path):
+        # 20k labels, half RUMOR over 1,723 articles, and their results from a stream of
+        # 40k tweets whose ids are made as it runs: about 2.6 MB of labels and 0.6 MB of
+        # results. LabeledTweets that each held their own article id string, a set of the
+        # labeled ids and a dict of (article_id, score, rumor) tuples keyed by the stream's
+        # ids held about 9.7 MB
+        rng = random.Random(23)
+        article_ids = [f"article-{i:04d}" for i in range(1723)]
+        ids = rng.sample(range(10**17, 10**18), 40_000)
+        write_jsonl(tmp_path / "labels.jsonl", [
+            {"tweet_id": str(tid), "label": "RUMOR", "article_id": rng.choice(article_ids)}
+            if i % 2 else {"tweet_id": str(tid), "label": "NONRUMOR"}
+            for i, tid in enumerate(ids[:20_000])])
+        rng.shuffle(ids)
+        tracemalloc.start()
+        try:
+            labels = corpus.read_labels(tmp_path / "labels.jsonl", article_ids)
+            results = cli.LabeledResults(labels)
+            for start in range(0, len(ids), cli.BLOCK):
+                block = [str(tid) for tid in ids[start:start + cli.BLOCK]]
+                results.add_block(block, [3] * len(block), [0.25] * len(block),
+                                  [True] * len(block))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert results.seen.all()
+        assert len({id(l.article_id) for l in labels if l.article_id}) <= 1723
+        assert retained < 4e6
 
 
 class TestAnalyzeCommand:

@@ -4,9 +4,17 @@ import tracemalloc
 
 import pytest
 
+from conftest import deadline
 from oracles import sweep_oracle
 
-from rumormatch.cli import PR_HEADER, RunConfig, _write_classify, pr_rows, write_csv
+from rumormatch.cli import (
+    PR_HEADER,
+    LabeledResults,
+    RunConfig,
+    _write_classify,
+    pr_rows,
+    write_csv,
+)
 from rumormatch.corpus import Label, LabeledTweet
 from rumormatch.errors import (
     DegenerateLabelsError,
@@ -91,6 +99,32 @@ class TestSweep:
             recalls = [p.recall for p in result.points]
             assert all(b >= a for a, b in zip(recalls, recalls[1:]))
 
+    def test_nan_scores_are_below_every_threshold(self):
+        # NaN > h is false: a NaN-scored tweet is no candidate and never positive,
+        # not even at the final -inf point; the deadline fails a sweep that never ends
+        nan = float("nan")
+        scores = {"r1": 0.9, "r2": nan, "r3": 0.4, "n1": nan, "n2": 0.4}
+        labels = [rumor("r1"), rumor("r2"), rumor("r3"), nonrumor("n1"), nonrumor("n2")]
+        with deadline(0.5):
+            result = sweep(scores, labels)
+        got = [(p.threshold, p.tp, p.fp, p.fn) for p in result.points]
+        assert got == [(0.9, 0, 0, 3), (0.4, 1, 0, 2), (float("-inf"), 2, 1, 1)]
+        assert got == sweep_oracle(scores, labels)
+        assert result.max_f1_point.threshold == float("-inf")
+        assert result.max_f1_point.f1 == pytest.approx(2 / 3)
+
+    def test_matches_the_oracle_with_nan_scores(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            kinds = [True, False] + [rng.random() < 0.5 for _ in range(rng.randint(0, 30))]
+            labels = [rumor(f"t{i}") if r else nonrumor(f"t{i}") for i, r in enumerate(kinds)]
+            scores = {l.tweet_id: rng.choice([float("nan"), 0.0, -0.0, 0.5, float("inf"),
+                                              rng.random()]) for l in labels}
+            with deadline(0.5):
+                result = sweep(scores, labels)
+            got = [(p.threshold, p.tp, p.fp, p.fn) for p in result.points]
+            assert got == sweep_oracle(scores, labels)
+
     def test_max_f1_tie_goes_to_the_highest_threshold(self, tmp_path):
         # F1 2/3 at threshold 0.8 (TP1 FP0) and again at 0.5 (TP2 FP2), the same bits
         scores = {"r1": 0.9, "n1": 0.8, "n2": 0.7, "r2": 0.6, "n3": 0.5}
@@ -100,7 +134,9 @@ class TestSweep:
         assert [p.threshold for p in ties] == [0.8, 0.5]
         assert result.max_f1_point == ties[0]
         assert (result.max_f1_point.tp, result.max_f1_point.fp) == (1, 0)
-        results = {tid: ("a1", score, False) for tid, score in scores.items()}
+        results = LabeledResults(labels)
+        results.add_block(list(scores), [0] * len(scores), list(scores.values()),
+                          [False] * len(scores))
         _write_classify(RunConfig(out=str(tmp_path)), labels, results)
         assert (tmp_path / "max_f1.csv").read_text().splitlines() == [
             "threshold,precision,recall,f1", "0.8,1.0,0.5,0.6666666666666666"]

@@ -328,6 +328,30 @@ class TestLoadEmbeddings:
         for term, values in rows.items():
             assert table.vectors[term].tobytes() == np.array(values, dtype=np.float64).tobytes()
 
+    def test_row_may_end_in_one_space(self, tmp_path, rng, monkeypatch):
+        # word2vec.c writes each component with "%lf " and fastText likewise: every row
+        # ends in a space before its newline
+        monkeypatch.setattr(matchers, "VECTOR_BATCH_BYTES", 100)
+        rows = {f"t{i}": ["%lf" % rng.gauss(0, 1) for _ in range(3)] for i in range(20)}
+        plain = "".join(f"{t} {' '.join(v)}\n" for t, v in rows.items())
+        spaced = "".join(f"{t} {' '.join(v)} \n" for t, v in rows.items())
+        want = load_embeddings(self.write(tmp_path, f"20 3\n{plain}"))
+        got = load_embeddings(self.write(tmp_path, f"20 3\n{spaced}"))
+        assert list(got.rows) == list(want.rows) == list(rows)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert load_embeddings(self.write(tmp_path, "2 2\napple 1 0 \n")).vectors[
+            "apple"].tolist() == [1.0, 0.0]
+        for text, line, message in [
+            ("2 2\na 1 0  \n", 2, "expected 2 components, got 4"),  # two end spaces
+            ("2 2\na 1 0 \nb 1 0 1 \n", 3, "expected 2 components, got 4"),
+            ("2 2\na 1 \n", 2, "expected 2 numbers"),  # the end space is no separator
+            ("2 2\na 1 0 ", 2, "expected 2 components, got 3"),  # no newline after it
+        ]:
+            p = self.write(tmp_path, text)
+            with pytest.raises(MalformedLineError) as info:
+                load_embeddings(p)
+            assert str(info.value).startswith(f"{p}:{line}: malformed line: {message}")
+
     def test_repeated_term_keeps_its_last_vector(self, tmp_path, monkeypatch):
         monkeypatch.setattr(matchers, "VECTOR_BATCH_BYTES", 8)
         p = self.write(tmp_path, "4 2\na 1 2\nb 3 4\na 5 6\nc 7 8\n")
