@@ -9,6 +9,7 @@ single pass over the tweets serves them all. The module functions are pure over
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -121,19 +122,18 @@ class Accumulator:
         total_rumors = sum(self.user_rumors.values())
         if total_rumors == 0:
             raise NoRumorsError("no rumor tweets in scope")
-        ranked = sorted(self.user_tweets, key=lambda u: (-self.user_rumors[u], u))
-        top_n = math.ceil(top_fraction * len(ranked))
-        return sum(self.user_rumors[u] for u in ranked[:top_n]) / total_rumors
+        # the largest counts: their sum is the same whichever of the tied users are kept
+        top_n = math.ceil(top_fraction * len(self.user_tweets))
+        return sum(heapq.nlargest(top_n, self.user_rumors.values())) / total_rumors
 
     def user_ranking(self, top_n: int) -> list[tuple[str, int, int, float]]:
         if top_n < 0:
             raise ValueError(f"top_n must be 0 or more, got {top_n}")
-        rows = [
-            (user, self.user_rumors[user], total, self.user_rumors[user] / total)
-            for user, total in self.user_tweets.items()
-        ]
-        rows.sort(key=lambda r: (-r[3], -r[1], r[0]))
-        return rows[:top_n]
+        rumors = self.user_rumors
+        # nsmallest(n, ...) is sorted(...)[:n], without a row per user
+        top = heapq.nsmallest(top_n, self.user_tweets.items(), key=lambda item: (
+            -(rumors[item[0]] / item[1]), -rumors[item[0]], item[0]))
+        return [(user, rumors[user], total, rumors[user] / total) for user, total in top]
 
     def keyword_breakdown(self) -> dict[str, tuple[int, int]]:
         counts = self.keyword_counts

@@ -11,8 +11,6 @@ never leaves a truncated artifact.
 from __future__ import annotations
 
 import argparse
-import array
-import bisect
 import collections
 import contextlib
 import copy
@@ -27,7 +25,6 @@ import sys
 import tempfile
 import time
 import typing
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, Iterator, Optional
 
@@ -531,24 +528,20 @@ class LabeledResults:
     """The result of each labeled tweet, as numbers by label position.
 
     ``scores`` (float64), ``ordinals`` (int32 argmax article ordinal),
-    ``rumor`` and ``seen`` (bool) hold one entry per label, filled as the
-    stream reaches its tweet. Tweets are found by their ids' 8-byte keys
-    (corpus._id_key), sorted once; a key hit is confirmed by comparing the
-    ids, so a key collision never mixes two tweets. The evaluations read the
-    results through read-only tweet id -> value Mapping views.
+    ``rumor`` and ``seen`` (bool) hold one entry per label; a label is seen
+    once ``select`` passes its tweet on or the stream reaches it, and its
+    results are filled then. Tweets are found a block at a time by their
+    ids' 8-byte keys (corpus._id_key), sorted once; a key hit is confirmed by
+    comparing the ids, so a key collision never mixes two tweets. The
+    evaluations read the arrays, which are in label order, as they are.
     """
 
     def __init__(self, labels: list[LabeledTweet]):
         self.labels = labels
         n = len(labels)
         keys = np.fromiter((corpus._id_key(l.tweet_id) for l in labels), np.int64, n)
-        order = np.argsort(keys, kind="stable")
-        # the sorted keys and their label positions, read one at a time through the
-        # arrays and a block at a time through the numpy views of their memory
-        self._keys = array.array("q", keys[order].tobytes())
-        self._order = array.array("q", order.astype(np.int64).tobytes())
-        self._keys_view = np.frombuffer(self._keys, dtype=np.int64)
-        self._order_view = np.frombuffer(self._order, dtype=np.int64)
+        self._order = np.argsort(keys, kind="stable")  # label positions, by key
+        self._keys = keys[self._order]
         self.scores = np.zeros(n)
         self.ordinals = np.zeros(n, dtype=np.int32)
         self.rumor = np.zeros(n, dtype=bool)
@@ -557,26 +550,21 @@ class LabeledResults:
     def _find(self, tweet_id: str, key: int, k: int) -> int:
         """The position of the label of tweet_id, or -1; k is the first sorted slot of its key."""
         while k < len(self._keys) and self._keys[k] == key:
-            i = self._order[k]
+            i = int(self._order[k])
             if self.labels[i].tweet_id == tweet_id:
                 return i
             k += 1
         return -1
 
-    def position(self, tweet_id: str) -> int:
-        """The position of the label of tweet_id, or -1 if no label names it."""
-        key = corpus._id_key(tweet_id)
-        return self._find(tweet_id, key, bisect.bisect_left(self._keys, key))
-
     def positions(self, tweet_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """(js, label positions): each tweet_ids[j] of js, in order, is labeled,
         at the position alongside."""
         keys = np.fromiter(map(corpus._id_key, tweet_ids), np.int64, len(tweet_ids))
-        if not self._keys:
+        if not len(self._keys):
             return keys[:0], keys[:0]
-        at = self._keys_view.searchsorted(keys)
-        js = np.flatnonzero(self._keys_view.take(at, mode="clip") == keys)
-        found = self._order_view.take(at[js])
+        at = self._keys.searchsorted(keys)
+        js = np.flatnonzero(self._keys.take(at, mode="clip") == keys)
+        found = self._order.take(at[js])
         misses = [k for k, (j, i) in enumerate(zip(js.tolist(), found.tolist()))
                   if self.labels[i].tweet_id != tweet_ids[j]]
         if misses:  # the first label of the key is another tweet's
@@ -588,9 +576,11 @@ class LabeledResults:
         return js, found
 
     def select(self, tweets: Iterable[corpus.Tweet]) -> Iterator[corpus.Tweet]:
-        """The labeled tweets among ``tweets``, in order, looked up a block at a time."""
+        """The labeled tweets among ``tweets``, in order, looked up a block at a
+        time; their labels are marked seen."""
         for block in _batches(tweets, CHUNK):
-            js, _ = self.positions([t.id for t in block])
+            js, found = self.positions([t.id for t in block])
+            self.seen[found] = True
             yield from (block[j] for j in js.tolist())
 
     def add_block(self, tweet_ids, ordinals, scores, rumor) -> None:
@@ -607,38 +597,6 @@ class LabeledResults:
         unseen = np.flatnonzero(~self.seen)
         if len(unseen):
             raise DanglingTweetRefError(self.labels[unseen[0]].tweet_id)
-
-    def score_view(self) -> Mapping[str, float]:
-        return _LabelView(self, lambda i: float(self.scores[i]))
-
-    def rumor_view(self) -> Mapping[str, bool]:
-        return _LabelView(self, lambda i: bool(self.rumor[i]))
-
-    def match_view(self, article_ids) -> Mapping[str, matchers.MatchResult]:
-        """Each seen label's MatchResult: its argmax article if it is a rumor, else None."""
-        return _LabelView(self, lambda i: matchers.MatchResult(
-            self.labels[i].tweet_id, article_ids[self.ordinals[i]] if self.rumor[i] else None,
-            float(self.scores[i])))
-
-
-class _LabelView(Mapping):
-    """Read-only tweet id -> value(label position) over the labels whose tweet was seen."""
-
-    def __init__(self, results: LabeledResults, value: Callable[[int], object]):
-        self._results, self._value = results, value
-
-    def __getitem__(self, tweet_id):
-        i = self._results.position(tweet_id)
-        if i < 0 or not self._results.seen[i]:
-            raise KeyError(tweet_id)
-        return self._value(i)
-
-    def __iter__(self):
-        labels = self._results.labels
-        return (labels[i].tweet_id for i in np.flatnonzero(self._results.seen).tolist())
-
-    def __len__(self):
-        return int(np.count_nonzero(self._results.seen))
 
 
 def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scorer] = None,
@@ -741,10 +699,10 @@ def pr_rows(points: Iterable[evaluation.PRPoint]) -> Iterator[tuple]:
 def _write_classify(config: RunConfig, labels, results: LabeledResults) -> None:
     """pr_curve.csv and max_f1.csv from the labeled tweets' results."""
     if config.matcher == "LEXICON":
-        point = evaluation.fixed_point_eval(results.rumor_view(), labels)
+        point = evaluation.fixed_point_eval(results.rumor, labels)
         points, best = [point], point
     else:
-        result = evaluation.sweep(results.score_view(), labels)
+        result = evaluation.sweep(results.scores, labels)
         points, best = result.points, result.max_f1_point
     write_csv(os.path.join(config.out, "pr_curve.csv"), PR_HEADER, pr_rows(points))
     write_csv(os.path.join(config.out, "max_f1.csv"), PR_HEADER, pr_rows([best]))
@@ -770,11 +728,10 @@ def cmd_eval(config: RunConfig, task: str) -> None:
         return
 
     # IDENTIFY: the labeled RUMOR tweets are held, as each matcher scores them
-    tweets = list(tweets)
-    corpus.check_label_tweets(labels, {t.id for t in tweets})
     rumor_labels = [l for l in labels if l.label is Label.RUMOR]
     rumor_ids = {l.tweet_id for l in rumor_labels}
     tweets = [t for t in tweets if t.id in rumor_ids]
+    labeled.check_seen()
     names = [config.matcher]
     if config.matcher == "ALL":  # skip a vector matcher without its file; a named one needs it
         missing = {"EMBEDDING": not config.embeddings, "DOCVEC": not config.doc_vectors}
@@ -789,8 +746,9 @@ def cmd_eval(config: RunConfig, task: str) -> None:
         scorer = make_scorer(sub, articles, index)
         results = LabeledResults(rumor_labels)
         run_match(sub, tweets, scorer=scorer, labeled=results)
-        accuracy = evaluation.identification_accuracy(
-            results.match_view(scorer.article_ids), rumor_labels)
+        best = _rumor_articles(scorer.article_ids, results.ordinals.tolist(),
+                               results.rumor.tolist())
+        accuracy = evaluation.identification_accuracy(best, rumor_labels)
         rows.append((name, accuracy, len(rumor_labels)))
     write_csv(os.path.join(config.out, "identification.csv"),
               ("matcher", "accuracy", "n_evaluated"), rows)

@@ -9,8 +9,9 @@ disagree on this convention.
 from __future__ import annotations
 
 import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -87,7 +88,24 @@ def check_classes(labels: list[LabeledTweet], fixed_point: bool = False) -> int:
     return n_rumor
 
 
-def sweep(scores: Mapping[str, float], labels: list[LabeledTweet]) -> SweepResult:
+def _per_label(values, labels: list[LabeledTweet],
+               missing_message: Callable[[list[str]], str]) -> Sequence:
+    """``values`` in label order. A sequence is taken as it is, one value per
+    label; a tweet id Mapping is read once per label, and the ids it lacks
+    raise KeyError(missing_message(ids))."""
+    if not isinstance(values, Mapping):
+        if len(values) != len(labels):
+            raise ValueError(f"{len(values)} values for {len(labels)} labels")
+        return values
+    try:
+        return [values[l.tweet_id] for l in labels]
+    except KeyError:
+        missing = [l.tweet_id for l in labels if l.tweet_id not in values]
+        raise KeyError(missing_message(missing)) from None
+
+
+def sweep(scores: Sequence[float] | Mapping[str, float],
+          labels: list[LabeledTweet]) -> SweepResult:
     """Evaluate every classification threshold the score set can induce.
 
     Candidate thresholds are the distinct observed scores (classification is
@@ -96,14 +114,13 @@ def sweep(scores: Mapping[str, float], labels: list[LabeledTweet]) -> SweepResul
     never reach recall 1. A NaN score is below every threshold, as in
     classification (NaN > h is false): it is never a candidate and its tweet
     is never counted positive, not even at the final -inf point. The max-F1
-    point is the first, highest-threshold one among equal F1. ``scores`` is
-    read once per label.
+    point is the first, highest-threshold one among equal F1. ``scores``
+    holds each label's score in label order, or maps each labeled tweet id to
+    its score.
     """
-    try:
-        values = np.fromiter((scores[l.tweet_id] for l in labels), np.float64, len(labels))
-    except KeyError:
-        missing = [l.tweet_id for l in labels if l.tweet_id not in scores]
-        raise KeyError(f"labeled tweets without scores: {missing[:5]}") from None
+    values = np.asarray(_per_label(
+        scores, labels, lambda missing: f"labeled tweets without scores: {missing[:5]}"),
+        dtype=np.float64)
     n_rumor = check_classes(labels)
     is_rumor = np.fromiter((l.label is Label.RUMOR for l in labels), bool, len(labels))
     ranked = ~np.isnan(values)
@@ -129,14 +146,13 @@ def sweep(scores: Mapping[str, float], labels: list[LabeledTweet]) -> SweepResul
     return SweepResult(points=points, max_f1_point=points[best])
 
 
-def fixed_point_eval(predictions: Mapping[str, bool], labels: list[LabeledTweet]) -> PRPoint:
+def fixed_point_eval(predictions: Sequence[bool] | Mapping[str, bool],
+                     labels: list[LabeledTweet]) -> PRPoint:
     """Single PR point for a threshold-free classifier (lexicon matching);
-    ``predictions`` is read once per label."""
-    try:
-        positive = [predictions[l.tweet_id] for l in labels]
-    except KeyError:
-        missing = [l.tweet_id for l in labels if l.tweet_id not in predictions]
-        raise KeyError(f"labeled tweets without predictions: {missing[:5]}") from None
+    ``predictions`` holds each label's prediction in label order, or maps
+    each labeled tweet id to its prediction."""
+    positive = _per_label(
+        predictions, labels, lambda missing: f"labeled tweets without predictions: {missing[:5]}")
     n_rumor = check_classes(labels, fixed_point=True)
     tp = fp = 0
     for l, p in zip(labels, positive):
@@ -149,16 +165,23 @@ def fixed_point_eval(predictions: Mapping[str, bool], labels: list[LabeledTweet]
 
 
 def identification_accuracy(
-    matches: Mapping[str, MatchResult], labels: list[LabeledTweet]
+    best_articles: Sequence[Optional[str]] | Mapping[str, MatchResult],
+    labels: list[LabeledTweet],
 ) -> float:
-    """Fraction of rumor-labeled tweets whose best article equals the labeled one."""
+    """Fraction of rumor-labeled tweets whose best article equals the labeled one.
+
+    ``best_articles`` holds each label's best article id in label order (a
+    NONRUMOR label's is not read), or maps each rumor-labeled tweet id to
+    its MatchResult.
+    """
     check_classes(labels, fixed_point=True)
     rumor_labels = [l for l in labels if l.label is Label.RUMOR]
-    correct = 0
-    for l in rumor_labels:
-        match = matches.get(l.tweet_id)
-        if match is None:
-            raise KeyError(f"no match result for labeled rumor tweet {l.tweet_id!r}")
-        correct += match.best_article_id == l.article_id
-    return correct / len(rumor_labels)
+    if isinstance(best_articles, Mapping):
+        best = [m.best_article_id for m in _per_label(
+            best_articles, rumor_labels,
+            lambda missing: f"no match result for labeled rumor tweet {missing[0]!r}")]
+    else:
+        best = [a for l, a in zip(labels, _per_label(best_articles, labels, None))
+                if l.label is Label.RUMOR]
+    return sum(a == l.article_id for l, a in zip(rumor_labels, best)) / len(rumor_labels)
 

@@ -398,6 +398,8 @@ class TestAddBlockEqualsRecount:
             else:
                 assert acc.user_concentration(fraction) == share
         assert acc.user_ranking(len(tweets)) == want["ranking"]
+        for k in range(len(want["ranking"])):  # every cut, ties at the cut among them
+            assert acc.user_ranking(k) == want["ranking"][:k]
         assert acc.keyword_breakdown() == want["keywords"]
         for group, values in want["attribution"].items():
             assert acc.content_attribution(GEN_ARTICLES, group, subjects) == values

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import deadline, make_article, make_tweet
 from oracles import bm25_oracle
 
-from rumormatch import cli, corpus, errors, matchers
+from rumormatch import cli, corpus, errors, evaluation, matchers
 from rumormatch.corpus import Label, LabeledTweet
 from rumormatch.matchers import BM25Params, MatchResult, build_index
 from rumormatch.textpipe import TokenizerConfig, tokenize
@@ -657,10 +657,20 @@ class TestLabeledResults:
         assert results.ordinals.tolist() == [2, 0, 1]
         assert (results.rumor.tolist(), results.seen.tolist()) == (
             [True, False, True], [True, False, True])
-        scores = results.score_view()
-        assert dict(scores) == {"t2": 3.5, "t1": 1.5} and len(scores) == 2
-        assert "t9" not in scores and "t0" not in scores
-        assert results.match_view(["a0", "a1", "a2"])["t1"] == MatchResult("t1", "a1", 1.5)
+        seen = {l.tweet_id: s for l, s, v in zip(self.LABELS, results.scores.tolist(),
+                                                 results.seen.tolist()) if v}
+        assert seen == {"t2": 3.5, "t1": 1.5}
+        # the evaluations read the arrays in label order, as they would a tweet id Mapping
+        curve = evaluation.sweep(results.scores, self.LABELS).points
+        assert list(curve) == list(evaluation.sweep({"t2": 3.5, "t9": 0.0, "t1": 1.5},
+                                                    self.LABELS).points)
+        best = cli._rumor_articles(["a0", "a1", "a2"], results.ordinals.tolist(),
+                                   results.rumor.tolist())
+        assert best == ["a2", None, "a1"]
+        assert evaluation.identification_accuracy(best, self.LABELS) == 1.0
+        assert evaluation.identification_accuracy(
+            {"t2": MatchResult("t2", "a2", 3.5), "t1": MatchResult("t1", "a1", 1.5)},
+            self.LABELS) == 1.0
         with pytest.raises(errors.DanglingTweetRefError, match="t9"):
             results.check_seen()
         tweets = [make_tweet(f"t{i}", "x") for i in range(12)]
@@ -1132,11 +1142,16 @@ class TestAllCommand:
                 f"error: {tmp_path / 'labels.jsonl'}:5: duplicate id 't1'\n")
         assert not out.exists()  # `all` reads the labels before it indexes
 
-    def test_dangling_label_exit_2(self, workspace, capsys):
+    @pytest.mark.parametrize("command", [["all"], ["eval", "classify"], ["eval", "identify"]],
+                             ids="-".join)
+    def test_dangling_label_exit_2(self, workspace, capsys, command):
+        # the first dangling label in file order is named
         tmp_path, config, out = workspace
-        write_jsonl(tmp_path / "labels.jsonl", LABELS + [{"tweet_id": "t9", "label": "NONRUMOR"}])
-        assert cli.main(["--config", str(config), "all"]) == cli.EXIT_INPUT
-        assert "'t9'" in capsys.readouterr().err
+        write_jsonl(tmp_path / "labels.jsonl", LABELS + [{"tweet_id": "t9", "label": "NONRUMOR"},
+                                                         {"tweet_id": "t8", "label": "NONRUMOR"}])
+        assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "'t9'" in err and "'t8'" not in err
 
 
 class TestTracedPath:

@@ -244,3 +244,32 @@ class TestCsvExport:
         assert p.read_text().splitlines() == [
             "matcher,accuracy,n_evaluated", "BM25,0.8,5",
         ]
+
+
+class TestLabelOrder:
+    """Each evaluation takes its per-label input in label order as it takes a tweet id
+    Mapping, and names the labels a Mapping lacks."""
+
+    LABELS = [rumor("r1", "a1"), nonrumor("n1"), rumor("r2", "a2")]
+
+    def test_sequence_equals_mapping(self):
+        scores = [0.9, 0.4, 0.1]
+        by_id = dict(zip(["r1", "n1", "r2"], scores))
+        assert list(sweep(scores, self.LABELS).points) == list(sweep(by_id, self.LABELS).points)
+        points = [fixed_point_eval(p, self.LABELS)
+                  for p in ([True, True, False], {"r1": True, "n1": True, "r2": False})]
+        assert [(p.tp, p.fp, p.fn) for p in points] == [(1, 1, 1)] * 2
+        # a NONRUMOR label's entry is not read
+        assert identification_accuracy(["a1", object(), "a9"], self.LABELS) == 0.5
+
+    def test_length_must_match(self):
+        with pytest.raises(ValueError, match="2 values for 3 labels"):
+            sweep([0.9, 0.4], self.LABELS)
+
+    def test_missing_ids_named(self):
+        with pytest.raises(KeyError, match=r"labeled tweets without scores: \['n1', 'r2'\]"):
+            sweep({"r1": 0.9}, self.LABELS)
+        with pytest.raises(KeyError, match=r"labeled tweets without predictions: \['r2'\]"):
+            fixed_point_eval({"r1": True, "n1": False}, self.LABELS)
+        with pytest.raises(KeyError, match="no match result for labeled rumor tweet 'r2'"):
+            identification_accuracy({"r1": MatchResult("r1", "a1", 1.0)}, self.LABELS)

@@ -18,7 +18,8 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:  # `import a.b` binds `a`
                 bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [f"line {line}: {name}"
             for line, name in sorted((line, name) for name, line in bound.items())
             if name not in read]
@@ -32,3 +33,5 @@ def test_no_unused_import(path):
 def test_finds_an_unused_import():
     source = "import os, sys\nfrom typing import Optional\nsys.exit()\n"
     assert unused_imports(source) == ["line 1: os", "line 2: Optional"]
+    # a name bound anew is not a read of the import
+    assert unused_imports("import array\narray = []\n") == ["line 1: array"]
