@@ -131,15 +131,14 @@ class RunConfig:
 def parse_config_file(path) -> dict:
     """Flat 'key = value' lines; '#' comments and blank lines ignored."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
+    for line_no, line in enumerate(corpus._text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        values[key.strip()] = raw.strip()
     return values
 
 
@@ -530,50 +529,32 @@ class LabeledResults:
     ``scores`` (float64), ``ordinals`` (int32 argmax article ordinal),
     ``rumor`` and ``seen`` (bool) hold one entry per label; a label is seen
     once ``select`` passes its tweet on or the stream reaches it, and its
-    results are filled then. Tweets are found a block at a time by their
-    ids' 8-byte keys (corpus._id_key), sorted once; a key hit is confirmed by
-    comparing the ids, so a key collision never mixes two tweets. The
-    evaluations read the arrays, which are in label order, as they are.
+    results are filled then. The label ids are sorted once, as an object
+    array, and a block's tweets are found in it by binary search and one
+    exact comparison of the ids. The evaluations read the arrays, which are
+    in label order, as they are.
     """
 
     def __init__(self, labels: list[LabeledTweet]):
         self.labels = labels
         n = len(labels)
-        keys = np.fromiter((corpus._id_key(l.tweet_id) for l in labels), np.int64, n)
-        self._order = np.argsort(keys, kind="stable")  # label positions, by key
-        self._keys = keys[self._order]
+        ids = np.fromiter((l.tweet_id for l in labels), object, n)
+        self._order = np.argsort(ids, kind="stable")  # label positions, by id
+        self._ids = ids.take(self._order)
         self.scores = np.zeros(n)
         self.ordinals = np.zeros(n, dtype=np.int32)
         self.rumor = np.zeros(n, dtype=bool)
         self.seen = np.zeros(n, dtype=bool)
 
-    def _find(self, tweet_id: str, key: int, k: int) -> int:
-        """The position of the label of tweet_id, or -1; k is the first sorted slot of its key."""
-        while k < len(self._keys) and self._keys[k] == key:
-            i = int(self._order[k])
-            if self.labels[i].tweet_id == tweet_id:
-                return i
-            k += 1
-        return -1
-
     def positions(self, tweet_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """(js, label positions): each tweet_ids[j] of js, in order, is labeled,
         at the position alongside."""
-        keys = np.fromiter(map(corpus._id_key, tweet_ids), np.int64, len(tweet_ids))
-        if not len(self._keys):
-            return keys[:0], keys[:0]
-        at = self._keys.searchsorted(keys)
-        js = np.flatnonzero(self._keys.take(at, mode="clip") == keys)
-        found = self._order.take(at[js])
-        misses = [k for k, (j, i) in enumerate(zip(js.tolist(), found.tolist()))
-                  if self.labels[i].tweet_id != tweet_ids[j]]
-        if misses:  # the first label of the key is another tweet's
-            for k in misses:
-                j = js[k]
-                found[k] = self._find(tweet_ids[j], int(keys[j]), int(at[j]))
-            labeled = found >= 0
-            js, found = js[labeled], found[labeled]
-        return js, found
+        ids = np.fromiter(tweet_ids, object, len(tweet_ids))
+        if not len(self._ids):  # take() finds nothing to clip to
+            return self._order, self._order  # both empty
+        at = self._ids.searchsorted(ids)
+        js = np.flatnonzero(self._ids.take(at, mode="clip") == ids)
+        return js, self._order.take(at[js])
 
     def select(self, tweets: Iterable[corpus.Tweet]) -> Iterator[corpus.Tweet]:
         """The labeled tweets among ``tweets``, in order, looked up a block at a

@@ -2,7 +2,8 @@
 
 All three input files are JSON Lines (one object per line, UTF-8, LF).
 Loading is fail-fast: the first malformed line aborts the load so that
-evaluation never runs over a silently truncated corpus.
+evaluation never runs over a silently truncated corpus. _text_lines is the
+line reader of every text input of the package.
 """
 
 from __future__ import annotations
@@ -66,33 +67,21 @@ _scan_value = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def _text_lines(path) -> Iterator[str]:
-    """The lines of a UTF-8 text file, in order.
+    """The lines of a UTF-8 file, in order, each with its LF.
 
-    Read as text in one pass. A byte that is not UTF-8 stops that pass at
-    the chunk it is in, so the file is read on from the last line yielded
-    with the bytes kept, and the first line that does not decode is a
-    MalformedLineError naming it, raised after the lines before it.
+    The file is read as bytes and each line decoded on its own, so a line
+    holding a byte that is not UTF-8 is a MalformedLineError naming it and
+    the decode error, raised after the lines before it were yielded. Only
+    LF ends a line: a CR stays in its line, where json.loads and str.strip
+    take it as whitespace.
     """
-    done = 0
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for done, line in enumerate(fh, start=1):
-                yield line
-            return
-        except UnicodeDecodeError:
-            pass
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if line_no <= done:
-                continue
             try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:  # an undecodable byte, kept as a lone surrogate
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise MalformedLineError(path, line_no, str(exc)) from None
-            yield line
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedLineError(path, line_no, str(exc)) from None
+            yield text
 
 
 def _iter_jsonl(path):
@@ -146,11 +135,11 @@ def _id_key(tid: str) -> int:
     return hash(tid)
 
 
-def _check_repeats(path, keys: array.array, field: str) -> None:
-    """Raise DuplicateIdError at the first line whose `field` equals that of
-    a line before it.
+def _check_repeats(path, keys: array.array) -> None:
+    """Raise DuplicateIdError at the first tweet line whose id equals that
+    of a line before it.
 
-    keys holds the _id_key of that field for the file's first len(keys)
+    keys holds the _id_key of the id of the file's first len(keys)
     non-blank lines, in file order; it is sorted in place, through a numpy
     view. A repeated key only makes its ids suspects: those lines are
     re-read and the ids compared, so a key collision never raises.
@@ -163,7 +152,7 @@ def _check_repeats(path, keys: array.array, field: str) -> None:
     seen = set()
     with contextlib.closing(_iter_jsonl(path)) as lines:
         for _, (line_no, obj) in zip(range(len(keys)), lines):
-            tid = str(obj[field])
+            tid = str(obj["id"])
             if _id_key(tid) in suspects:
                 if tid in seen:
                     raise DuplicateIdError(path, line_no, tid)
@@ -174,13 +163,16 @@ def iter_tweets(path) -> Iterator[Tweet]:
     """Parse tweets.jsonl one tweet at a time, in file order.
 
     Each tweet is yielded as soon as its line is parsed. The ids, kept as
-    8-byte keys, are checked once, when the file ends or at the first
+    8-byte keys rather than as strings since the file may hold millions of
+    lines, are checked once, when the file ends or at the first
     malformed line before that error is raised: a duplicate id is reported
     after the tweets before it were yielded, and the first fault in file
     order is named (a line whose own id repeats an earlier one is a
     duplicate before its other fields are checked). A caller that stops
-    early has not had the ids checked; the CLI writes every output through
-    atomic_write_text, so a failed run publishes none. A line in the plain
+    early has not had the ids checked. The CLI renames each output into
+    place only when its writer succeeds, so a fault found here publishes no
+    file that the pass over the tweets writes; a file written before that
+    pass, such as the index that `all` saves, stays. A line in the plain
     case (a non-empty str id, a str text that is not blank, a str user_id,
     an int timestamp and a known group) is taken as it is; every other line
     goes through _checked_id and _checked_tweet, which coerce and raise
@@ -204,9 +196,9 @@ def iter_tweets(path) -> Iterator[Tweet]:
                 user_id, group, ts, text = _checked_tweet(obj, tid, path, line_no)
             yield Tweet(tid, user_id, group, ts, text)
     except CorpusError:  # a repeated id up to the faulty line is the first fault
-        _check_repeats(path, keys, "id")
+        _check_repeats(path, keys)
         raise
-    _check_repeats(path, keys, "id")
+    _check_repeats(path, keys)
 
 
 def _checked_id(obj, path, line_no) -> str:
@@ -267,46 +259,40 @@ def load_articles(path) -> list[RumorArticle]:
 
 def read_labels(path, article_ids: Iterable[str]) -> list[LabeledTweet]:
     """Parse labels.jsonl, checking every article reference and that no
-    tweet is labeled twice (naming the second line).
+    tweet is labeled twice (naming the second line, before its other
+    fields are checked).
 
     A RUMOR label's article_id is the string of ``article_ids`` it equals,
-    so the labels of one article share one string.
-
-    As in iter_tweets, the tweet ids are checked for repeats at the end of
-    the file or at the first malformed line, before that error is raised,
-    so the first fault in file order is named. Tweet references are left to
-    check_label_tweets, so that a caller can check them against tweets it
-    streams instead of holding.
+    so the labels of one article share one string. Tweet references are
+    left to check_label_tweets, so that a caller can check them against
+    tweets it streams instead of holding.
     """
     labels = []
-    keys = array.array("q")
+    seen = set()
     own = {aid: aid for aid in article_ids}
-    try:
-        for line_no, obj in _iter_jsonl(path):
-            tweet_id = _id(obj, "tweet_id", path, line_no)
-            keys.append(_id_key(tweet_id))  # a repeat is the first fault of its line
-            try:
-                label = Label(_require(obj, "label", path, line_no))
-            except ValueError as exc:
-                raise MalformedLineError(path, line_no, str(exc)) from exc
-            article_id = obj.get("article_id")
-            if article_id is not None and type(article_id) is not str:
+    for line_no, obj in _iter_jsonl(path):
+        tweet_id = _id(obj, "tweet_id", path, line_no)
+        if tweet_id in seen:
+            raise DuplicateIdError(path, line_no, tweet_id)
+        seen.add(tweet_id)
+        try:
+            label = Label(_require(obj, "label", path, line_no))
+        except ValueError as exc:
+            raise MalformedLineError(path, line_no, str(exc)) from exc
+        article_id = obj.get("article_id")
+        if article_id is not None and type(article_id) is not str:
+            raise MalformedLineError(path, line_no,
+                                     f"article_id must be a string, got {article_id!r}")
+        if (label is Label.RUMOR) != (article_id is not None):
+            raise MalformedLineError(path, line_no, (
+                f"{label.value} label for tweet {tweet_id!r} has article_id {article_id!r}; "
+                "RUMOR needs one, NONRUMOR takes none"))
+        if article_id is not None:
+            if article_id not in own:
                 raise MalformedLineError(path, line_no,
-                                         f"article_id must be a string, got {article_id!r}")
-            if (label is Label.RUMOR) != (article_id is not None):
-                raise MalformedLineError(path, line_no, (
-                    f"{label.value} label for tweet {tweet_id!r} has article_id {article_id!r}; "
-                    "RUMOR needs one, NONRUMOR takes none"))
-            if article_id is not None:
-                if article_id not in own:
-                    raise MalformedLineError(path, line_no,
-                                             f"label references unknown article {article_id!r}")
-                article_id = own[article_id]
-            labels.append(LabeledTweet(tweet_id=tweet_id, label=label, article_id=article_id))
-    except CorpusError:
-        _check_repeats(path, keys, "tweet_id")
-        raise
-    _check_repeats(path, keys, "tweet_id")
+                                         f"label references unknown article {article_id!r}")
+            article_id = own[article_id]
+        labels.append(LabeledTweet(tweet_id=tweet_id, label=label, article_id=article_id))
     return labels
 
 

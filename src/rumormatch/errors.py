@@ -2,8 +2,10 @@
 
 The CLI maps each failure to an exit code by its class and prints its
 message as a one-line diagnostic. A faulty line of any line-oriented input
-(tweets, articles, labels, matches, a vector file) is a MalformedLineError
-naming ``path:line``; the other classes name faults no one line holds.
+(tweets, articles, labels, matches, a vector file), and a line of a
+stopword, lexicon or config file that is not UTF-8 or a lexicon pattern
+that does not compile, is a MalformedLineError naming ``path:line``; the
+other classes name faults no one line holds.
 """
 
 

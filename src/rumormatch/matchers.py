@@ -16,11 +16,11 @@ import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .corpus import Label
+from .corpus import Label, _text_lines
 from .errors import (
     AllEmptyAfterTokenizeError,
     DimMismatchError,
@@ -363,7 +363,7 @@ class EmbeddingTable:
         return cols.T
 
 
-# Bytes of lines load_embeddings reads and parses at a time: 1 MB parsed a
+# Characters of lines load_embeddings parses at a time: 1 MB parsed a
 # few percent faster but held about 1 MB more at the peak.
 VECTOR_BATCH_BYTES = 1 << 18
 
@@ -374,46 +374,64 @@ def load_embeddings(path) -> EmbeddingTable:
     A line without a space is skipped; any other line must hold exactly dim
     single-space-separated numbers after its term, and may end in one space
     before its newline, as word2vec's and fastText's writers leave it. The
-    first header or line that breaks these rules is named by a
-    MalformedLineError. A repeated term keeps its last vector. The
-    components are parsed a batch of lines at a time by numpy's C reader
-    into one preallocated matrix, so no per-term array is built.
+    first header or line that breaks these rules, or that holds a byte that
+    is not UTF-8, is named by a MalformedLineError. A repeated term keeps its
+    last vector. The components are parsed a batch of lines at a time by
+    numpy's C reader into one preallocated matrix, so no per-term array is
+    built.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        try:
-            count, dim = map(int, header)
-        except ValueError:  # not two fields, or not two integers
-            count = dim = -1
-        if count < 0 or dim < 0:
-            raise MalformedLineError(path, 1, f"expected a '<count> <dim>' header, got {header}")
-        # the header's count is a hint: a row takes at least 2 * dim + 1 bytes
-        size = os.fstat(fh.fileno()).st_size
-        matrix = np.empty((min(count, size // (2 * dim + 1)), dim))
-        rows: dict[str, int] = {}
-        n = line_no = 0
-        while batch := fh.readlines(VECTOR_BATCH_BYTES):
-            spaces = [line.count(" ") for line in batch]  # components: len(line.split(" ")) - 1
-            spaces = [k - 1 if k == dim + 1 and line.endswith(" \n") else k  # but a row's end space
-                      for k, line in zip(spaces, batch)]
-            at = [i for i, k in enumerate(spaces) if k]  # a line without a space is skipped
-            wrong = next((j for j, i in enumerate(at) if spaces[i] != dim), None)
-            line_nos = [line_no + 2 + i for i in at]  # the header is line 1
-            line_no += len(batch)
-            if wrong is not None:
-                _parse_rows(path, [batch[i] for i in at[:wrong]], line_nos, dim)  # first error first
-                raise MalformedLineError(path, line_nos[wrong],
-                                         f"expected {dim} components, got {spaces[at[wrong]]}")
-            if not at:
-                continue
-            lines = [batch[i] for i in at]
-            rows.update(zip([line[:line.index(" ")] for line in lines], range(n, n + len(at))))
-            if n + len(at) > len(matrix):  # the header undercounts
-                matrix.resize((max(2 * len(matrix), n + len(at)), dim), refcheck=False)
-            matrix[n:n + len(at)] = _parse_rows(path, lines, line_nos, dim)
-            n += len(at)
+    file_lines = _text_lines(path)
+    header = next(file_lines, "").split()
+    try:
+        count, dim = map(int, header)
+    except ValueError:  # not two fields, or not two integers
+        count = dim = -1
+    if count < 0 or dim < 0:
+        raise MalformedLineError(path, 1, f"expected a '<count> <dim>' header, got {header}")
+    # the header's count is a hint: a row takes at least 2 * dim + 1 bytes
+    matrix = np.empty((min(count, os.path.getsize(path) // (2 * dim + 1)), dim))
+    rows: dict[str, int] = {}
+    n = line_no = 0
+    for batch in _line_batches(file_lines, VECTOR_BATCH_BYTES):
+        spaces = [line.count(" ") for line in batch]  # components: len(line.split(" ")) - 1
+        spaces = [k - 1 if k == dim + 1 and line.endswith((" \n", " \r\n")) else k
+                  for k, line in zip(spaces, batch)]  # but a row's end space
+        at = [i for i, k in enumerate(spaces) if k]  # a line without a space is skipped
+        wrong = next((j for j, i in enumerate(at) if spaces[i] != dim), None)
+        line_nos = [line_no + 2 + i for i in at]  # the header is line 1
+        line_no += len(batch)
+        if wrong is not None:
+            _parse_rows(path, [batch[i] for i in at[:wrong]], line_nos, dim)  # first error first
+            raise MalformedLineError(path, line_nos[wrong],
+                                     f"expected {dim} components, got {spaces[at[wrong]]}")
+        if not at:
+            continue
+        lines = [batch[i] for i in at]
+        rows.update(zip([line[:line.index(" ")] for line in lines], range(n, n + len(at))))
+        if n + len(at) > len(matrix):  # the header undercounts
+            matrix.resize((max(2 * len(matrix), n + len(at)), dim), refcheck=False)
+        matrix[n:n + len(at)] = _parse_rows(path, lines, line_nos, dim)
+        n += len(at)
     matrix.resize((n, dim), refcheck=False)  # no view of it is held
     return EmbeddingTable.from_matrix(matrix, rows)
+
+
+def _line_batches(lines, size) -> Iterator[list[str]]:
+    """The lines in lists of consecutive lines of about size characters each.
+    A MalformedLineError from ``lines`` is raised after the lines before it
+    were yielded, so that a fault in one of them is named first."""
+    batch, chars = [], 0
+    try:
+        for line in lines:
+            batch.append(line)
+            chars += len(line)
+            if chars >= size:
+                yield batch
+                batch, chars = [], 0
+    except MalformedLineError:
+        yield batch
+        raise
+    yield batch
 
 
 def _parse_rows(path, lines, line_nos, dim) -> np.ndarray:
@@ -570,8 +588,15 @@ def default_lexicon() -> LexiconPatternSet:
 
 
 def load_lexicon(path) -> LexiconPatternSet:
-    with open(path, encoding="utf-8") as fh:
-        return LexiconPatternSet.from_lines(fh)
+    """The patterns of a lexicon file; a pattern that does not compile is a
+    MalformedLineError naming its line and the re.error."""
+    patterns = []
+    for line_no, line in enumerate(_text_lines(path), start=1):
+        try:
+            patterns += LexiconPatternSet.from_lines([line]).patterns
+        except re.error as exc:
+            raise MalformedLineError(path, line_no, str(exc)) from None
+    return LexiconPatternSet(patterns)
 
 
 def match_lexicon(text: str, patterns: LexiconPatternSet) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional
 
-from . import stemmer
+from . import corpus, stemmer
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@\w+")
@@ -51,8 +51,7 @@ def default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path) -> frozenset[str]:
     """One word per line, lowercased; '#' comments ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(w.lower() for w in list_entries(fh))
+    return frozenset(w.lower() for w in list_entries(corpus._text_lines(path)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import unittest.mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import deadline, make_article, make_tweet
 from oracles import bm25_oracle
@@ -642,14 +642,23 @@ class TestEvalCommand:
         assert lines[1].startswith("fixed,")
 
 
+# ids over a small alphabet share prefixes and differ only in case, a trailing
+# space or a non-ASCII letter; streamed ids are label ids or others
+LABEL_ID = st.text(alphabet="aAb é\U0001f600", max_size=4)
+
+
+@st.composite
+def labels_and_stream(draw):
+    label_ids = draw(st.lists(LABEL_ID, unique=True, max_size=12))
+    streamed = st.sampled_from(label_ids) | LABEL_ID if label_ids else LABEL_ID
+    return label_ids, draw(st.lists(streamed, max_size=16))
+
+
 class TestLabeledResults:
     LABELS = [LabeledTweet("t2", Label.RUMOR, "a2"), LabeledTweet("t9", Label.NONRUMOR),
               LabeledTweet("t1", Label.RUMOR, "a1")]
 
-    @pytest.mark.parametrize("collide", [False, True])
-    def test_results_go_to_their_label(self, monkeypatch, collide):
-        if collide:  # every id one key: a key hit alone never places a result
-            monkeypatch.setattr(corpus, "_id_key", lambda tid: 7)
+    def test_results_go_to_their_label(self):
         results = cli.LabeledResults(self.LABELS)
         results.add_block(["t0", "t1", "t3"], [0, 1, 2], [0.5, 1.5, 2.5], [False, True, True])
         results.add_block(["t2"], [2], [3.5], [True])
@@ -675,6 +684,17 @@ class TestLabeledResults:
             results.check_seen()
         tweets = [make_tweet(f"t{i}", "x") for i in range(12)]
         assert [t.id for t in results.select(tweets)] == ["t1", "t2", "t9"]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(labels_and_stream())
+    @example(([], ["a", ""]))
+    def test_positions_match_a_dict(self, case):
+        label_ids, streamed = case
+        where = {tid: i for i, tid in enumerate(label_ids)}
+        js, found = cli.LabeledResults(
+            [LabeledTweet(tid, Label.NONRUMOR) for tid in label_ids]).positions(streamed)
+        assert list(zip(js.tolist(), found.tolist())) == [
+            (j, where[tid]) for j, tid in enumerate(streamed) if tid in where]
 
     def test_labels_and_results_hold_numbers_per_label(self, tmp_path):
         # 20k labels, half RUMOR over 1,723 articles, and their results from a stream of
@@ -1038,6 +1058,46 @@ class TestInputErrors:
         assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith(f"error: {vec}:{where}: ") and "internal" not in err
+
+    # input: (its file in the workspace, config lines that make the command read it, command)
+    BAD_BYTE_INPUTS = {
+        "tweets": ("tweets.jsonl", "", ["match"]),
+        "articles": ("articles.jsonl", "", ["index"]),
+        "labels": ("labels.jsonl", "", ["eval", "classify"]),
+        "matches": ("out/matches.jsonl", "", ["analyze"]),
+        "embeddings": ("words.vec", "embeddings = {}\nmatcher = EMBEDDING\n", ["match"]),
+        "stopwords": ("stop.txt", "stopwords = {}\n", ["match"]),
+        "lexicon": ("lexicon.txt", "lexicon = {}\nmatcher = LEXICON\n", ["match"]),
+        "config": ("run.conf", "", ["match"]),
+    }
+
+    @pytest.mark.parametrize("kind", list(BAD_BYTE_INPUTS))
+    def test_bad_byte_exit_2_naming_its_line(self, workspace, vector_files, capsys, kind):
+        tmp_path, config, out = workspace
+        name, lines, command = self.BAD_BYTE_INPUTS[kind]
+        bad = tmp_path / name
+        (tmp_path / "stop.txt").write_text("# words\nthe\nof\n")
+        (tmp_path / "lexicon.txt").write_text("# phrases\nis it true\nhoax\n")
+        config.write_text(config.read_text() + lines.format(bad))
+        if kind == "matches":
+            assert cli.main(["--config", str(config), "match"]) == 0
+        first, second, rest = bad.read_bytes().split(b"\n", 2)
+        bad.write_bytes(b"\n".join([first, second[:1] + b"\xff" + second[1:], rest]))
+        capsys.readouterr()
+        assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: malformed line: 'utf-8' codec can't decode byte 0xff in "
+            "position 1: invalid start byte\n")
+
+    def test_bad_lexicon_pattern_exit_2_naming_its_line(self, workspace, capsys):
+        tmp_path, config, out = workspace
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("# phrases\nhoax\n  is it (true\n")
+        config.write_text(config.read_text() + f"lexicon = {lexicon}\nmatcher = LEXICON\n")
+        assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {lexicon}:3: malformed line: missing ), unterminated subpattern at "
+            "position 6\n")
 
     def test_out_under_a_regular_file_exit_2(self, workspace, capsys):
         tmp_path, config, out = workspace

@@ -1,4 +1,6 @@
-"""No module of the package imports a name it never reads."""
+"""Static checks of the package's modules: no module imports a name it never
+reads, and none reads an input file as text other than through
+corpus._text_lines."""
 
 import ast
 import pathlib
@@ -35,3 +37,53 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 2: Optional"]
     # a name bound anew is not a read of the import
     assert unused_imports("import array\narray = []\n") == ["line 1: array"]
+
+
+# where a module may read a file as text: the package's own data, not an input
+TEXT_READS_ALLOWED = {"textpipe.py": {"packaged_list"}}
+
+
+def text_mode_reads(source: str) -> list[str]:
+    """'function:line' of each call in ``source`` that reads a file as text,
+    bypassing corpus._text_lines: an open() whose mode, if it can be read,
+    holds no 'b' and reads, or a read_text()."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", None) or node.func.attr
+            if name == "read_text" or name == "open" and reads_text(node):
+                found.append(f"{where}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def reads_text(call: ast.Call) -> bool:
+    """Whether an open() call, builtin or a method, reads in text mode."""
+    at = 1 if isinstance(call.func, ast.Name) else 0  # open(path, mode) or path.open(mode)
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[at] if len(call.args) > at else ast.Constant("r"))
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True  # a mode that is not a literal may read text
+    return "b" not in mode.value and ("r" in mode.value or "+" in mode.value)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_inputs_are_read_through_the_line_reader(path):
+    allowed = TEXT_READS_ALLOWED.get(path.name, set())
+    reads = text_mode_reads(path.read_text(encoding="utf-8"))
+    assert [r for r in reads if r.split(":")[0] not in allowed] == []
+
+
+def test_finds_a_text_mode_read():
+    source = ("def a(p):\n    return open(p).read()\n"
+              "def b(p):\n    with open(p, 'rb') as fh, open(p, mode='w') as out:\n"
+              "        return p.open('wb')\n"
+              "def c(p, m):\n    return p.open('r+').read() + open(p, m).read() + p.read_text()\n"
+              "data = open('x', encoding='utf-8')\n")
+    assert text_mode_reads(source) == ["a:2", "c:7", "c:7", "c:7", "<module>:8"]

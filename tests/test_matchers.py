@@ -339,8 +339,9 @@ class TestLoadEmbeddings:
         got = load_embeddings(self.write(tmp_path, f"20 3\n{spaced}"))
         assert list(got.rows) == list(want.rows) == list(rows)
         assert got.matrix.tobytes() == want.matrix.tobytes()
-        assert load_embeddings(self.write(tmp_path, "2 2\napple 1 0 \n")).vectors[
-            "apple"].tolist() == [1.0, 0.0]
+        for text in ("2 2\napple 1 0 \n", "2 2\r\napple 1 0 \r\n"):  # CRLF too
+            assert load_embeddings(self.write(tmp_path, text)).vectors[
+                "apple"].tolist() == [1.0, 0.0]
         for text, line, message in [
             ("2 2\na 1 0  \n", 2, "expected 2 components, got 4"),  # two end spaces
             ("2 2\na 1 0 \nb 1 0 1 \n", 3, "expected 2 components, got 4"),
@@ -383,6 +384,22 @@ class TestLoadEmbeddings:
             load_embeddings(p)
         assert str(info.value).startswith(f"{p}:{line}: malformed line: ")
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("batch", [8, 1 << 18])
+    @pytest.mark.parametrize("data,line,message", [
+        (b"2 \xff\na 1 2\n", 1, "'utf-8' codec can't decode byte 0xff in position 2"),
+        (b"2 2\na 1 2\nb \xff 2\n", 3, "'utf-8' codec can't decode byte 0xff in position 2"),
+        (b"2 2\na \xff 2\nb 1\n", 2, "'utf-8' codec can't decode byte 0xff in position 2"),
+        (b"2 2\na 1\nb \xff 2\n", 2, "expected 2 components, got 1"),  # the first bad line wins
+        (b"2 2\na x 2\nb \xff 2\n", 2, "expected 2 numbers"),
+    ])
+    def test_bad_byte_names_its_line(self, tmp_path, monkeypatch, batch, data, line, message):
+        monkeypatch.setattr(matchers, "VECTOR_BATCH_BYTES", batch)
+        p = tmp_path / "vectors.vec"
+        p.write_bytes(data)
+        with pytest.raises(MalformedLineError) as info:
+            load_embeddings(p)
+        assert str(info.value).startswith(f"{p}:{line}: malformed line: {message}")
 
     def test_bad_number_in_a_later_batch(self, tmp_path, monkeypatch):
         monkeypatch.setattr(matchers, "VECTOR_BATCH_BYTES", 20)
