@@ -117,13 +117,19 @@ class Accumulator:
         return sum(self.group_rumors[k] for k in keys) / total
 
     def user_concentration(self, top_fraction: float) -> float:
+        """Share of the rumor tweets posted by the top ceil(top_fraction * n_users) posters,
+        top_fraction read as the decimal it prints as (0.07 of 100 users is 7, not 8)."""
         if not 0.0 < top_fraction <= 1.0:
             raise ValueError("top_fraction must be in (0, 1]")
         total_rumors = sum(self.user_rumors.values())
         if total_rumors == 0:
             raise NoRumorsError("no rumor tweets in scope")
+        # top_fraction is digits / 10**scale, exactly; the ceiling is taken in integers
+        mantissa, _, exponent = repr(float(top_fraction)).partition("e")
+        whole, _, decimals = mantissa.partition(".")
+        scale = len(decimals) - int(exponent or 0)
+        top_n = -(-int(whole + decimals) * len(self.user_tweets) // 10 ** scale)
         # the largest counts: their sum is the same whichever of the tied users are kept
-        top_n = math.ceil(top_fraction * len(self.user_tweets))
         return sum(heapq.nlargest(top_n, self.user_rumors.values())) / total_rumors
 
     def user_ranking(self, top_n: int) -> list[tuple[str, int, int, float]]:
@@ -207,7 +213,9 @@ def user_concentration(
 
     Users are ranked by rumor-tweet count descending (ties by user_id
     ascending); the top ceil(top_fraction * n_users) are counted, where
-    n_users covers every user with at least one tweet in scope.
+    n_users covers every user with at least one tweet in scope and
+    top_fraction is read as the decimal it prints as (0.07 of 100 users is
+    7 users, not 8).
     """
     return _accumulate(tweets, detections, window).user_concentration(top_fraction)
 

@@ -529,18 +529,15 @@ class LabeledResults:
     ``scores`` (float64), ``ordinals`` (int32 argmax article ordinal),
     ``rumor`` and ``seen`` (bool) hold one entry per label; a label is seen
     once ``select`` passes its tweet on or the stream reaches it, and its
-    results are filled then. The label ids are sorted once, as an object
-    array, and a block's tweets are found in it by binary search and one
-    exact comparison of the ids. The evaluations read the arrays, which are
+    results are filled then. A tweet finds its label by one lookup of its id
+    in a dict of label positions. The evaluations read the arrays, which are
     in label order, as they are.
     """
 
     def __init__(self, labels: list[LabeledTweet]):
         self.labels = labels
         n = len(labels)
-        ids = np.fromiter((l.tweet_id for l in labels), object, n)
-        self._order = np.argsort(ids, kind="stable")  # label positions, by id
-        self._ids = ids.take(self._order)
+        self._where = {l.tweet_id: i for i, l in enumerate(labels)}  # label ids are unique
         self.scores = np.zeros(n)
         self.ordinals = np.zeros(n, dtype=np.int32)
         self.rumor = np.zeros(n, dtype=bool)
@@ -549,20 +546,18 @@ class LabeledResults:
     def positions(self, tweet_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """(js, label positions): each tweet_ids[j] of js, in order, is labeled,
         at the position alongside."""
-        ids = np.fromiter(tweet_ids, object, len(tweet_ids))
-        if not len(self._ids):  # take() finds nothing to clip to
-            return self._order, self._order  # both empty
-        at = self._ids.searchsorted(ids)
-        js = np.flatnonzero(self._ids.take(at, mode="clip") == ids)
-        return js, self._order.take(at[js])
+        at = np.fromiter(map(self._where.get, tweet_ids, itertools.repeat(-1)), np.intp,
+                         len(tweet_ids))
+        js = np.flatnonzero(at >= 0)
+        return js, at[js]
 
     def select(self, tweets: Iterable[corpus.Tweet]) -> Iterator[corpus.Tweet]:
-        """The labeled tweets among ``tweets``, in order, looked up a block at a
-        time; their labels are marked seen."""
-        for block in _batches(tweets, CHUNK):
-            js, found = self.positions([t.id for t in block])
-            self.seen[found] = True
-            yield from (block[j] for j in js.tolist())
+        """The labeled tweets among ``tweets``, in order; their labels are marked seen."""
+        for t in tweets:
+            at = self._where.get(t.id)
+            if at is not None:
+                self.seen[at] = True
+                yield t
 
     def add_block(self, tweet_ids, ordinals, scores, rumor) -> None:
         """Keep the results, as _score_block gives them, of the labeled tweets among tweet_ids."""
@@ -708,10 +703,10 @@ def cmd_eval(config: RunConfig, task: str) -> None:
         _write_classify(config, labels, labeled)
         return
 
-    # IDENTIFY: the labeled RUMOR tweets are held, as each matcher scores them
-    rumor_labels = [l for l in labels if l.label is Label.RUMOR]
-    rumor_ids = {l.tweet_id for l in rumor_labels}
-    tweets = [t for t in tweets if t.id in rumor_ids]
+    # IDENTIFY: the labeled RUMOR tweets are held, and each matcher scores them into one
+    # result set; once every label is seen, each run rewrites every entry of it
+    results = LabeledResults([l for l in labels if l.label is Label.RUMOR])
+    tweets = list(results.select(tweets))
     labeled.check_seen()
     names = [config.matcher]
     if config.matcher == "ALL":  # skip a vector matcher without its file; a named one needs it
@@ -725,12 +720,11 @@ def cmd_eval(config: RunConfig, task: str) -> None:
         sub = copy.copy(config)
         sub.matcher, sub.threshold = name, float("-inf")
         scorer = make_scorer(sub, articles, index)
-        results = LabeledResults(rumor_labels)
         run_match(sub, tweets, scorer=scorer, labeled=results)
         best = _rumor_articles(scorer.article_ids, results.ordinals.tolist(),
                                results.rumor.tolist())
-        accuracy = evaluation.identification_accuracy(best, rumor_labels)
-        rows.append((name, accuracy, len(rumor_labels)))
+        accuracy = evaluation.identification_accuracy(best, results.labels)
+        rows.append((name, accuracy, len(results.labels)))
     write_csv(os.path.join(config.out, "identification.csv"),
               ("matcher", "accuracy", "n_evaluated"), rows)
 

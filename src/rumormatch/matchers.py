@@ -143,6 +143,8 @@ class ArticleIndex:
         table = self._tables.get(params)
         if table is None:
             k1, b = params.k1, params.b
+            # doc_len holds whole numbers: their sum is exact in any order below 2**53, so
+            # the mean is one correctly rounded division on every host
             norm = k1 * (1.0 - b + b * self.doc_len / max(self.doc_len.mean(), 1e-12))
             idf = self._idf(lambda n, df: math.log(1.0 + (n - df + 0.5) / (df + 0.5)))
             counts = self.counts

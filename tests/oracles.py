@@ -8,6 +8,7 @@ a bug in the engine cannot hide in a shared code path.
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 
 from rumormatch import stemmer
 from rumormatch.corpus import Label
@@ -145,9 +146,9 @@ def analyses_oracle(tweets, detections, window, bin_width, keywords, articles, s
     ``detections`` holds one (rumor, article_id) per tweet. Keyword hits
     come from tokenize_oracle. A reading whose denominator is zero is None.
     Returns a dict of the group ratios per (group, windowed), the user
-    concentration per top fraction (1/10, 1/2 and 1), the full user
-    ranking, the keyword breakdown, the content attribution per group and
-    the timeline.
+    concentration per top fraction (1/10, 1/2 and 1, each read as the
+    decimal it prints as), the full user ranking, the keyword breakdown,
+    the content attribution per group and the timeline.
     """
     rows = [(t, rumor, article_id, window.start <= t.timestamp < window.end)
             for t, (rumor, article_id) in zip(tweets, detections)]
@@ -165,7 +166,7 @@ def analyses_oracle(tweets, detections, window, bin_width, keywords, articles, s
     ranked = sorted(users, key=lambda u: (-user_rumors[u], u))
     total = sum(user_rumors.values())
     concentration = {
-        f: sum(user_rumors[u] for u in ranked[:math.ceil(f * len(users))]) / total
+        f: sum(user_rumors[u] for u in ranked[:math.ceil(Fraction(repr(f)) * len(users))]) / total
         if total else None
         for f in (0.1, 0.5, 1.0)
     }

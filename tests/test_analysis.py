@@ -97,6 +97,19 @@ class TestUserConcentration:
         }
         assert user_concentration(tweets, detections, 0.1) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("fraction, n_users, n_top", [(0.07, 100, 7), (0.14, 50, 7),
+                                                          (0.28, 25, 7), (0.55, 100, 55)])
+    def test_top_users_by_the_printed_fraction(self, fraction, n_users, n_top):
+        # fraction * n_users is a whole number that the float product rounds up
+        # (0.07 * 100 == 7.000000000000001): the top 7 of 100 users are counted, not 8
+        tweets = [
+            analysis.Tweet(id=f"t{i}", user_id=f"u{i}", group=Group.OTHER,
+                           timestamp=DAY0, text="x y")
+            for i in range(n_users)
+        ]
+        detections = {t.id: Detection(t.id, True, "a1") for t in tweets}
+        assert user_concentration(tweets, detections, fraction) == n_top / n_users
+
     def test_single_dominant_user(self):
         tweets = [
             analysis.Tweet(id=f"t{i}", user_id=f"u{i}", group=Group.OTHER,

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import platform
@@ -283,6 +284,27 @@ class TestIndexCommand:
         assert (loaded.indptr.tolist(), loaded.ordinals.tolist()) == (indptr, ordinals)
         assert loaded.counts.tolist() == counts
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["apple", "pear", "plum"]), max_size=40),
+                    max_size=150),
+           st.lists(st.integers(1, 2**43), min_size=1, max_size=1000))
+    def test_mean_doc_len_is_the_same_on_every_host(self, tmp_path_factory, token_lists,
+                                                    lengths):
+        # doc_len holds whole token counts: every partial sum below 2**53 is exact in any
+        # order, so BM25's mean is one correctly rounded division whatever numpy's
+        # summation order (1,000 lengths below 2**43 sum below 2**53)
+        tok = TokenizerConfig(stopwords=frozenset())
+        built = build_index([make_article(f"a{i}", t)
+                             for i, t in enumerate([["apple"], *token_lists])], tok)
+        n = len(lengths)
+        one_term = matchers.ArticleIndex([f"a{i}" for i in range(n)], ["w"], [0, n], range(n),
+                                         lengths)
+        path = tmp_path_factory.mktemp("index") / "index.rmix"
+        for index in (built, one_term):
+            cli.save_index(index, path, cli.index_provenance(tok, None))
+            for each in (index, cli.load_index(path)):
+                assert each.doc_len.mean() == math.fsum(each.doc_len) / each.n_articles
+
     @pytest.mark.parametrize("matcher", ["BM25", "TFIDF"])
     def test_saved_index_scores_like_built_index(self, workspace, matcher):
         tmp_path, config, out = workspace
@@ -564,7 +586,28 @@ class TestEmbeddingMatchers:
             rows = list(csv.DictReader(fh))
         assert [r["matcher"] for r in rows] == ["TFIDF", "BM25", "EMBEDDING", "DOCVEC"]
 
-    @pytest.mark.parametrize("matcher,key", [("EMBEDDING", "embeddings"),
+    def test_identify_all_gives_each_matcher_its_own_row(self, workspace, vector_files):
+        # t5's label names a2, which BM25 does not rank first and DOCVEC cannot name (t5
+        # has no vector), so the accuracies differ from one matcher to the next while ALL
+        # scores every matcher into the same result set
+        tmp_path, config, out = workspace
+        emb, dv = vector_files
+        write_jsonl(tmp_path / "tweets.jsonl", TWEETS + [
+            {"id": "t5", "user_id": "u2", "group": "TRUMP_FOLLOWER", "timestamp": 1462060804,
+             "text": "trump trump clinton hoax"}])
+        write_jsonl(tmp_path / "labels.jsonl",
+                    LABELS + [{"tweet_id": "t5", "label": "RUMOR", "article_id": "a2"}])
+        config.write_text(config.read_text() + f"embeddings = {emb}\ndoc_vectors = {dv}\n")
+        lines = {}
+        for matcher in ("ALL", *cli.VECTOR_MATCHERS):
+            assert cli.main(["--config", str(config), "--matcher", matcher,
+                             "eval", "identify"]) == 0
+            lines[matcher] = (out / "identification.csv").read_text().splitlines()
+        assert lines["ALL"] == [lines["TFIDF"][0]] + [lines[m][1] for m in cli.VECTOR_MATCHERS]
+        assert [line.split(",")[1:] for line in lines["ALL"][1:]] == [
+            ["1.0", "4"], ["0.75", "4"], ["1.0", "4"], ["0.75", "4"]]
+
+    @pytest.mark.parametrize("matcher,key",[("EMBEDDING", "embeddings"),
                                              ("DOCVEC", "doc_vectors")])
     def test_identify_named_matcher_without_its_file_exit_2(self, workspace, capsys, matcher,
                                                              key):
@@ -698,10 +741,10 @@ class TestLabeledResults:
 
     def test_labels_and_results_hold_numbers_per_label(self, tmp_path):
         # 20k labels, half RUMOR over 1,723 articles, and their results from a stream of
-        # 40k tweets whose ids are made as it runs: about 2.6 MB of labels and 0.6 MB of
-        # results. LabeledTweets that each held their own article id string, a set of the
-        # labeled ids and a dict of (article_id, score, rumor) tuples keyed by the stream's
-        # ids held about 9.7 MB
+        # 40k tweets whose ids are made as it runs: about 2.6 MB of labels and 1.25 MB of
+        # results, most of it the dict of label positions. LabeledTweets that each held
+        # their own article id string, a set of the labeled ids and a dict of (article_id,
+        # score, rumor) tuples keyed by the stream's ids held about 9.7 MB
         rng = random.Random(23)
         article_ids = [f"article-{i:04d}" for i in range(1723)]
         ids = rng.sample(range(10**17, 10**18), 40_000)
