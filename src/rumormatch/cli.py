@@ -129,15 +129,12 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Flat 'key = value' lines; '#' comments and blank lines ignored."""
+    """Flat 'key = value' entries, in the line grammar of textpipe.entries."""
     values = {}
-    for line_no, line in enumerate(corpus._text_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
+    for line_no, entry in textpipe.entries(corpus._text_lines(path)):
+        if "=" not in entry:
             raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, raw = line.partition("=")
+        key, _, raw = entry.partition("=")
         values[key.strip()] = raw.strip()
     return values
 
@@ -187,6 +184,12 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
     for f in config.top_fractions:
         if not 0 < f <= 1:
             raise ValueError(f"config key 'top_fractions' values must be in (0, 1], got {f}")
+    for key in ("window_start", "window_end"):  # the timeline writes its bins as UTC dates
+        try:
+            time.gmtime(getattr(config, key))
+        except (OverflowError, OSError, ValueError) as exc:
+            raise ValueError(f"config key {key!r} must be a time gmtime can convert, "
+                             f"got {getattr(config, key)} ({exc})") from None
     if config.window_start >= config.window_end:
         raise ValueError(f"config key 'window_start' ({config.window_start}) must be before "
                          f"'window_end' ({config.window_end})")

@@ -15,7 +15,7 @@ import math
 import os
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     EmptyScoresError,
     MalformedLineError,
 )
-from .textpipe import TokenizerConfig, list_entries, packaged_list, tokenize_texts
+from .textpipe import TokenizerConfig, entries, packaged_list, tokenize_texts
 
 
 @dataclass(frozen=True)
@@ -576,34 +576,26 @@ def score_embedding(
     return scores[0], bool(defined[0])
 
 
-@dataclass
-class LexiconPatternSet:
-    patterns: list[re.Pattern] = field(default_factory=list)
-
-    @classmethod
-    def from_lines(cls, lines):
-        return cls(patterns=[re.compile(p, re.IGNORECASE) for p in list_entries(lines)])
+def default_lexicon() -> list[re.Pattern]:
+    """The packaged signal phrases, compiled case-insensitive."""
+    return [re.compile(p, re.IGNORECASE) for p in packaged_list("lexicon.txt")]
 
 
-def default_lexicon() -> LexiconPatternSet:
-    return LexiconPatternSet.from_lines(packaged_list("lexicon.txt"))
-
-
-def load_lexicon(path) -> LexiconPatternSet:
-    """The patterns of a lexicon file; a pattern that does not compile is a
-    MalformedLineError naming its line and the re.error."""
+def load_lexicon(path) -> list[re.Pattern]:
+    """The patterns of a lexicon file, case-insensitive; a pattern that does
+    not compile is a MalformedLineError naming its line and the re.error."""
     patterns = []
-    for line_no, line in enumerate(_text_lines(path), start=1):
+    for line_no, entry in entries(_text_lines(path)):
         try:
-            patterns += LexiconPatternSet.from_lines([line]).patterns
+            patterns.append(re.compile(entry, re.IGNORECASE))
         except re.error as exc:
             raise MalformedLineError(path, line_no, str(exc)) from None
-    return LexiconPatternSet(patterns)
+    return patterns
 
 
-def match_lexicon(text: str, patterns: LexiconPatternSet) -> bool:
+def match_lexicon(text: str, patterns: list[re.Pattern]) -> bool:
     """True iff any pattern matches the raw (pre-tokenization) text."""
-    return any(p.search(text) for p in patterns.patterns)
+    return any(p.search(text) for p in patterns)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ stemming. ``tokenize_block`` is the one implementation of these rules: it
 runs them over a block of texts in one pass and, with stemming off, leaves
 the stopword and length filters to the vocabulary its words are looked up
 in, trimmed by ``trim_vocabulary``. ``tokenize_texts`` applies the filters
-itself, and ``tokenize`` is it for one text. Stopword and lexicon files
-share one list format, parsed here.
+itself, and ``tokenize`` is it for one text. Stopword, lexicon and config
+files share one line grammar, read here by ``entries``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import corpus, stemmer
 
@@ -33,15 +33,20 @@ _WORD_BYTES = bytes(c if chr(c) in "abcdefghijklmnopqrstuvwxyz0123456789'\x00" e
 _EDGE_APOSTROPHES = re.compile(r"(?<![a-z0-9'])'+|'+(?![a-z0-9'])")
 
 
-def list_entries(lines: Iterable[str]) -> list[str]:
-    """A list file's entries: one per line, stripped; blanks and '#' comments skipped."""
-    return [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+def entries(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each entry of a stopword, lexicon or config file, with its line number
+    from 1: a line stripped, unless it is blank or starts with '#'. A '#'
+    later in a line is part of its entry, since a regex or a path may hold one."""
+    for line_no, line in enumerate(lines, start=1):
+        entry = line.strip()
+        if entry and not entry.startswith("#"):
+            yield line_no, entry
 
 
 def packaged_list(name: str) -> list[str]:
     """The entries of a list file shipped in the package's data directory."""
-    return list_entries(resources.files("rumormatch.data").joinpath(name)
-                        .read_text("utf-8").splitlines())
+    return [entry for _, entry in entries(resources.files("rumormatch.data").joinpath(name)
+                                          .read_text("utf-8").splitlines())]
 
 
 @functools.cache  # read once per process: TokenizerConfig() calls it
@@ -51,7 +56,7 @@ def default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path) -> frozenset[str]:
     """One word per line, lowercased; '#' comments ignored."""
-    return frozenset(w.lower() for w in list_entries(corpus._text_lines(path)))
+    return frozenset(w.lower() for _, w in entries(corpus._text_lines(path)))
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,20 @@ class TestAccumulator:
         with pytest.raises(ValueError):
             analysis.Accumulator(WEEK_WINDOW, 0)
 
+    @pytest.mark.parametrize("end", [DAY0, DAY0 - 1])
+    def test_window_start_must_precede_end(self, end):
+        with pytest.raises(ValueError, match="window start must precede end"):
+            TimeWindow(DAY0, end)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, float("nan")])
+    def test_top_fraction_outside_0_1_rejected(self, fraction):
+        with pytest.raises(ValueError, match=re.escape("top_fraction must be in (0, 1]")):
+            analysis.Accumulator(WEEK_WINDOW, DAY).user_concentration(fraction)
+
+    def test_negative_top_n_rejected(self):
+        with pytest.raises(ValueError, match="top_n must be 0 or more, got -1"):
+            analysis.Accumulator(WEEK_WINDOW, DAY).user_ranking(-1)
+
 
 # A small world for generated blocks: two bins' worth of edge timestamps, and
 # words that keep, drop or split a keyword (mentions, URLs, a hashtag).

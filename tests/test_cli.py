@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import typing
 import unittest.mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import deadline, make_article, make_tweet
 from oracles import bm25_oracle
 
-from rumormatch import cli, corpus, errors, evaluation, matchers
+from rumormatch import cli, corpus, errors, evaluation, matchers, textpipe
 from rumormatch.corpus import Label, LabeledTweet
 from rumormatch.matchers import BM25Params, MatchResult, build_index
 from rumormatch.textpipe import TokenizerConfig, tokenize
@@ -114,6 +115,12 @@ def vector_files(tmp_path):
 
 
 
+def readme_keys_block() -> str:
+    """The example run.conf under README's "Keys:"."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    return text.split("Keys:\n\n```\n", 1)[1].split("```", 1)[0]
+
+
 class TestConfig:
     def test_parse_and_types(self, workspace):
         tmp_path, config, out = workspace
@@ -178,6 +185,22 @@ class TestConfig:
             assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seconds", [2**63, 10**17])
+    @pytest.mark.parametrize("key", ["window_start", "window_end"])
+    def test_window_bound_gmtime_cannot_convert_exits_before_any_output(
+            self, workspace, capsys, key, seconds):
+        # a start with its end a day later, or an end after the default start
+        _, config, out = workspace
+        bounds = {key: seconds, "window_end": seconds + 86400} if key == "window_start" else {
+            key: seconds}
+        config.write_text(config.read_text() + "".join(f"{k} = {v}\n" for k, v in bounds.items()))
+        # `match` first: a window of centuries would make `all` build a bin per day
+        for command in (["match"], ["index"], ["analyze", "timeline"], ["all"]):
+            assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
+            assert f"config key {key!r} must be a time gmtime can convert, got {seconds}" in (
+                capsys.readouterr().err)
+        assert not out.exists()
+
     def test_matcher_all_only_for_eval_identify(self, workspace, capsys):
         _, config, out = workspace
         base = ["--config", str(config), "--matcher", "ALL"]
@@ -202,10 +225,22 @@ class TestConfig:
         assert not out.exists()
 
     def test_readme_lists_every_config_key(self):
-        text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
-        block = text.split("Keys:\n\n```\n", 1)[1].split("```", 1)[0]
-        keys = [line.partition("=")[0].strip() for line in block.splitlines()]
+        block = readme_keys_block()
+        keys = [entry.partition("=")[0].strip()
+                for _, entry in textpipe.entries(block.splitlines())]
         assert sorted(keys) == sorted(f.name for f in dataclasses.fields(cli.RunConfig))
+
+    def test_readme_example_parses_to_the_defaults(self, tmp_path, monkeypatch):
+        (tmp_path / "run.conf").write_text(readme_keys_block(), encoding="utf-8")
+        (tmp_path / "stopwords.txt").write_text("", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        built = cli.build_config(cli.parse_config_file("run.conf"), {})
+        default = cli.RunConfig()
+        for key, kind in typing.get_type_hints(cli.RunConfig).items():
+            if kind in (int, float, bool) or key == "top_fractions":
+                assert getattr(built, key) == getattr(default, key), key
+        assert built.keywords == ["clinton", "trump"]
+        assert (built.index_path, built.out) == ("out/index.rmix", "out/")
 
     def test_negative_jobs_exit_2(self, workspace, capsys):
         _, config, out = workspace
@@ -453,6 +488,12 @@ class TestMatchCommand:
         assert defined.dtype == np.bool_ and defined.shape == (5,)
         assert (scores[~defined] == 0.0).all()
         assert defined.all() == (matcher not in ("EMBEDDING", "DOCVEC"))
+
+    @pytest.mark.parametrize("matcher", ["FOO", "ALL"])
+    def test_no_scorer_for_an_unknown_matcher(self, matcher):
+        # build_config refuses FOO, and ALL outside eval identify, before this
+        with pytest.raises(ValueError, match=f"unknown matcher {matcher!r}"):
+            cli.make_scorer(cli.RunConfig(matcher=matcher))
 
     def test_embedding_words_find_only_terms(self, workspace):
         tmp_path, config, _ = workspace
@@ -1044,6 +1085,7 @@ class TestInputErrors:
         b"\xff",
         pytest.param(index_payload(ordinals=[0, 2]), id="ordinal-past-last-article"),
         pytest.param(index_payload(indptr=[0, 2, 1]), id="falling-indptr"),
+        pytest.param(index_payload(indptr=[0, 2]), id="indptr-terms-lengths-differ"),
         pytest.param(index_payload(counts=[1]), id="ordinals-counts-lengths-differ"),
         pytest.param(index_payload(terms=["x", "x"]), id="duplicate-term"),
         pytest.param(index_payload(indptr=[0, 2, 2], ordinals=[1, 0]), id="falling-ordinals"),

@@ -16,6 +16,7 @@ from conftest import (
 )
 from oracles import bm25_oracle, embedding_cosine_oracle, tfidf_cosine_oracle
 
+from rumormatch.errors import DimMismatchError
 from rumormatch.matchers import (
     BM25Params,
     EmbeddingTable,
@@ -226,6 +227,10 @@ class TestCosineBlock:
             if defined[i]:
                 expected = np.array(cosine_loop_reference(means[i], articles))
                 assert together[i].tobytes() == expected.tobytes()
+
+    def test_dims_must_agree(self):
+        with pytest.raises(DimMismatchError, match="query vectors have dim 2, article vectors 3"):
+            cosine_block(np.zeros((1, 2)), np.zeros((4, 3)))
 
     def test_underflowing_norm_is_still_defined(self):
         # |q|^2 underflows to 0, but q is not zero: defined, as when tested component-wise

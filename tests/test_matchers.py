@@ -28,7 +28,6 @@ from rumormatch.errors import (
 from rumormatch.matchers import (
     BM25Params,
     EmbeddingTable,
-    LexiconPatternSet,
     MatchResult,
     best_match,
     build_index,
@@ -70,6 +69,11 @@ class TestBuildIndex:
         assert index.n_articles == 173
         assert len(index.doc_len) == 173
         assert np.bincount(index.ordinals).tolist() == [1] * 173
+
+    def test_arrays_must_be_flat(self):
+        # a loaded index holds lists, whose nesting _int_array refuses first
+        with pytest.raises(ValueError, match="every array must be flat"):
+            matchers.ArticleIndex(["a1"], ["x"], np.array([[0, 1]]), np.array([0]), [1])
 
     def test_memory_holds_one_article_at_a_time(self):
         # 1,723 articles of 60 Zipf tokens, the shape of the paper's reference set: holding
@@ -420,19 +424,25 @@ class TestLexicon:
         assert match_lexicon("Totally UNCONFIRMED reports", lexicon)
         assert not match_lexicon("lovely weather today", lexicon)
 
-    def test_case_insensitive(self):
-        lexicon = LexiconPatternSet.from_lines(["debunk"])
+    def test_case_insensitive(self, tmp_path):
+        p = tmp_path / "lexicon.txt"
+        p.write_text("debunk\n", encoding="utf-8")
+        lexicon = matchers.load_lexicon(p)
         assert match_lexicon("DEBUNKED already", lexicon)
 
-    def test_comments_skipped(self):
-        lexicon = LexiconPatternSet.from_lines(["# comment", "", "foo"])
-        assert len(lexicon.patterns) == 1
+    def test_comments_skipped(self, tmp_path):
+        p = tmp_path / "lexicon.txt"
+        p.write_text("# comment\n\nfoo\nbar #1\n", encoding="utf-8")
+        lexicon = matchers.load_lexicon(p)
+        assert len(lexicon) == 2
+        # a '#' after the start of a line is part of the pattern
+        assert lexicon[1].pattern == "bar #1"
 
     def test_custom_lexicon_file(self, tmp_path):
         p = tmp_path / "lexicon.txt"
         p.write_text("# signal phrases\n\n  fake news  \nhoa+x\n", encoding="utf-8")
         lexicon = matchers.load_lexicon(p)
-        assert [pat.pattern for pat in lexicon.patterns] == ["fake news", "hoa+x"]
+        assert [pat.pattern for pat in lexicon] == ["fake news", "hoa+x"]
         assert match_lexicon("total HOAAX", lexicon) and match_lexicon("Fake News!", lexicon)
         assert not match_lexicon("is it true that she collapsed?", lexicon)
 
@@ -457,6 +467,11 @@ class TestBestMatchAndClassify:
         index = index_from_token_lists([["a1t"]])
         with pytest.raises(EmptyScoresError):
             best_match(np.array([]), index)
+
+    def test_scores_of_another_article_count(self):
+        index = index_from_token_lists([["a1t"], ["b1t"]])
+        with pytest.raises(ValueError, match="score list length does not match article count"):
+            best_match(np.zeros(3), index)
 
     def test_classify_strict_inequality(self):
         assert classify(MatchResult("t", "a", 30.6), 30.5) is Label.RUMOR

@@ -56,6 +56,20 @@ def stale_names(markdown: str) -> list[str]:
     return stale
 
 
+def test_library_example_runs(tmp_path, monkeypatch, capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"^```python\n(.*?)^```", section, flags=re.S | re.M).group(1)
+    (tmp_path / "articles.jsonl").write_text(
+        '{"id":"a1","title":"Shaky Diagnosis","body":"Clinton collapse","subjects":["CLINTON"]}\n'
+        '{"id":"a2","title":"Hidden Returns","body":"Trump tax","subjects":["TRUMP"]}\n',
+        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    # one query term, once in one of two articles of one length: BM25 gives its idf, ln 2
+    assert capsys.readouterr().out == "a1 0.6931471805599453\n"
+
+
 def test_readme_names_exist():
     assert stale_names((ROOT / "README.md").read_text(encoding="utf-8")) == []
 

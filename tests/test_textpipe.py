@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import tokenize_oracle
 
-from rumormatch import matchers, textpipe
+from rumormatch import matchers, stemmer, textpipe
 from rumormatch.errors import EmptyCorpusError
 from rumormatch.corpus import RumorArticle
 from rumormatch.matchers import build_index
@@ -47,6 +47,18 @@ class TestTokenize:
         assert tokenize("ties running", config) == ["run"]  # "ties" stems to "ti"
         assert tokenize("ties running", TokenizerConfig(stopwords=frozenset(),
                                                         min_token_len=3)) == ["ties", "running"]
+
+    # Porter (1980)'s own examples of the rules no other test reaches, stemmed
+    # through every step: "eed" with m > 0 and without, "+e" after at/bl/iz
+    # in step 1b, step 3, and step 4's "-ion" after s or t
+    @pytest.mark.parametrize("word,stem", [
+        ("agreed", "agre"), ("feed", "feed"), ("conflated", "conflat"),
+        ("troubled", "troubl"), ("sized", "size"), ("triplicate", "triplic"),
+        ("formative", "form"), ("formalize", "formal"), ("electrical", "electr"),
+        ("hopeful", "hope"), ("goodness", "good"), ("adoption", "adopt"),
+    ])
+    def test_porter_examples(self, word, stem):
+        assert stemmer.stem(word) == stem
 
     @given(st.text(max_size=200))
     def test_idempotent_on_own_output(self, text):
@@ -145,7 +157,8 @@ def test_keyword_terms_follow_case_and_stemming():
 
 
 def test_list_entries_skip_blanks_and_comments():
-    assert textpipe.list_entries(["  # note", "", " Foo \n", "#x", "b.r"]) == ["Foo", "b.r"]
+    assert list(textpipe.entries(["  # note", "", " Foo \n", "#x", "b.r", "a # b"])) == [
+        (3, "Foo"), (5, "b.r"), (6, "a # b")]
 
 
 # Pieces a text is run together from: each crosses a rule of tokenize (URLs
