@@ -19,7 +19,6 @@ import dataclasses
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import tempfile
@@ -96,7 +95,7 @@ class RunConfig:
     top_n: int = 1000
     top_fractions: list[float] = field(default_factory=lambda: [0.1, 0.2])
     keywords: list[str] = field(default_factory=list)
-    jobs: int = 0  # 0 -> all available cores
+    jobs: int = 0  # 0 -> every CPU this process may run on
     quiet: bool = False
 
     def tokenizer_config(self) -> textpipe.TokenizerConfig:
@@ -178,7 +177,7 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
                          f"got {config.matcher!r}")
     config.matcher = matcher
     if config.jobs < 0:
-        raise ValueError(f"config key 'jobs' must be 0 (all cores) or more, got {config.jobs}")
+        raise ValueError(f"config key 'jobs' must be 0 (every CPU) or more, got {config.jobs}")
     if config.top_n < 0:
         raise ValueError(f"config key 'top_n' must be 0 or more, got {config.top_n}")
     for f in config.top_fractions:
@@ -370,8 +369,9 @@ class Scorer:
     (B, len(article_ids)) and the (B,) bool mask of defined rows; an
     undefined row scores 0 and is never a rumor. The words may hold
     stopwords and short words, which no matcher's vocabulary holds: the
-    index's terms are tokenize's, and the vector file's are trimmed by
-    ``textpipe.trim_vocabulary``.
+    impact table's terms are tokenize's, and the vector file's are trimmed
+    by ``textpipe.trim_vocabulary``. A BM25 or TF-IDF scorer holds its
+    ImpactTable, not the ArticleIndex it was built from.
     """
 
     tok: textpipe.TokenizerConfig
@@ -386,8 +386,10 @@ def make_scorer(config: RunConfig, articles=None, index=None,
                 wanted: frozenset[str] = frozenset()) -> Scorer:
     """Set up config.matcher, reusing the articles and index when given.
 
-    Only BM25 and TF-IDF use the index (the saved one at index_path, if any).
-    EMBEDDING and DOCVEC score the articles they embed, in file order.
+    Only BM25 and TF-IDF use the index (the saved one at index_path, if any),
+    and keep only its impact table and article ids: an index that the caller
+    does not hold is freed when this returns. EMBEDDING and DOCVEC score the
+    articles they embed, in file order.
     LEXICON scores 1.0 on a pattern match, else 0.0, in one column against
     no article, at a fixed threshold of 0.
     """
@@ -408,9 +410,9 @@ def make_scorer(config: RunConfig, articles=None, index=None,
         table = (index.bm25_table(config.bm25_params()) if matcher == "BM25"
                  else index.tfidf_table())
 
-        # every index term is a term of tokenize: a stopword or short word has no id
+        # every table term is a term of tokenize: a stopword or short word has no id
         def score(block, words):
-            return matchers.score_block(words, index, table), np.ones(len(block), dtype=bool)
+            return matchers.score_block(words, table), np.ones(len(block), dtype=bool)
         return Scorer(tok, config.threshold, index.article_ids, score, True, wanted)
     if articles is None:
         articles = _load_articles(config)
@@ -512,6 +514,8 @@ def _scored_blocks(jobs: int, scorer: Scorer, tweets):
         for block in _batches(itertools.chain(first, tweets), BLOCK):
             yield block, _score_block(scorer, [(t.id, t.text) for t in block])
         return
+    import multiprocessing  # here, so that a serial run never imports it
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(jobs, initializer=_init_worker, initargs=(scorer,)) as pool:
         pending = collections.deque()
@@ -592,7 +596,12 @@ def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scor
     """
     if scorer is None:
         scorer = make_scorer(config)
-    jobs = config.jobs or (os.cpu_count() or 1)
+    if config.jobs:
+        jobs = config.jobs
+    elif hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        jobs = len(os.sched_getaffinity(0))
+    else:
+        jobs = os.cpu_count() or 1
     done, last = 0, time.monotonic()
     with contextlib.ExitStack() as stack:
         write = None
@@ -816,10 +825,11 @@ def cmd_analyze(config: RunConfig, which: list[str]) -> None:
 def cmd_all(config: RunConfig) -> None:
     """index, match, eval classify (with labels) and every analysis in one pass.
 
-    The articles are read and indexed once; each tweet is read, tokenized
-    and scored once, and its result feeds matches.jsonl, the labeled scores
-    and the analysis accumulator. The files are the bytes the four commands
-    write when run one after another.
+    The articles are read and indexed once, and only the index's impact
+    table is kept for the pass; each tweet is read, tokenized and scored
+    once, and its result feeds matches.jsonl, the labeled scores and the
+    analysis accumulator. The files are the bytes the four commands write
+    when run one after another.
     """
     articles = _load_articles(config)
     # the faults that the articles and labels show are raised before any output
@@ -827,13 +837,12 @@ def cmd_all(config: RunConfig) -> None:
     labels = _read_labels(config, articles) if config.labels else None
     if labels is not None:
         evaluation.check_classes(labels, fixed_point=config.matcher == "LEXICON")
-    index = cmd_index(config, articles)
     acc = _accumulator(config)
+    scorer = make_scorer(config, articles, cmd_index(config, articles), acc.wanted)
     labeled = LabeledResults(labels) if labels is not None else None
     run_match(
         config, corpus.iter_tweets(_require_file(config.tweets, "tweets")),
-        os.path.join(config.out, "matches.jsonl"),
-        scorer=make_scorer(config, articles, index, acc.wanted), labeled=labeled, acc=acc,
+        os.path.join(config.out, "matches.jsonl"), scorer=scorer, labeled=labeled, acc=acc,
     )
     if labeled is not None:
         labeled.check_seen()
@@ -853,7 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--matcher", help=f"matching algorithm: {', '.join(MATCHERS)}, "
                         "or ALL for eval identify (any case)")
     parser.add_argument("--threshold", type=float, help="classification threshold h")
-    parser.add_argument("--jobs", type=int, help="parallel workers for match (0 = all cores)")
+    parser.add_argument("--jobs", type=int, help="parallel workers for match "
+                        "(0 = every CPU this process may run on)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--quiet", action="store_true", default=None)
 

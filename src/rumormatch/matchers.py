@@ -50,16 +50,19 @@ DENSE_SHARE = 5
 
 @dataclass(frozen=True)
 class ImpactTable:
-    """Per-term impact rows over article ordinals for one weighting.
+    """Per-term impact rows over article ordinals for one weighting: all that
+    score_block needs, so a scorer holds the table and not its ArticleIndex.
 
-    Term t scores ``impact[t, j]`` on article j. Head terms (see DENSE_SHARE)
-    keep a dense row ``dense_rows[dense_slot[t]]`` and an empty CSR row; all
-    other terms keep their postings in ``indptr``/``indices``/``data`` with
-    ordinals ascending. ``query_idf`` is set for TF-IDF, whose query terms
-    carry the weight ``count * idf / |q|``; BM25 queries weigh each unique
-    term once.
+    ``term_ids`` maps each term to its id t: the index's own dict, shared,
+    not copied. Term t scores ``impact[t, j]`` on article j. Head terms (see
+    DENSE_SHARE) keep a dense row ``dense_rows[dense_slot[t]]`` and an empty
+    CSR row; all other terms keep their postings in
+    ``indptr``/``indices``/``data`` with ordinals ascending. ``query_idf`` is
+    set for TF-IDF, whose query terms carry the weight ``count * idf / |q|``;
+    BM25 queries weigh each unique term once.
     """
 
+    term_ids: Mapping[str, int]
     n_articles: int
     indptr: np.ndarray  # (V + 1,) int64
     indices: np.ndarray  # (nnz,) int64 article ordinals
@@ -83,6 +86,8 @@ class ArticleIndex:
     from them, holds each article's token count: its sum of posting counts.
     Immutable after construction; one ImpactTable per weighting is built on
     first use: BM25 per BM25Params, TF-IDF from the L2-normalized tf*idf postings.
+    A table shares ``term_ids`` but holds no view of the raw postings, which
+    are freed with the index once nothing else holds it.
     """
 
     def __init__(self, article_ids, terms, indptr, ordinals, counts):
@@ -176,9 +181,9 @@ class ArticleIndex:
         indptr = np.zeros_like(self.indptr)
         np.cumsum(np.where(dense, 0, df), out=indptr[1:])
         return ImpactTable(
-            n_articles=self.n_articles, indptr=indptr, indices=self.ordinals[~head],
-            data=impacts[~head], dense_slot=dense_slot, dense_rows=dense_rows,
-            query_idf=query_idf,
+            term_ids=self.term_ids, n_articles=self.n_articles, indptr=indptr,
+            indices=self.ordinals[~head], data=impacts[~head], dense_slot=dense_slot,
+            dense_rows=dense_rows, query_idf=query_idf,
         )
 
 
@@ -248,18 +253,18 @@ def lookup_ids(vocab: Mapping[str, int], token_lists: list[list[str]]
     return ids, lens
 
 
-def score_block(token_lists: list[list[str]], index: ArticleIndex,
-                table: ImpactTable) -> np.ndarray:
+def score_block(token_lists: list[list[str]], table: ImpactTable) -> np.ndarray:
     """Scores of a block of tweets against every article, shape (B, n_articles),
-    from their tokens; a token that is no index term adds nothing.
+    from their tokens; a token that is no term of the table adds nothing.
 
-    Each row's tokens become its sorted unique term ids. Every score sums its
-    terms in one canonical order: CSR terms in ascending term id (one
-    bincount over row * N + ordinal), then dense terms in ascending term id.
+    Each row's tokens become its sorted unique term ids, looked up in
+    ``table.term_ids``. Every score sums its terms in one canonical order:
+    CSR terms in ascending term id (one bincount over row * N + ordinal),
+    then dense terms in ascending term id.
     A row's result therefore does not depend on the other rows of the block,
     the block size, the worker count or the string hash seed.
     """
-    ids, lens = lookup_ids(index.term_ids, token_lists)
+    ids, lens = lookup_ids(table.term_ids, token_lists)
     n_rows, n, vocab = len(lens), table.n_articles, len(table.dense_slot)
     rows = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
     known = ids >= 0
@@ -306,14 +311,14 @@ def score_block(token_lists: list[list[str]], index: ArticleIndex,
 
 def score_tfidf(tweet_tokens: list[str], index: ArticleIndex) -> np.ndarray:
     """Cosine between the tweet's TF-IDF vector and each article's; in [0, 1]."""
-    return score_block([tweet_tokens], index, index.tfidf_table())[0]
+    return score_block([tweet_tokens], index.tfidf_table())[0]
 
 
 def score_bm25(
     tweet_tokens: list[str], index: ArticleIndex, params: Optional[BM25Params] = None
 ) -> np.ndarray:
     """BM25 with the tweet as query; each unique query term contributes once."""
-    return score_block([tweet_tokens], index, index.bm25_table(params or BM25Params()))[0]
+    return score_block([tweet_tokens], index.bm25_table(params or BM25Params()))[0]
 
 
 class EmbeddingTable:

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import platform
@@ -12,6 +14,7 @@ import sys
 import tracemalloc
 import typing
 import unittest.mock
+import weakref
 
 import numpy as np
 import pytest
@@ -513,6 +516,55 @@ class TestMatchCommand:
         cli.main(["--config", str(config), "--jobs", "1", "match"])
         serial = (out / "matches.jsonl").read_bytes()
         cli.main(["--config", str(config), "--jobs", "4", "match"])
+        assert (out / "matches.jsonl").read_bytes() == serial
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    @pytest.mark.parametrize("matcher", cli.POSTINGS_MATCHERS)
+    def test_scorer_holds_no_index(self, workspace, matcher, source):
+        # the scorer keeps the impact table, so the index is freed with its
+        # last outside reference, and the scorer still writes match's bytes
+        tmp_path, config, out = workspace
+        assert cli.main(["--config", str(config), "--matcher", matcher, "index"]) == 0
+        assert cli.main(["--config", str(config), "--matcher", matcher, "match"]) == 0
+        config = cli.build_config(cli.parse_config_file(config), {"matcher": matcher})
+        articles = corpus.load_articles(config.articles)
+        index = (build_index(articles, config.tokenizer_config()) if source == "built"
+                 else cli.load_index(out / "index.rmix", config))
+        scorer = cli.make_scorer(config, articles, index)
+        ref = weakref.ref(index)
+        del index
+        gc.collect()
+        assert ref() is None
+        text, _, _ = cli._score_block(scorer, [(t["id"], t["text"]) for t in TWEETS])
+        assert text.encode("utf-8") == (out / "matches.jsonl").read_bytes()
+
+    def test_serial_match_does_not_import_the_pool(self, workspace):
+        tmp_path, config, out = workspace
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys\nfrom rumormatch import cli\n"
+                f"code = cli.main(['--config', {str(config)!r}, '--jobs', '1', 'match'])\n"
+                "print(code, 'multiprocessing' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                              capture_output=True, text=True)
+        assert done.stdout.split() == ["0", "False"]
+        assert (out / "matches.jsonl").read_text().count("\n") == len(TWEETS)
+
+    def test_jobs_zero_counts_the_cpus_this_process_may_run_on(self, workspace, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        tmp_path, config, out = workspace
+        assert cli.main(["--config", str(config), "--jobs", "1", "match"]) == 0
+        serial = (out / "matches.jsonl").read_bytes()
+        (out / "matches.jsonl").unlink()
+        # one CPU of eight may run this process: tweets beyond one CHUNK start no pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli, "CHUNK", 1)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert cli.main(["--config", str(config), "--jobs", "0", "match"]) == 0
         assert (out / "matches.jsonl").read_bytes() == serial
 
 

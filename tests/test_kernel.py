@@ -45,11 +45,11 @@ def assert_top1_matches_oracle(scores, expected):
     assert ordinal == min(j for j, e in enumerate(expected) if e >= top - 1e-9)
 
 
-def assert_block_independent(queries, index, table):
+def assert_block_independent(queries, table):
     """One query per block and all queries in one block give the same bytes."""
-    together = score_block(queries, index, table)
+    together = score_block(queries, table)
     for row, query in zip(together, queries):
-        assert row.tobytes() == score_block([query], index, table)[0].tobytes()
+        assert row.tobytes() == score_block([query], table)[0].tobytes()
     return together
 
 
@@ -91,7 +91,7 @@ class TestRandomCorpora:
             queries += [[], ["oov1", "oov2"], [vocab[0], "oov3", vocab[0]]]
             rng.shuffle(queries)
             for name, table, oracle in tables(index, rng):
-                scores = assert_block_independent(queries, index, table)
+                scores = assert_block_independent(queries, table)
                 for row, query in zip(scores, queries):
                     assert row == pytest.approx(oracle(docs, query), abs=1e-9), name
                     assert_top1_matches_oracle(row, oracle(docs, query))
@@ -101,7 +101,7 @@ class TestRandomCorpora:
     def test_empty_and_out_of_vocabulary_rows_are_zero(self):
         index = index_from_token_lists([["apple", "pie"], ["banana"], ["cherry"]])
         for _, table, _ in tables(index, random.Random(1)):
-            scores = score_block([[], ["zebra", "yak"], ["apple"]], index, table)
+            scores = score_block([[], ["zebra", "yak"], ["apple"]], table)
             assert not scores[:2].any()
             assert list(np.argmax(scores[:2], axis=1)) == [0, 0]
             assert scores[2, 0] > 0
@@ -132,7 +132,7 @@ class TestDenseAndCsrTerms:
     ])
     def test_against_oracles(self, index, query):
         for name, table, oracle in tables(index, random.Random(3)):
-            scores = assert_block_independent([query, ["c1"], []], index, table)
+            scores = assert_block_independent([query, ["c1"], []], table)
             assert scores[0] == pytest.approx(oracle(self.DOCS, query), abs=1e-9), name
             assert_top1_matches_oracle(scores[0], oracle(self.DOCS, query))
 
@@ -143,7 +143,7 @@ class TestDenseAndCsrTerms:
         queries = [["u1", "v1"], ["v4", "u4", "u2"], ["zebra"], []]
         for name, table, oracle in tables(index, random.Random(5)):
             assert table.dense_rows.shape == (0, 6)
-            scores = assert_block_independent(queries, index, table)
+            scores = assert_block_independent(queries, table)
             for row, query in zip(scores, queries):
                 assert row == pytest.approx(oracle(docs, query), abs=1e-9), name
                 assert_top1_matches_oracle(row, oracle(docs, query))
