@@ -51,6 +51,10 @@ class TimeWindow:
 # Election-period default: 2016-04-01T00:00Z through 2016-10-01T00:00Z.
 ELECTION_WINDOW = TimeWindow(start=1459468800, end=1475280000)
 
+# The most timeline bins a window may hold: hourly bins over a century, or
+# minute bins over a year. The timeline keeps a row per bin.
+MAX_BINS = 10**6
+
 
 class Accumulator:
     """The counters every analysis reads, fed a block of tweets at a time.

@@ -97,22 +97,24 @@ class ArticleIndex:
         self.term_ids = {t: i for i, t in enumerate(self.terms)}
         self.indptr = _int_array(indptr, "indptr")
         self.ordinals = _int_array(ordinals, "ordinals")
-        counts = _int_array(counts, "counts")
-        if any(a.ndim != 1 for a in (self.indptr, self.ordinals, counts)):
+        self.counts = _int_array(counts, "counts")
+        if any(a.ndim != 1 for a in (self.indptr, self.ordinals, self.counts)):
             raise ValueError("every array must be flat")
         if not self.article_ids:
             raise ValueError("no articles")
         if not set(map(type, self.article_ids)) | set(map(type, self.terms)) <= {str}:
             raise ValueError("article ids and terms must be strings")
+        if len(set(self.article_ids)) != len(self.article_ids):
+            raise ValueError("duplicate article id")
         if len(self.term_ids) != len(self.terms):
             raise ValueError("duplicate term")
         if len(self.indptr) != len(self.terms) + 1:
             raise ValueError(f"{len(self.indptr)} indptr for {len(self.terms)} terms")
         if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
             raise ValueError("indptr must start at 0 and rise")
-        if not self.indptr[-1] == len(self.ordinals) == len(counts):
+        if not self.indptr[-1] == len(self.ordinals) == len(self.counts):
             raise ValueError(f"indptr ends at {self.indptr[-1]}, with {len(self.ordinals)} "
-                             f"ordinals and {len(counts)} counts")
+                             f"ordinals and {len(self.counts)} counts")
         ords = self.ordinals
         if len(ords) and not 0 <= ords.min() <= ords.max() < self.n_articles:
             raise ValueError(f"ordinal out of range for {self.n_articles} articles")
@@ -120,9 +122,8 @@ class ArticleIndex:
         first[self.indptr] = True  # each term's first posting, and the end
         if np.any((np.diff(ords) <= 0) & ~first[1:-1]):
             raise ValueError("ordinals must rise within each term")
-        if np.any(counts < 1):
+        if np.any(self.counts < 1):
             raise ValueError("every count must be 1 or more")
-        self.counts = counts.astype(np.float64)
         # bincount of no postings returns integer zeros
         self.doc_len = np.bincount(ords, weights=self.counts, minlength=self.n_articles).astype(
             np.float64, copy=False)
@@ -188,21 +189,11 @@ class ArticleIndex:
 
 
 def _int_array(values, name) -> np.ndarray:
-    """``values`` as an int64 array; ValueError unless every value is an integer.
-
-    An array is checked by its dtype; a list, as a loaded index holds, value
-    by value, so that 0.7, "0" and true are refused, not converted.
-    """
-    if isinstance(values, np.ndarray):
-        integral = values.dtype.kind == "i"
-    else:
-        integral = set(map(type, values)) <= {int}
-    if not integral:
+    """``values`` as an int64 array; ValueError unless numpy gives them an integer dtype."""
+    values = np.asarray(values)
+    if values.dtype.kind != "i":
         raise ValueError(f"{name} must hold integers only")
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{name} must fit in 64 bits") from None
+    return values.astype(np.int64, copy=False)
 
 
 # Articles tokenized at a time by build_index and embed_articles, and

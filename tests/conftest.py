@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import random
 import signal
@@ -25,6 +26,16 @@ def index_from_token_lists(token_lists):
     """Build an ArticleIndex whose tokenized bodies are exactly token_lists."""
     articles = [make_article(f"a{i}", toks) for i, toks in enumerate(token_lists)]
     return build_index(articles, NO_STOPWORDS)
+
+
+def zipf_articles():
+    """1,723 articles of 60 Zipf tokens over 5,000 terms: the shape of the
+    paper's reference set."""
+    rng = random.Random(1723)
+    vocab = [f"w{i:04d}" for i in range(5000)]
+    cum = list(itertools.accumulate(1 / (r + 1) for r in range(len(vocab))))
+    return [make_article(f"a{j}", rng.choices(vocab, cum_weights=cum, k=60))
+            for j in range(1723)]
 
 
 def random_token_corpus(rng: random.Random, max_docs=100, max_vocab=50):

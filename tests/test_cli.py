@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import multiprocessing
@@ -13,14 +14,13 @@ import subprocess
 import sys
 import tracemalloc
 import typing
-import unittest.mock
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import deadline, make_article, make_tweet
+from conftest import deadline, make_article, make_tweet, zipf_articles
 from oracles import bm25_oracle
 
 from rumormatch import cli, corpus, errors, evaluation, matchers, textpipe
@@ -204,6 +204,23 @@ class TestConfig:
                 capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines,n_bins", [
+        ("window_end = 1000000000000000\n", 11574057183),  # daily bins for 31.7M years
+        ("bin_width = 1\n", 15811200),  # second bins over the default window
+        ("window_start = 0\nwindow_end = 60000001\nbin_width = 60\n", 1000001),
+    ])
+    def test_window_of_too_many_bins_exits_before_any_output(self, workspace, capsys, lines,
+                                                              n_bins):
+        _, config, out = workspace
+        config.write_text(config.read_text() + lines)
+        for command in (["match"], ["analyze", "timeline"], ["all"]):
+            assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
+            assert ("config keys 'window_start', 'window_end' and 'bin_width' make "
+                    f"{n_bins} timeline bins, more than 1000000") in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.build_config({"window_start": "0", "window_end": "60000000",
+                                 "bin_width": "60"}, {}).window_end == 60000000
+
     def test_matcher_all_only_for_eval_identify(self, workspace, capsys):
         _, config, out = workspace
         base = ["--config", str(config), "--matcher", "ALL"]
@@ -261,6 +278,13 @@ class TestIndexCommand:
         assert (out / "index.rmix").read_bytes() == first
         assert first[:4] == cli.INDEX_MAGIC
 
+    def test_saved_bytes_are_pinned(self, workspace):
+        # the v5 layout and its little-endian arrays, the same on every host
+        _, config, out = workspace
+        assert cli.main(["--config", str(config), "index"]) == 0
+        assert hashlib.sha256((out / "index.rmix").read_bytes()).hexdigest() == (
+            "c35d9bb23e0dc22d774110b552dbf04f59434c3d29ab1e1de0432caa7683cdf2")
+
     def test_round_trip_via_load(self, workspace):
         tmp_path, config, out = workspace
         cli.main(["--config", str(config), "index"])
@@ -292,12 +316,28 @@ class TestIndexCommand:
                 x, y = getattr(a, f.name), getattr(b, f.name)
                 assert (x.tobytes() == y.tobytes()) if isinstance(x, np.ndarray) else x == y
 
+    def test_load_holds_no_python_int_per_posting(self, tmp_path):
+        # 79,509 postings: as Python ints in lists they peaked at 5.4 times the arrays
+        tok = TokenizerConfig(stopwords=frozenset())
+        index = build_index(zipf_articles(), tok)
+        cli.save_index(index, tmp_path / "index.rmix", cli.index_provenance(tok, None))
+        tracemalloc.start()
+        try:
+            loaded = cli.load_index(tmp_path / "index.rmix")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.ordinals.tobytes() == index.ordinals.tobytes()
+        assert peak < 4 * sum(a.nbytes for a in (index.indptr, index.ordinals, index.counts))
+
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(st.data())
-    def test_streamed_save_writes_the_canonical_payload(self, tmp_path_factory, data):
-        # the bytes json.dumps gives the whole payload, with every list written in
-        # slices of 1-3 items, so that postings span several slices
-        text = st.text(st.one_of(st.sampled_from('"\\é☃\x00'), st.characters()), max_size=5)
+    def test_save_and_load_round_trip(self, tmp_path_factory, data):
+        # the header is canonical JSON on one line, whatever LFs, quotes or NULs the
+        # strings hold, and the arrays follow it as little-endian int64; a lone
+        # surrogate has no UTF-8 form and is refused by the encoder
+        text = st.text(st.one_of(st.sampled_from('"\\é☃\x00\n\u2028'),
+                                 st.characters(codec="utf-8")), max_size=5)
         n = data.draw(st.integers(1, 4), "articles")
         article_ids = data.draw(st.lists(text, min_size=n, max_size=n, unique=True))
         terms = data.draw(st.lists(text, max_size=6, unique=True))
@@ -307,20 +347,22 @@ class TestIndexCommand:
             ordinals += sorted(rows)
             counts += [rows[o] for o in sorted(rows)]
             indptr.append(len(ordinals))
-        index = matchers.ArticleIndex(article_ids, terms, indptr, ordinals, counts)
+        arrays = [np.array(a, dtype=np.int64) for a in (indptr, ordinals, counts)]
+        index = matchers.ArticleIndex(article_ids, terms, *arrays)
         provenance = cli.index_provenance(TokenizerConfig(stopwords=frozenset({"é", "a"})), None)
         provenance["articles_sha256"] = data.draw(st.none() | st.text("0123456789abcdef"))
         path = tmp_path_factory.mktemp("index") / "index.rmix"
-        with unittest.mock.patch.object(cli, "INDEX_SLICE", data.draw(st.integers(1, 3))):
-            cli.save_index(index, path, provenance)
-        payload = {"article_ids": article_ids, "terms": terms, "indptr": indptr,
-                   "ordinals": ordinals, "counts": counts, **provenance}
-        assert path.read_bytes() == cli.INDEX_MAGIC + bytes([cli.INDEX_VERSION]) + json.dumps(
-            payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        cli.save_index(index, path, provenance)
+        header = {"article_ids": article_ids, "terms": terms, **provenance}
+        assert path.read_bytes() == (
+            cli.INDEX_MAGIC + bytes([cli.INDEX_VERSION])
+            + json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8") + b"\n"
+            + b"".join(a.astype("<i8").tobytes() for a in arrays))
         loaded = cli.load_index(path)
         assert (loaded.article_ids, loaded.terms) == (article_ids, terms)
-        assert (loaded.indptr.tolist(), loaded.ordinals.tolist()) == (indptr, ordinals)
-        assert loaded.counts.tolist() == counts
+        for name, saved in zip(("indptr", "ordinals", "counts"), arrays):
+            got = getattr(loaded, name)
+            assert got.dtype == np.int64 and got.tobytes() == saved.tobytes()
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(["apple", "pear", "plum"]), max_size=40),
@@ -368,7 +410,10 @@ class TestIndexCommand:
         olds = {1: b'{"article_ids": ["a1"], "empty_article_ids": [], "doc_len": [1], '
                    b'"avgdl": 1.0, "terms": ["x"], "postings": {"x": [[0], [1]]}}',
                 2: index_payload(doc_len=[1, 1]),  # v2 also stored doc_len
-                3: index_payload()}  # v3 may have been built with URLs or mentions kept
+                3: index_payload(),  # v3 may have been built with URLs or mentions kept
+                4: b'{"article_ids": ["a1", "a2"], "articles_sha256": null, "counts": [1, 1], '
+                   b'"indptr": [0, 1, 2], "ordinals": [0, 1], "terms": ["x", "y"], '
+                   b'"tokenizer": {}}'}  # v4 held its arrays as JSON lists
         text = config.read_text()
         for version, payload in olds.items():
             old = tmp_path / f"v{version}.rmix"
@@ -420,9 +465,10 @@ class TestIndexProvenance:
         tmp_path, config, out = saved
         index = tmp_path / "saved.rmix"
         data = index.read_bytes()
-        payload = json.loads(data[5:])
-        payload["tokenizer"]["strip_urls"] = True
-        index.write_bytes(data[:5] + json.dumps(payload).encode("utf-8"))
+        line, lf, arrays = data[5:].partition(b"\n")
+        header = json.loads(line)
+        header["tokenizer"]["strip_urls"] = True
+        index.write_bytes(data[:5] + json.dumps(header).encode("utf-8") + lf + arrays)
         assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
         assert "built with another strip_urls than configured" in capsys.readouterr().err
         assert not (out / "matches.jsonl").exists()
@@ -1113,11 +1159,16 @@ class TestReproducibility:
 
 
 def index_payload(**changes) -> bytes:
-    """A well-formed index payload (two articles, two terms) with changes."""
-    payload = {"article_ids": ["a1", "a2"], "terms": ["x", "y"],
-               "indptr": [0, 1, 2], "ordinals": [0, 1], "counts": [1, 1],
-               "tokenizer": {}, "articles_sha256": None}
-    return json.dumps({**payload, **changes}).encode()
+    """A well-formed index file after its version byte (two articles, two
+    terms): the header line, then the arrays as little-endian int64. A
+    change to indptr, ordinals or counts replaces that array."""
+    arrays = {"indptr": [0, 1, 2], "ordinals": [0, 1], "counts": [1, 1]}
+    header = {"article_ids": ["a1", "a2"], "terms": ["x", "y"], "tokenizer": {},
+              "articles_sha256": None}
+    for key, value in changes.items():
+        (arrays if key in arrays else header)[key] = value
+    return json.dumps(header).encode() + b"\n" + b"".join(
+        np.array(arrays[k], dtype="<i8").tobytes() for k in ("indptr", "ordinals", "counts"))
 
 
 class TestInputErrors:
@@ -1130,42 +1181,55 @@ class TestInputErrors:
         assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
         assert "not a rumormatch index file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", [
-        b'{"terms": []}',  # missing keys
-        b"[]",
-        pytest.param(index_payload(ordinals={"x": [0]}), id="wrong-type-ordinals"),
-        b"\xff",
-        pytest.param(index_payload(ordinals=[0, 2]), id="ordinal-past-last-article"),
-        pytest.param(index_payload(indptr=[0, 2, 1]), id="falling-indptr"),
-        pytest.param(index_payload(indptr=[0, 2]), id="indptr-terms-lengths-differ"),
-        pytest.param(index_payload(counts=[1]), id="ordinals-counts-lengths-differ"),
-        pytest.param(index_payload(terms=["x", "x"]), id="duplicate-term"),
-        pytest.param(index_payload(indptr=[0, 2, 2], ordinals=[1, 0]), id="falling-ordinals"),
-        pytest.param(index_payload(article_ids=[1, 2]), id="int-article-ids"),
-        pytest.param(index_payload(terms=[1, 2]), id="int-terms"),
-        pytest.param(index_payload(counts=[0, 1]), id="zero-count"),
-        pytest.param(index_payload(counts=[1, -5]), id="negative-count"),
-        pytest.param(index_payload(counts=[1.5, 1]), id="fractional-count"),
-        pytest.param(index_payload(counts=[float("nan"), 1]), id="nan-count"),
-        pytest.param(index_payload(ordinals=[0.7, 1.2]), id="fractional-ordinals"),
-        pytest.param(index_payload(indptr=[0, 1.9, 2]), id="fractional-indptr"),
-        pytest.param(index_payload(ordinals=["0", "1"]), id="string-ordinals"),
-        pytest.param(index_payload(ordinals=[0, True]), id="boolean-ordinal"),
-        pytest.param(index_payload(counts=["1", 1]), id="string-count"),
-        pytest.param(index_payload(ordinals=[0, 2 ** 64]), id="ordinal-past-64-bits"),
+    @pytest.mark.parametrize("payload,reason", [
+        pytest.param(b'{"terms": []}\n', "KeyError('article_ids')", id='{"terms": []}'),
+        pytest.param(b"[]\n", "TypeError('list indices", id="[]"),
+        pytest.param(index_payload(terms={"x": 0, "y": 1}),
+                     "article_ids and terms must be lists", id="wrong-type-terms"),
+        pytest.param(b"\xff\n", "UnicodeDecodeError", id="\xff"),
+        pytest.param(index_payload().replace(b"\n", b" "), "no LF ends the header line",
+                     id="no-header-end"),
+        pytest.param(index_payload()[:-40], "2 array values, want 3", id="short-tail"),
+        pytest.param(index_payload() + bytes(8), "8 array values, want 7", id="long-tail"),
+        pytest.param(index_payload() + bytes(3), "59 bytes of arrays, not a multiple of 8",
+                     id="tail-not-a-multiple-of-8"),
+        pytest.param(index_payload(ordinals=[0, 2]), "ordinal out of range",
+                     id="ordinal-past-last-article"),
+        pytest.param(index_payload(indptr=[0, 2, 1], ordinals=[0], counts=[1]),
+                     "indptr must start at 0 and rise", id="falling-indptr"),
+        # len(terms) + 1 values are read as indptr, so one of another length leaves
+        # the tail too long or too short
+        pytest.param(index_payload(indptr=[0, 2]), "6 array values, want 3",
+                     id="indptr-terms-lengths-differ"),
+        pytest.param(index_payload(counts=[1]), "6 array values, want 7",
+                     id="ordinals-counts-lengths-differ"),
+        pytest.param(index_payload(terms=["x", "x"]), "duplicate term", id="duplicate-term"),
+        pytest.param(index_payload(article_ids=["a1", "a1"]), "duplicate article id",
+                     id="duplicate-article-id"),
+        pytest.param(index_payload(indptr=[0, 2, 2], ordinals=[1, 0]),
+                     "ordinals must rise within each term", id="falling-ordinals"),
+        pytest.param(index_payload(article_ids=[1, 2]), "article ids and terms must be strings",
+                     id="int-article-ids"),
+        pytest.param(index_payload(terms=[1, 2]), "article ids and terms must be strings",
+                     id="int-terms"),
+        pytest.param(index_payload(counts=[0, 1]), "every count must be 1 or more",
+                     id="zero-count"),
+        pytest.param(index_payload(counts=[1, -5]), "every count must be 1 or more",
+                     id="negative-count"),
         pytest.param(index_payload(article_ids=[], terms=[], indptr=[0], ordinals=[], counts=[]),
-                     id="no-articles"),
+                     "no articles", id="no-articles"),
     ])
-    def test_malformed_index_payload_exit_2(self, workspace, payload, capsys):
+    def test_malformed_index_payload_exit_2(self, workspace, payload, reason, capsys):
         tmp_path, config, out = workspace
         index = tmp_path / "malformed.rmix"
         index.write_bytes(cli.INDEX_MAGIC + bytes([cli.INDEX_VERSION]) + payload)
         config.write_text(config.read_text() + f"index_path = {index}\n")
         assert cli.main(["--config", str(config), "match"]) == cli.EXIT_INPUT
-        assert "malformed index payload" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed index payload" in err and reason in err
 
     def test_index_without_postings_loads(self, tmp_path):
-        # empty JSON lists hold no value that is not an integer
+        # no terms: the arrays are indptr [0] alone
         index = tmp_path / "empty.rmix"
         index.write_bytes(cli.INDEX_MAGIC + bytes([cli.INDEX_VERSION])
                           + index_payload(terms=[], indptr=[0], ordinals=[], counts=[]))

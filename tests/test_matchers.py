@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import tracemalloc
@@ -13,6 +12,7 @@ from conftest import (
     make_article,
     mean_loop_reference,
     random_token_corpus,
+    zipf_articles,
 )
 from oracles import bm25_oracle, tfidf_cosine_oracle
 
@@ -71,18 +71,13 @@ class TestBuildIndex:
         assert np.bincount(index.ordinals).tolist() == [1] * 173
 
     def test_arrays_must_be_flat(self):
-        # a loaded index holds lists, whose nesting _int_array refuses first
+        # a 2-d array, as numpy makes of a nested list, is refused
         with pytest.raises(ValueError, match="every array must be flat"):
             matchers.ArticleIndex(["a1"], ["x"], np.array([[0, 1]]), np.array([0]), [1])
 
     def test_memory_holds_one_article_at_a_time(self):
-        # 1,723 articles of 60 Zipf tokens, the shape of the paper's reference set: holding
-        # every article's token list at once peaked near 11 MB
-        rng = random.Random(1723)
-        vocab = [f"w{i:04d}" for i in range(5000)]
-        cum = list(itertools.accumulate(1 / (r + 1) for r in range(len(vocab))))
-        articles = [make_article(f"a{j}", rng.choices(vocab, cum_weights=cum, k=60))
-                    for j in range(1723)]
+        # holding every article's token list at once peaked near 11 MB
+        articles = zipf_articles()
         tracemalloc.start()
         try:
             index = build_index(articles, NO_STOPWORDS)
