@@ -149,11 +149,9 @@ class Accumulator:
         counts = self.keyword_counts
         return {k: (counts[t, True], counts[t, False]) for k, t in self.keyword_terms.items()}
 
-    def content_attribution(
-        self, articles: list[RumorArticle], group: Group,
-        subjects: Optional[list[Subject]] = None,
-    ) -> dict[Subject, float]:
-        article_counts = subject_article_counts(articles, subjects)
+    def content_attribution(self, articles: list[RumorArticle],
+                            group: Group) -> dict[Subject, float]:
+        article_counts = subject_article_counts(articles)
         article_subjects = {a.id: a.subjects for a in articles}
         tweet_counts: Counter[Subject] = Counter()
         for (g, article_id), n in self.article_rumors.items():
@@ -168,17 +166,16 @@ class Accumulator:
         return [(start + i * width, self.bin_rumors[i]) for i in range(n_bins)]
 
 
-def subject_article_counts(articles: list[RumorArticle],
-                           subjects: Optional[list[Subject]] = None) -> dict[Subject, int]:
-    """The number of articles about each subject (default CLINTON, TRUMP), which
-    the content attribution divides by: a subject of none is a
-    ZeroArticlesForSubjectError, which a caller can raise before any tweet is read."""
+def subject_article_counts(articles: list[RumorArticle]) -> dict[Subject, int]:
+    """The number of articles about CLINTON and about TRUMP, which the content
+    attribution divides by: a subject of none is a ZeroArticlesForSubjectError,
+    which a caller can raise before any tweet is read."""
     counts = Counter(s for a in articles for s in a.subjects)
-    subjects = subjects or [Subject.CLINTON, Subject.TRUMP]
-    for s in subjects:
-        if counts[s] == 0:
+    attributed = {s: counts[s] for s in (Subject.CLINTON, Subject.TRUMP)}
+    for s, n in attributed.items():
+        if n == 0:
             raise ZeroArticlesForSubjectError(s.value)
-    return {s: counts[s] for s in subjects}
+    return attributed
 
 
 def _accumulate(
@@ -258,15 +255,14 @@ def content_attribution(
     detections: Mapping[str, Detection],
     articles: list[RumorArticle],
     group: Group,
-    subjects: Optional[list[Subject]] = None,
     window: Optional[TimeWindow] = None,
 ) -> dict[Subject, float]:
-    """Rumor tweets per subject, normalized by that subject's article count.
+    """Rumor tweets about CLINTON and about TRUMP, each normalized by that
+    subject's article count.
 
     A tweet matched to a multi-subject article counts once per subject.
     """
-    return _accumulate(tweets, detections, window).content_attribution(
-        articles, group, subjects)
+    return _accumulate(tweets, detections, window).content_attribution(articles, group)
 
 
 def timeline(

@@ -48,7 +48,6 @@ class Tweet(NamedTuple):
 @dataclass(frozen=True)
 class RumorArticle:
     id: str
-    title: str
     body: str
     subjects: frozenset[Subject] = frozenset({Subject.OTHER})
 
@@ -120,11 +119,18 @@ def _require(obj, key, path, line_no):
 
 def _id(obj, key, path, line_no) -> str:
     """obj[key] as an id string, a number as str() writes it; a JSON true
-    or false is a malformed line."""
+    or false, or a string that UTF-8 cannot encode (a lone surrogate, from
+    a JSON escape such as \\ud800), is a malformed line."""
     value = _require(obj, key, path, line_no)
     if type(value) is bool:
         raise MalformedLineError(path, line_no, f"field {key!r} is {json.dumps(value)}, not an id")
-    return str(value)
+    value = str(value)
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedLineError(path, line_no, f"field {key!r} holds a lone surrogate, "
+                                 "which UTF-8 cannot encode") from None
+    return value
 
 
 _GROUPS = {g.value: g for g in Group}
@@ -173,10 +179,10 @@ def iter_tweets(path) -> Iterator[Tweet]:
     place only when its writer succeeds, so a fault found here publishes no
     file that the pass over the tweets writes; a file written before that
     pass, such as the index that `all` saves, stays. A line in the plain
-    case (a non-empty str id, a str text that is not blank, a str user_id,
-    an int timestamp and a known group) is taken as it is; every other line
-    goes through _checked_id and _checked_tweet, which coerce and raise
-    field by field.
+    case (a non-empty ASCII str id, a str text that is not blank, an ASCII
+    str user_id, an int timestamp and a known group) is taken as it is;
+    every other line goes through _checked_id and _checked_tweet, which
+    coerce and raise field by field.
     """
     keys = array.array("q")
     try:
@@ -187,8 +193,9 @@ def iter_tweets(path) -> Iterator[Tweet]:
                     obj["text"])
             except (KeyError, TypeError):
                 tid = None
-            plain = (type(tid) is str and tid and type(user_id) is str
-                     and type(ts) is int and type(text) is str and text.strip())
+            plain = (type(tid) is str and tid and tid.isascii() and type(user_id) is str
+                     and user_id.isascii() and type(ts) is int and type(text) is str
+                     and text.strip())
             if not plain:
                 tid = _checked_id(obj, path, line_no)
             keys.append(_id_key(tid))  # before the other fields: a duplicate id is the first fault
@@ -233,7 +240,7 @@ def load_tweets(path) -> list[Tweet]:
 
 def load_articles(path) -> list[RumorArticle]:
     """Parse articles.jsonl; a missing, null or empty subjects list defaults
-    to {OTHER}, and a missing or null title to ""."""
+    to {OTHER}."""
     articles = []
     seen = set()
     for line_no, obj in _iter_jsonl(path):
@@ -252,8 +259,7 @@ def load_articles(path) -> list[RumorArticle]:
             subjects = frozenset(Subject(s) for s in raw_subjects or ["OTHER"])
         except ValueError as exc:
             raise MalformedLineError(path, line_no, str(exc)) from exc
-        title = obj.get("title")
-        articles.append(RumorArticle(aid, "" if title is None else str(title), body, subjects))
+        articles.append(RumorArticle(aid, body, subjects))
     return articles
 
 

@@ -9,7 +9,7 @@ disagree on this convention.
 from __future__ import annotations
 
 import array
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +20,6 @@ from .errors import (
     DegenerateLabelsError,
     NoRumorLabelsError,
 )
-from .matchers import MatchResult
 
 
 @dataclass(frozen=True)
@@ -88,24 +87,18 @@ def check_classes(labels: list[LabeledTweet], fixed_point: bool = False) -> int:
     return n_rumor
 
 
-def _per_label(values, labels: list[LabeledTweet],
-               missing_message: Callable[[list[str]], str]) -> Sequence:
-    """``values`` in label order. A sequence is taken as it is, one value per
-    label; a tweet id Mapping is read once per label, and the ids it lacks
-    raise KeyError(missing_message(ids))."""
-    if not isinstance(values, Mapping):
-        if len(values) != len(labels):
-            raise ValueError(f"{len(values)} values for {len(labels)} labels")
-        return values
-    try:
-        return [values[l.tweet_id] for l in labels]
-    except KeyError:
-        missing = [l.tweet_id for l in labels if l.tweet_id not in values]
-        raise KeyError(missing_message(missing)) from None
+def _per_label(values, labels: list[LabeledTweet]) -> Sequence:
+    """``values``, checked to hold one value per label, in label order. A
+    Mapping is refused: iterated, it would give its keys."""
+    if isinstance(values, Mapping):
+        raise TypeError("expected a sequence or array of one value per label, in label "
+                        "order, not a Mapping")
+    if len(values) != len(labels):
+        raise ValueError(f"{len(values)} values for {len(labels)} labels")
+    return values
 
 
-def sweep(scores: Sequence[float] | Mapping[str, float],
-          labels: list[LabeledTweet]) -> SweepResult:
+def sweep(scores: Sequence[float], labels: list[LabeledTweet]) -> SweepResult:
     """Evaluate every classification threshold the score set can induce.
 
     Candidate thresholds are the distinct observed scores (classification is
@@ -115,12 +108,9 @@ def sweep(scores: Sequence[float] | Mapping[str, float],
     classification (NaN > h is false): it is never a candidate and its tweet
     is never counted positive, not even at the final -inf point. The max-F1
     point is the first, highest-threshold one among equal F1. ``scores``
-    holds each label's score in label order, or maps each labeled tweet id to
-    its score.
+    holds each label's score in label order.
     """
-    values = np.asarray(_per_label(
-        scores, labels, lambda missing: f"labeled tweets without scores: {missing[:5]}"),
-        dtype=np.float64)
+    values = np.asarray(_per_label(scores, labels), dtype=np.float64)
     n_rumor = check_classes(labels)
     is_rumor = np.fromiter((l.label is Label.RUMOR for l in labels), bool, len(labels))
     ranked = ~np.isnan(values)
@@ -146,13 +136,10 @@ def sweep(scores: Sequence[float] | Mapping[str, float],
     return SweepResult(points=points, max_f1_point=points[best])
 
 
-def fixed_point_eval(predictions: Sequence[bool] | Mapping[str, bool],
-                     labels: list[LabeledTweet]) -> PRPoint:
+def fixed_point_eval(predictions: Sequence[bool], labels: list[LabeledTweet]) -> PRPoint:
     """Single PR point for a threshold-free classifier (lexicon matching);
-    ``predictions`` holds each label's prediction in label order, or maps
-    each labeled tweet id to its prediction."""
-    positive = _per_label(
-        predictions, labels, lambda missing: f"labeled tweets without predictions: {missing[:5]}")
+    ``predictions`` holds each label's prediction in label order."""
+    positive = _per_label(predictions, labels)
     n_rumor = check_classes(labels, fixed_point=True)
     tp = fp = 0
     for l, p in zip(labels, positive):
@@ -164,24 +151,14 @@ def fixed_point_eval(predictions: Sequence[bool] | Mapping[str, bool],
     return _pr_point(float("nan"), tp, fp, n_rumor)
 
 
-def identification_accuracy(
-    best_articles: Sequence[Optional[str]] | Mapping[str, MatchResult],
-    labels: list[LabeledTweet],
-) -> float:
+def identification_accuracy(best_articles: Sequence[Optional[str]],
+                            labels: list[LabeledTweet]) -> float:
     """Fraction of rumor-labeled tweets whose best article equals the labeled one.
 
-    ``best_articles`` holds each label's best article id in label order (a
-    NONRUMOR label's is not read), or maps each rumor-labeled tweet id to
-    its MatchResult.
+    ``best_articles`` holds each label's best article id in label order; a
+    NONRUMOR label's is not read.
     """
-    check_classes(labels, fixed_point=True)
-    rumor_labels = [l for l in labels if l.label is Label.RUMOR]
-    if isinstance(best_articles, Mapping):
-        best = [m.best_article_id for m in _per_label(
-            best_articles, rumor_labels,
-            lambda missing: f"no match result for labeled rumor tweet {missing[0]!r}")]
-    else:
-        best = [a for l, a in zip(labels, _per_label(best_articles, labels, None))
-                if l.label is Label.RUMOR]
-    return sum(a == l.article_id for l, a in zip(rumor_labels, best)) / len(rumor_labels)
-
+    n_rumor = check_classes(labels, fixed_point=True)
+    best = _per_label(best_articles, labels)
+    return sum(a == l.article_id for l, a in zip(labels, best)
+               if l.label is Label.RUMOR) / n_rumor

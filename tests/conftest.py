@@ -14,8 +14,8 @@ from rumormatch.textpipe import TokenizerConfig
 NO_STOPWORDS = TokenizerConfig(stopwords=frozenset())
 
 
-def make_article(aid, tokens, subjects=frozenset({Subject.OTHER}), title=""):
-    return RumorArticle(id=aid, title=title, body=" ".join(tokens), subjects=subjects)
+def make_article(aid, tokens, subjects=frozenset({Subject.OTHER})):
+    return RumorArticle(id=aid, body=" ".join(tokens), subjects=subjects)
 
 
 def make_tweet(tid, text, user="u1", group=Group.OTHER, ts=1462060800):

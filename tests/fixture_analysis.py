@@ -15,15 +15,15 @@ MARCH = 1456790400  # 2016-03-01T00:00Z, outside it
 WEEK_WINDOW = TimeWindow(start=DAY0, end=DAY0 + 7 * DAY)
 
 ARTICLES = [
-    RumorArticle(id="a1", title="", body="clinton parkinsons diagnosis",
+    RumorArticle(id="a1", body="clinton parkinsons diagnosis",
                  subjects=frozenset({Subject.CLINTON})),
-    RumorArticle(id="a2", title="", body="clinton email server scandal",
+    RumorArticle(id="a2", body="clinton email server scandal",
                  subjects=frozenset({Subject.CLINTON})),
-    RumorArticle(id="a3", title="", body="trump tax returns hidden",
+    RumorArticle(id="a3", body="trump tax returns hidden",
                  subjects=frozenset({Subject.TRUMP})),
-    RumorArticle(id="a4", title="", body="clinton trump debate fix",
+    RumorArticle(id="a4", body="clinton trump debate fix",
                  subjects=frozenset({Subject.CLINTON, Subject.TRUMP})),
-    RumorArticle(id="a5", title="", body="celebrity endorsement hoax",
+    RumorArticle(id="a5", body="celebrity endorsement hoax",
                  subjects=frozenset({Subject.OTHER})),
 ]
 

@@ -25,7 +25,6 @@ from rumormatch.evaluation import fixed_point_eval, identification_accuracy, swe
 from rumormatch.matchers import (
     BM25Params,
     EmbeddingTable,
-    MatchResult,
     default_lexicon,
     match_lexicon,
     score_bm25,
@@ -113,7 +112,7 @@ def test_criterion_3_sweep_matches_reclassification_oracle():
             scores[tid] = (
                 rng.choice([0.0, 1.0, 2.0, 3.0, 5.0, 8.0]) if gridded else rng.random()
             )
-        result = sweep(scores, labels)
+        result = sweep([scores[l.tweet_id] for l in labels], labels)
         got = [(p.threshold, p.tp, p.fp, p.fn) for p in result.points]
         if got != sweep_oracle(scores, labels):
             ok = False
@@ -137,33 +136,30 @@ def planted():
 def test_criterion_4_planted_identification(planted):
     _, rumor_tweets, _, index = planted
     labels = []
-    matches_bm25 = {}
-    matches_tfidf = {}
+    best_bm25 = []
+    best_tfidf = []
     for i, (tokens, ordinal) in enumerate(rumor_tweets):
-        tid = f"r{i}"
-        labels.append(LabeledTweet(tid, Label.RUMOR, index.article_ids[ordinal]))
+        labels.append(LabeledTweet(f"r{i}", Label.RUMOR, index.article_ids[ordinal]))
         bm = score_bm25(tokens, index, BM25Params())
         tf = score_tfidf(tokens, index)
-        matches_bm25[tid] = MatchResult(tid, index.article_ids[int(np.argmax(bm))], 0.0)
-        matches_tfidf[tid] = MatchResult(tid, index.article_ids[int(np.argmax(tf))], 0.0)
-    acc_bm25 = identification_accuracy(matches_bm25, labels)
-    acc_tfidf = identification_accuracy(matches_tfidf, labels)
+        best_bm25.append(index.article_ids[int(np.argmax(bm))])
+        best_tfidf.append(index.article_ids[int(np.argmax(tf))])
+    acc_bm25 = identification_accuracy(best_bm25, labels)
+    acc_tfidf = identification_accuracy(best_tfidf, labels)
     report(4, f"planted identification (bm25={acc_bm25:.3f}, tfidf={acc_tfidf:.3f})",
            acc_bm25 >= 0.95 and acc_tfidf >= 0.90)
 
 
 def test_criterion_5_planted_classification(planted):
     _, rumor_tweets, negative_tweets, index = planted
-    scores = {}
+    scores = []
     labels = []
     for i, (tokens, ordinal) in enumerate(rumor_tweets):
-        tid = f"r{i}"
-        scores[tid] = float(np.max(score_bm25(tokens, index, BM25Params())))
-        labels.append(LabeledTweet(tid, Label.RUMOR, index.article_ids[ordinal]))
+        scores.append(float(np.max(score_bm25(tokens, index, BM25Params()))))
+        labels.append(LabeledTweet(f"r{i}", Label.RUMOR, index.article_ids[ordinal]))
     for i, tokens in enumerate(negative_tweets):
-        tid = f"n{i}"
-        scores[tid] = float(np.max(score_bm25(tokens, index, BM25Params())))
-        labels.append(LabeledTweet(tid, Label.NONRUMOR))
+        scores.append(float(np.max(score_bm25(tokens, index, BM25Params()))))
+        labels.append(LabeledTweet(f"n{i}", Label.NONRUMOR))
     max_f1 = sweep(scores, labels).max_f1_point.f1
     report(5, f"planted classification (max F1={max_f1:.3f})", max_f1 >= 0.95)
 
@@ -210,17 +206,15 @@ def test_criterion_6_lexicon_exactness():
 
     # 20-tweet fixed-point set: 10 rumors (4 with signal), 10 nonrumors (2 with)
     labels = []
-    predictions = {}
+    predictions = []
     signal = "is it true that this happened"
     plain = "just an ordinary tweet about sports"
     for i in range(10):
-        tid = f"r{i}"
-        labels.append(LabeledTweet(tid, Label.RUMOR, "a1"))
-        predictions[tid] = match_lexicon(signal if i < 4 else plain, lexicon)
+        labels.append(LabeledTweet(f"r{i}", Label.RUMOR, "a1"))
+        predictions.append(match_lexicon(signal if i < 4 else plain, lexicon))
     for i in range(10):
-        tid = f"n{i}"
-        labels.append(LabeledTweet(tid, Label.NONRUMOR, None))
-        predictions[tid] = match_lexicon(signal if i < 2 else plain, lexicon)
+        labels.append(LabeledTweet(f"n{i}", Label.NONRUMOR, None))
+        predictions.append(match_lexicon(signal if i < 2 else plain, lexicon))
     point = fixed_point_eval(predictions, labels)
     # hand matrix: TP=4, FP=2, FN=6 -> P=2/3, R=2/5, F1=1/2
     ok = ok and (point.tp, point.fp, point.fn) == (4, 2, 6)

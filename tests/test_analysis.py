@@ -229,7 +229,6 @@ class TestContentAttribution:
 
     def test_subject_article_counts(self):
         assert analysis.subject_article_counts(ARTICLES) == {Subject.CLINTON: 3, Subject.TRUMP: 2}
-        assert analysis.subject_article_counts(ARTICLES, [Subject.OTHER]) == {Subject.OTHER: 1}
         with pytest.raises(ZeroArticlesForSubjectError, match="TRUMP"):
             analysis.subject_article_counts(ARTICLES[:2])
 
@@ -367,10 +366,10 @@ class TestAccumulator:
 # words that keep, drop or split a keyword (mentions, URLs, a hashtag).
 GEN_WINDOW = TimeWindow(1000, 1700)
 GEN_ARTICLES = [
-    RumorArticle("a1", "", "x", frozenset({Subject.CLINTON})),
-    RumorArticle("a2", "", "x", frozenset({Subject.TRUMP})),
-    RumorArticle("a3", "", "x", frozenset({Subject.CLINTON, Subject.TRUMP})),
-    RumorArticle("a4", "", "x"),
+    RumorArticle("a1", "x", frozenset({Subject.CLINTON})),
+    RumorArticle("a2", "x", frozenset({Subject.TRUMP})),
+    RumorArticle("a3", "x", frozenset({Subject.CLINTON, Subject.TRUMP})),
+    RumorArticle("a4", "x"),
 ]
 GEN_KEYWORDS = ["Clinton", "email", "hoaxes"]
 GEN_WORDS = ["clinton", "Clinton's", "email", "e-mail", "hoaxes", "#hoaxes", "@clinton",
@@ -429,5 +428,5 @@ class TestAddBlockEqualsRecount:
             assert acc.user_ranking(k) == want["ranking"][:k]
         assert acc.keyword_breakdown() == want["keywords"]
         for group, values in want["attribution"].items():
-            assert acc.content_attribution(GEN_ARTICLES, group, subjects) == values
+            assert acc.content_attribution(GEN_ARTICLES, group) == values
         assert acc.timeline() == want["timeline"]

@@ -25,7 +25,7 @@ from oracles import bm25_oracle
 
 from rumormatch import cli, corpus, errors, evaluation, matchers, textpipe
 from rumormatch.corpus import Label, LabeledTweet
-from rumormatch.matchers import BM25Params, MatchResult, build_index
+from rumormatch.matchers import BM25Params, build_index
 from rumormatch.textpipe import TokenizerConfig, tokenize
 
 
@@ -851,17 +851,13 @@ class TestLabeledResults:
         seen = {l.tweet_id: s for l, s, v in zip(self.LABELS, results.scores.tolist(),
                                                  results.seen.tolist()) if v}
         assert seen == {"t2": 3.5, "t1": 1.5}
-        # the evaluations read the arrays in label order, as they would a tweet id Mapping
+        # the evaluations read the arrays in label order
         curve = evaluation.sweep(results.scores, self.LABELS).points
-        assert list(curve) == list(evaluation.sweep({"t2": 3.5, "t9": 0.0, "t1": 1.5},
-                                                    self.LABELS).points)
+        assert list(curve) == list(evaluation.sweep([3.5, 0.0, 1.5], self.LABELS).points)
         best = cli._rumor_articles(["a0", "a1", "a2"], results.ordinals.tolist(),
                                    results.rumor.tolist())
         assert best == ["a2", None, "a1"]
         assert evaluation.identification_accuracy(best, self.LABELS) == 1.0
-        assert evaluation.identification_accuracy(
-            {"t2": MatchResult("t2", "a2", 3.5), "t1": MatchResult("t1", "a1", 1.5)},
-            self.LABELS) == 1.0
         with pytest.raises(errors.DanglingTweetRefError, match="t9"):
             results.check_seen()
         tweets = [make_tweet(f"t{i}", "x") for i in range(12)]
@@ -1733,3 +1729,44 @@ class TestFaultyTweetBytes:
         assert capsys.readouterr().err == (
             f"error: {tweets}:1: malformed line: field 'id' is true, not an id\n")
         assert list(out.iterdir()) == []
+
+
+class TestLoneSurrogateIds:
+    """A JSON escape of a lone surrogate (\\ud800) gives a str that UTF-8
+    cannot encode: in an id it is refused at its line, before any output is
+    written; in a tweet's text it does no harm."""
+
+    @pytest.mark.parametrize("name, field, line, command", [
+        ("tweets.jsonl", "id", TWEETS[0], ["match"]),
+        ("tweets.jsonl", "user_id", TWEETS[0], ["match"]),
+        ("articles.jsonl", "id", ARTICLES[0], ["match"]),
+        ("labels.jsonl", "tweet_id", LABELS[0], ["eval", "classify"]),
+    ], ids=["tweet-id", "user-id", "article-id", "label-tweet-id"])
+    def test_id_exit_2_naming_the_line(self, workspace, capsys, name, field, line, command):
+        tmp_path, config, out = workspace
+        path = tmp_path / name
+        write_jsonl(path, [dict(line, **{field: line[field] + "\ud800"})])
+        assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: malformed line: field {field!r} holds a lone surrogate, "
+            "which UTF-8 cannot encode\n")
+        assert list(out.glob("*")) == []  # nothing written; out/ may not exist
+
+    def test_surrogate_pair_is_one_character(self, workspace):
+        tmp_path, config, out = workspace
+        write_jsonl(tmp_path / "tweets.jsonl",
+                    [dict(TWEETS[0], id="t\U0001F600", user_id="u\U0001F600"), *TWEETS[1:]])
+        assert "\\ud83d\\ude00" in (tmp_path / "tweets.jsonl").read_text()
+        assert cli.main(["--config", str(config), "match"]) == 0
+        assert cli.main(["--config", str(config), "analyze", "users"]) == 0
+        first = json.loads((out / "matches.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        assert first["tweet_id"] == "t\U0001F600"
+        ranking = (out / "user_ranking.csv").read_text(encoding="utf-8")
+        assert "u\U0001F600," in ranking
+
+    def test_surrogate_in_text_loads(self, workspace):
+        tmp_path, config, out = workspace
+        write_jsonl(tmp_path / "tweets.jsonl",
+                    [dict(TWEETS[0], text=TWEETS[0]["text"] + " \ud800"), *TWEETS[1:]])
+        assert cli.main(["--config", str(config), "match"]) == 0
+        assert len((out / "matches.jsonl").read_text().splitlines()) == len(TWEETS)

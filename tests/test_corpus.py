@@ -405,11 +405,12 @@ class TestLoadArticles:
         assert type(exc.value) is error
         assert str(exc.value) == f"{p}{suffix}"
 
-    def test_null_title_is_empty(self, tmp_path):
+    def test_null_title_is_ignored(self, tmp_path):
         p = tmp_path / "articles.jsonl"
         write_jsonl(p, [dict(ARTICLES[0], title=None, subjects=None)])
         (article,) = corpus.load_articles(p)
-        assert (article.title, article.subjects) == ("", frozenset({Subject.OTHER}))
+        assert article == corpus.RumorArticle("a1", ARTICLES[0]["body"],
+                                              frozenset({Subject.OTHER}))
 
     @pytest.mark.parametrize("subjects", [5, "CLINTON", {"CLINTON": True}])
     def test_subjects_not_a_list(self, tmp_path, subjects):

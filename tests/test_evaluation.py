@@ -25,7 +25,6 @@ from rumormatch.evaluation import (
     identification_accuracy,
     sweep,
 )
-from rumormatch.matchers import MatchResult
 
 
 def rumor(tid, aid="a1"):
@@ -38,13 +37,13 @@ def nonrumor(tid):
 
 class TestSweep:
     def test_perfectly_separable(self):
-        result = sweep({"r1": 0.9, "n1": 0.1}, [rumor("r1"), nonrumor("n1")])
+        result = sweep([0.9, 0.1], [rumor("r1"), nonrumor("n1")])
         perfect = [p for p in result.points if p.precision == 1.0 and p.recall == 1.0]
         assert perfect
         assert result.max_f1_point.f1 == 1.0
 
     def test_inverted_scores(self):
-        result = sweep({"r1": 0.1, "n1": 0.9}, [rumor("r1"), nonrumor("n1")])
+        result = sweep([0.1, 0.9], [rumor("r1"), nonrumor("n1")])
         full_recall = [p for p in result.points if p.recall == 1.0]
         assert full_recall
         assert all(p.precision == 0.5 for p in full_recall)
@@ -53,10 +52,9 @@ class TestSweep:
         # scores: r1 0.9, n1 0.8, r2 0.7, r3 0.5, n2 0.5, n3 0.2
         # thresholds (strict >): 0.9 -> 0P; 0.8 -> TP1 FP0; 0.7 -> TP1 FP1;
         # 0.5 -> TP2 FP1; 0.2 -> TP3 FP2; -inf -> TP3 FP3
-        scores = {"r1": 0.9, "n1": 0.8, "r2": 0.7, "r3": 0.5, "n2": 0.5, "n3": 0.2}
         labels = [rumor("r1"), rumor("r2"), rumor("r3"),
                   nonrumor("n1"), nonrumor("n2"), nonrumor("n3")]
-        result = sweep(scores, labels)
+        result = sweep([0.9, 0.7, 0.5, 0.8, 0.5, 0.2], labels)
         got = [(p.threshold, p.tp, p.fp, p.fn) for p in result.points]
         assert got == [
             (0.9, 0, 0, 3),
@@ -73,10 +71,10 @@ class TestSweep:
 
     def test_degenerate_labels(self):
         with pytest.raises(DegenerateLabelsError):
-            sweep({"r1": 0.9, "r2": 0.1}, [rumor("r1"), rumor("r2")])
+            sweep([0.9, 0.1], [rumor("r1"), rumor("r2")])
 
     def test_starts_at_precision_one_recall_zero(self):
-        result = sweep({"r1": 0.3, "n1": 0.7}, [rumor("r1"), nonrumor("n1")])
+        result = sweep([0.3, 0.7], [rumor("r1"), nonrumor("n1")])
         top = result.points[0]
         assert (top.precision, top.recall) == (1.0, 0.0)
 
@@ -92,7 +90,7 @@ class TestSweep:
                 tid = f"t{i}"
                 labels.append(rumor(tid) if is_rumor else nonrumor(tid))
                 scores[tid] = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, rng.random()])
-            result = sweep(scores, labels)
+            result = sweep([scores[l.tweet_id] for l in labels], labels)
             expected = sweep_oracle(scores, labels)
             got = [(p.threshold, p.tp, p.fp, p.fn) for p in result.points]
             assert got == expected
@@ -106,7 +104,7 @@ class TestSweep:
         scores = {"r1": 0.9, "r2": nan, "r3": 0.4, "n1": nan, "n2": 0.4}
         labels = [rumor("r1"), rumor("r2"), rumor("r3"), nonrumor("n1"), nonrumor("n2")]
         with deadline(0.5):
-            result = sweep(scores, labels)
+            result = sweep([scores[l.tweet_id] for l in labels], labels)
         got = [(p.threshold, p.tp, p.fp, p.fn) for p in result.points]
         assert got == [(0.9, 0, 0, 3), (0.4, 1, 0, 2), (float("-inf"), 2, 1, 1)]
         assert got == sweep_oracle(scores, labels)
@@ -121,7 +119,7 @@ class TestSweep:
             scores = {l.tweet_id: rng.choice([float("nan"), 0.0, -0.0, 0.5, float("inf"),
                                               rng.random()]) for l in labels}
             with deadline(0.5):
-                result = sweep(scores, labels)
+                result = sweep([scores[l.tweet_id] for l in labels], labels)
             got = [(p.threshold, p.tp, p.fp, p.fn) for p in result.points]
             assert got == sweep_oracle(scores, labels)
 
@@ -129,7 +127,7 @@ class TestSweep:
         # F1 2/3 at threshold 0.8 (TP1 FP0) and again at 0.5 (TP2 FP2), the same bits
         scores = {"r1": 0.9, "n1": 0.8, "n2": 0.7, "r2": 0.6, "n3": 0.5}
         labels = [rumor("r1"), rumor("r2"), nonrumor("n1"), nonrumor("n2"), nonrumor("n3")]
-        result = sweep(scores, labels)
+        result = sweep([scores[l.tweet_id] for l in labels], labels)
         ties = [p for p in result.points if p.f1 == result.max_f1_point.f1]
         assert [p.threshold for p in ties] == [0.8, 0.5]
         assert result.max_f1_point == ties[0]
@@ -146,7 +144,7 @@ class TestSweep:
         # kept about 5.4 MB
         rng = random.Random(20_000)
         labels = [rumor(f"t{i}") if i % 2 else nonrumor(f"t{i}") for i in range(20_000)]
-        scores = {l.tweet_id: rng.random() for l in labels}
+        scores = [rng.random() for _ in labels]
         tracemalloc.start()
         try:
             result = sweep(scores, labels)
@@ -157,28 +155,26 @@ class TestSweep:
         assert retained < 1.5e6
 
     def test_confusion_identities(self):
-        scores = {"r1": 0.9, "r2": 0.4, "n1": 0.6}
         labels = [rumor("r1"), rumor("r2"), nonrumor("n1")]
-        for p in sweep(scores, labels).points:
+        for p in sweep([0.9, 0.4, 0.6], labels).points:
             assert p.tp + p.fn == 2
 
 
 class TestFixedPoint:
     def test_all_negative_predictions(self):
         labels = [rumor("r1"), nonrumor("n1")]
-        point = fixed_point_eval({"r1": False, "n1": False}, labels)
+        point = fixed_point_eval([False, False], labels)
         assert (point.precision, point.recall, point.f1) == (1.0, 0.0, 0.0)
 
     def test_all_correct(self):
         labels = [rumor("r1"), nonrumor("n1")]
-        point = fixed_point_eval({"r1": True, "n1": False}, labels)
+        point = fixed_point_eval([True, False], labels)
         assert (point.precision, point.recall) == (1.0, 1.0)
 
     def test_hand_confusion_matrix(self):
         # 1 TP, 1 FP, 3 FN
         labels = [rumor("r1"), rumor("r2"), rumor("r3"), rumor("r4"), nonrumor("n1")]
-        preds = {"r1": True, "r2": False, "r3": False, "r4": False, "n1": True}
-        point = fixed_point_eval(preds, labels)
+        point = fixed_point_eval([True, False, False, False, True], labels)
         assert point.precision == 0.5
         assert point.recall == 0.25
         assert point.f1 == pytest.approx(1 / 3)
@@ -188,42 +184,37 @@ class TestFixedPoint:
 class TestIdentification:
     def test_all_correct(self):
         labels = [rumor("r1", "a1"), rumor("r2", "a2")]
-        matches = {"r1": MatchResult("r1", "a1", 5.0), "r2": MatchResult("r2", "a2", 5.0)}
-        assert identification_accuracy(matches, labels) == 1.0
+        assert identification_accuracy(["a1", "a2"], labels) == 1.0
 
     def test_none_correct(self):
         labels = [rumor("r1", "a1")]
-        matches = {"r1": MatchResult("r1", "a2", 5.0)}
-        assert identification_accuracy(matches, labels) == 0.0
+        assert identification_accuracy(["a2"], labels) == 0.0
 
     def test_four_of_five(self):
         labels = [rumor(f"r{i}", f"a{i}") for i in range(5)]
-        matches = {
-            f"r{i}": MatchResult(f"r{i}", f"a{i}" if i else "wrong", 1.0)
-            for i in range(5)
-        }
-        assert identification_accuracy(matches, labels) == 0.8
+        best = [f"a{i}" if i else "wrong" for i in range(5)]
+        assert identification_accuracy(best, labels) == 0.8
 
     def test_nonrumor_labels_ignored(self):
         labels = [rumor("r1", "a1"), nonrumor("n1")]
-        matches = {"r1": MatchResult("r1", "a1", 5.0)}
-        assert identification_accuracy(matches, labels) == 1.0
+        assert identification_accuracy(["a1", "a9"], labels) == 1.0
 
     def test_no_rumor_labels(self):
         with pytest.raises(NoRumorLabelsError):
-            identification_accuracy({}, [nonrumor("n1")])
+            identification_accuracy([None], [nonrumor("n1")])
 
     def test_invariant_under_monotone_score_transform(self):
         # accuracy depends only on best_article_id, which argmax preserves
         labels = [rumor("r1", "a1")]
         for scale in (1.0, 2.0, 100.0):
-            matches = {"r1": MatchResult("r1", "a1", 5.0 * scale)}
-            assert identification_accuracy(matches, labels) == 1.0
+            scores = {"a1": 5.0 * scale, "a2": 1.0 * scale}
+            best = [max(scores, key=scores.get)]
+            assert identification_accuracy(best, labels) == 1.0
 
 
 class TestCsvExport:
     def test_pr_curve_format(self, tmp_path):
-        result = sweep({"r1": 0.9, "n1": 0.1}, [rumor("r1"), nonrumor("n1")])
+        result = sweep([0.9, 0.1], [rumor("r1"), nonrumor("n1")])
         p = tmp_path / "pr_curve.csv"
         write_csv(p, PR_HEADER, pr_rows(result.points))
         lines = p.read_text().splitlines()
@@ -231,9 +222,7 @@ class TestCsvExport:
         assert len(lines) == len(result.points) + 1
 
     def test_fixed_point_threshold_literal(self, tmp_path):
-        point = fixed_point_eval(
-            {"r1": True, "n1": False}, [rumor("r1"), nonrumor("n1")]
-        )
+        point = fixed_point_eval([True, False], [rumor("r1"), nonrumor("n1")])
         p = tmp_path / "fixed.csv"
         write_csv(p, PR_HEADER, pr_rows([point]))
         assert p.read_text().splitlines()[1].startswith("fixed,")
@@ -247,18 +236,17 @@ class TestCsvExport:
 
 
 class TestLabelOrder:
-    """Each evaluation takes its per-label input in label order as it takes a tweet id
-    Mapping, and names the labels a Mapping lacks."""
+    """Each evaluation takes one value per label, in label order, and refuses a
+    tweet id Mapping, which it would iterate by its keys."""
 
     LABELS = [rumor("r1", "a1"), nonrumor("n1"), rumor("r2", "a2")]
 
-    def test_sequence_equals_mapping(self):
-        scores = [0.9, 0.4, 0.1]
-        by_id = dict(zip(["r1", "n1", "r2"], scores))
-        assert list(sweep(scores, self.LABELS).points) == list(sweep(by_id, self.LABELS).points)
-        points = [fixed_point_eval(p, self.LABELS)
-                  for p in ([True, True, False], {"r1": True, "n1": True, "r2": False})]
-        assert [(p.tp, p.fp, p.fn) for p in points] == [(1, 1, 1)] * 2
+    def test_sequence_in_label_order(self):
+        points = sweep([0.9, 0.4, 0.1], self.LABELS).points
+        assert [(p.threshold, p.tp, p.fp) for p in points] == [
+            (0.9, 0, 0), (0.4, 1, 0), (0.1, 1, 1), (float("-inf"), 2, 1)]
+        point = fixed_point_eval([True, True, False], self.LABELS)
+        assert (point.tp, point.fp, point.fn) == (1, 1, 1)
         # a NONRUMOR label's entry is not read
         assert identification_accuracy(["a1", object(), "a9"], self.LABELS) == 0.5
 
@@ -266,10 +254,13 @@ class TestLabelOrder:
         with pytest.raises(ValueError, match="2 values for 3 labels"):
             sweep([0.9, 0.4], self.LABELS)
 
-    def test_missing_ids_named(self):
-        with pytest.raises(KeyError, match=r"labeled tweets without scores: \['n1', 'r2'\]"):
-            sweep({"r1": 0.9}, self.LABELS)
-        with pytest.raises(KeyError, match=r"labeled tweets without predictions: \['r2'\]"):
-            fixed_point_eval({"r1": True, "n1": False}, self.LABELS)
-        with pytest.raises(KeyError, match="no match result for labeled rumor tweet 'r2'"):
-            identification_accuracy({"r1": MatchResult("r1", "a1", 1.0)}, self.LABELS)
+    def test_mapping_refused(self):
+        # a dict of the right length would otherwise be read by its keys, with no error
+        match = ("expected a sequence or array of one value per label, in label order, "
+                 "not a Mapping")
+        with pytest.raises(TypeError, match=match):
+            sweep({"r1": 0.9, "n1": 0.4, "r2": 0.1}, self.LABELS)
+        with pytest.raises(TypeError, match=match):
+            fixed_point_eval({"r1": True, "n1": False, "r2": True}, self.LABELS)
+        with pytest.raises(TypeError, match=match):
+            identification_accuracy({"r1": "a1", "n1": None, "r2": "a2"}, self.LABELS)

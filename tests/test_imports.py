@@ -1,6 +1,7 @@
 """Static checks of the package's modules: no module imports a name it never
-reads, and none reads an input file as text other than through
-corpus._text_lines."""
+reads, none reads an input file as text other than through
+corpus._text_lines, and evaluation and analysis import neither matchers nor
+cli."""
 
 import ast
 import pathlib
@@ -87,3 +88,35 @@ def test_finds_a_text_mode_read():
               "def c(p, m):\n    return p.open('r+').read() + open(p, m).read() + p.read_text()\n"
               "data = open('x', encoding='utf-8')\n")
     assert text_mode_reads(source) == ["a:2", "c:7", "c:7", "c:7", "<module>:8"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that ``source`` imports, by short name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "rumormatch":
+                    continue
+                module = module.partition(".")[2]
+            found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("rumormatch."))
+    return found
+
+
+@pytest.mark.parametrize("name", ["evaluation.py", "analysis.py"])
+def test_results_layers_import_no_matcher_or_cli(name):
+    # the evaluations and analyses read per-tweet results, not the scorers that made them
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert package_imports(source) & {"matchers", "cli"} == set()
+
+
+def test_finds_the_package_imports():
+    source = ("import os, rumormatch.cli\nfrom . import matchers as m, errors\n"
+              "from .corpus import Label\nfrom rumormatch import textpipe\n"
+              "from rumormatch.analysis import x\nfrom rumormatchx import y\n")
+    assert package_imports(source) == {"cli", "matchers", "errors", "corpus", "textpipe",
+                                       "analysis"}

@@ -76,7 +76,7 @@ class TestTokenize:
 
 def index_of(docs):
     """build_index over articles whose bodies tokenize to exactly docs."""
-    articles = [RumorArticle(id=f"a{i}", title="", body=" ".join(d)) for i, d in enumerate(docs)]
+    articles = [RumorArticle(id=f"a{i}", body=" ".join(d)) for i, d in enumerate(docs)]
     return build_index(articles, TokenizerConfig(stopwords=frozenset(), min_token_len=1))
 
 
