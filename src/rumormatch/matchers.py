@@ -120,7 +120,7 @@ class ArticleIndex:
             raise ValueError(f"ordinal out of range for {self.n_articles} articles")
         first = np.zeros(len(ords) + 1, dtype=bool)
         first[self.indptr] = True  # each term's first posting, and the end
-        if np.any((np.diff(ords) <= 0) & ~first[1:-1]):
+        if np.any((ords[1:] <= ords[:-1]) & ~first[1:-1]):
             raise ValueError("ordinals must rise within each term")
         if np.any(self.counts < 1):
             raise ValueError("every count must be 1 or more")
@@ -132,10 +132,6 @@ class ArticleIndex:
     @property
     def n_articles(self) -> int:
         return len(self.article_ids)
-
-    def _posting_terms(self) -> np.ndarray:
-        """Term id of every raw posting."""
-        return np.repeat(np.arange(len(self.terms), dtype=np.int64), np.diff(self.indptr))
 
     def _idf(self, formula) -> np.ndarray:
         """Per-term idf from document frequency, through math.log. A libm need not
@@ -153,9 +149,15 @@ class ArticleIndex:
             # the mean is one correctly rounded division on every host
             norm = k1 * (1.0 - b + b * self.doc_len / max(self.doc_len.mean(), 1e-12))
             idf = self._idf(lambda n, df: math.log(1.0 + (n - df + 0.5) / (df + 0.5)))
-            counts = self.counts
-            impacts = idf[self._posting_terms()] * counts * (k1 + 1.0) / (
-                counts + norm[self.ordinals])
+            # in place, in the formula's order of operations: one posting-long
+            # temporary at a time, and the bits of the expression written out
+            impacts = np.repeat(idf, np.diff(self.indptr))
+            impacts *= self.counts
+            impacts *= k1 + 1.0
+            denominators = norm[self.ordinals]
+            denominators += self.counts
+            impacts /= denominators
+            del denominators
             table = self._tables[params] = self._impact_table(impacts)
         return table
 
@@ -164,26 +166,29 @@ class ArticleIndex:
         table = self._tables.get("TFIDF")
         if table is None:
             idf = self._idf(lambda n, df: math.log(n / df))
-            w = self.counts * idf[self._posting_terms()]
+            w = np.repeat(idf, np.diff(self.indptr))  # in place, as in bm25_table
+            w *= self.counts
             # per-article squared norms, summed in ascending term id
             norms = np.sqrt(np.bincount(self.ordinals, weights=w * w, minlength=self.n_articles))
             safe = np.where(norms > 0, norms, 1.0)
-            table = self._tables["TFIDF"] = self._impact_table(w / safe[self.ordinals], idf)
+            w /= safe[self.ordinals]
+            table = self._tables["TFIDF"] = self._impact_table(w, idf)
         return table
 
     def _impact_table(self, impacts, query_idf=None) -> ImpactTable:
         df = np.diff(self.indptr)
         dense = df * DENSE_SHARE >= self.n_articles
         dense_slot = np.where(dense, np.cumsum(dense) - 1, -1)
-        terms = self._posting_terms()
-        head = dense[terms]
+        head = np.repeat(dense, df)
         dense_rows = np.zeros((int(dense.sum()), self.n_articles))
-        dense_rows[dense_slot[terms[head]], self.ordinals[head]] = impacts[head]
+        dense_rows[np.repeat(dense_slot[dense], df[dense]), self.ordinals[head]] = impacts[head]
+        tail = ~head
+        del head
         indptr = np.zeros_like(self.indptr)
         np.cumsum(np.where(dense, 0, df), out=indptr[1:])
         return ImpactTable(
             term_ids=self.term_ids, n_articles=self.n_articles, indptr=indptr,
-            indices=self.ordinals[~head], data=impacts[~head], dense_slot=dense_slot,
+            indices=self.ordinals[tail], data=impacts[tail], dense_slot=dense_slot,
             dense_rows=dense_rows, query_idf=query_idf,
         )
 
@@ -276,12 +281,18 @@ def score_block(token_lists: list[list[str]], table: ImpactTable) -> np.ndarray:
     starts = table.indptr[ids[tail]]
     spans = table.indptr[ids[tail] + 1] - starts
     ends = np.cumsum(spans)
-    pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - spans), spans)
+    # each posting-long array is made once and then changed in place: at most
+    # three are held at a time, and two next to the (B, n) scores
+    pos = np.repeat(starts - (ends - spans), spans)
+    pos += np.arange(len(pos))
+    keys = table.indices[pos]
+    keys += np.repeat(rows[tail] * n, spans)
     impacts = table.data[pos]
+    del pos
     if scale is not None:
-        impacts = impacts * np.repeat(scale[tail], spans)
-    scores = np.bincount(np.repeat(rows[tail] * n, spans) + table.indices[pos],
-                         weights=impacts, minlength=n_rows * n)
+        impacts *= np.repeat(scale[tail], spans)
+    scores = np.bincount(keys, weights=impacts, minlength=n_rows * n)
+    del keys, impacts
     # bincount of no postings returns integer zeros
     scores = scores.astype(np.float64, copy=False).reshape(n_rows, n)
 

@@ -28,14 +28,20 @@ def index_from_token_lists(token_lists):
     return build_index(articles, NO_STOPWORDS)
 
 
+ZIPF_VOCAB = [f"w{i:04d}" for i in range(5000)]
+ZIPF_CUM = list(itertools.accumulate(1 / (r + 1) for r in range(len(ZIPF_VOCAB))))
+
+
+def zipf_tokens(rng: random.Random, k: int) -> list[str]:
+    """k tokens drawn from a Zipf law over 5,000 terms."""
+    return rng.choices(ZIPF_VOCAB, cum_weights=ZIPF_CUM, k=k)
+
+
 def zipf_articles():
     """1,723 articles of 60 Zipf tokens over 5,000 terms: the shape of the
     paper's reference set."""
     rng = random.Random(1723)
-    vocab = [f"w{i:04d}" for i in range(5000)]
-    cum = list(itertools.accumulate(1 / (r + 1) for r in range(len(vocab))))
-    return [make_article(f"a{j}", rng.choices(vocab, cum_weights=cum, k=60))
-            for j in range(1723)]
+    return [make_article(f"a{j}", zipf_tokens(rng, 60)) for j in range(1723)]
 
 
 def random_token_corpus(rng: random.Random, max_docs=100, max_vocab=50):

@@ -1752,6 +1752,50 @@ class TestLoneSurrogateIds:
             "which UTF-8 cannot encode\n")
         assert list(out.glob("*")) == []  # nothing written; out/ may not exist
 
+    @pytest.mark.parametrize("name, field, command, message", [
+        ("labels.jsonl", "article_id", ["eval", "classify"],
+         "label references unknown article 'a1\\ud800'"),
+        ("matches.jsonl", "tweet_id", ["analyze"],
+         "tweet 't1\\ud800' where 't1' is due"),
+        ("matches.jsonl", "article_id", ["analyze"],
+         "article_id 'a1\\ud800' is not the id of an article"),
+    ], ids=["label-article-id", "match-tweet-id", "match-article-id"])
+    def test_reference_exit_2_naming_the_line(self, workspace, capsys, name, field, command,
+                                              message):
+        # a reference equals no checked id, so it is refused where it is compared
+        tmp_path, config, out = workspace
+        if name == "matches.jsonl":
+            assert cli.main(["--config", str(config), "match"]) == 0
+        path = (out if name == "matches.jsonl" else tmp_path) / name
+        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        line = json.loads(first)
+        assert line[field] in ("t1", "a1")
+        path.write_text(json.dumps(dict(line, **{field: line[field] + "\ud800"})) + "\n"
+                        + "".join(rest), encoding="utf-8")
+        before = {p: p.read_bytes() for p in out.glob("*")}
+        capsys.readouterr()
+        assert cli.main(["--config", str(config), *command]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: malformed line: {message}"), err
+        assert {p: p.read_bytes() for p in out.glob("*")} == before  # nothing written
+
+    def test_surrogate_pair_in_references_loads(self, workspace):
+        tmp_path, config, out = workspace
+        tid, aid = "t1\U0001F600", "a1\U0001F600"
+        write_jsonl(tmp_path / "tweets.jsonl", [dict(TWEETS[0], id=tid), *TWEETS[1:]])
+        write_jsonl(tmp_path / "articles.jsonl", [dict(ARTICLES[0], id=aid), *ARTICLES[1:]])
+        write_jsonl(tmp_path / "labels.jsonl",
+                    [dict(LABELS[0], tweet_id=tid, article_id=aid), *LABELS[1:]])
+        assert "\\ud83d\\ude00" in (tmp_path / "labels.jsonl").read_text()
+        assert cli.main(["--config", str(config), "match"]) == 0
+        matches = out / "matches.jsonl"
+        lines = [json.loads(line) for line in matches.read_text(encoding="utf-8").splitlines()]
+        assert (lines[0]["tweet_id"], lines[0]["article_id"]) == (tid, aid)
+        write_jsonl(matches, lines)  # the ids as JSON escape pairs
+        assert "\\ud83d\\ude00" in matches.read_text()
+        assert cli.main(["--config", str(config), "eval", "classify"]) == 0
+        assert cli.main(["--config", str(config), "analyze"]) == 0
+
     def test_surrogate_pair_is_one_character(self, workspace):
         tmp_path, config, out = workspace
         write_jsonl(tmp_path / "tweets.jsonl",

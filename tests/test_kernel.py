@@ -3,24 +3,30 @@ and TF-IDF, and the cosine kernel shared by EMBEDDING and DOCVEC."""
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import (
+    NO_STOPWORDS,
     cosine_loop_reference,
     index_from_token_lists,
     mean_loop_reference,
     random_token_corpus,
+    zipf_articles,
+    zipf_tokens,
 )
 from oracles import bm25_oracle, embedding_cosine_oracle, tfidf_cosine_oracle
 
 from rumormatch.errors import DimMismatchError
 from rumormatch.matchers import (
+    ArticleIndex,
     BM25Params,
     EmbeddingTable,
     article_norms,
+    build_index,
     cosine_block,
     mean_vectors,
     score_block,
@@ -147,6 +153,46 @@ class TestDenseAndCsrTerms:
             for row, query in zip(scores, queries):
                 assert row == pytest.approx(oracle(docs, query), abs=1e-9), name
                 assert_top1_matches_oracle(row, oracle(docs, query))
+
+
+def traced_peak(call) -> int:
+    """The peak of the bytes tracemalloc traces while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPostingTemporaries:
+    """The postings kernel and the impact-table builds hold one posting-long
+    temporary at a time, on the 1,723-article Zipf index (79,509 postings).
+    Each bound counts 8-byte posting arrays."""
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        return build_index(zipf_articles(), NO_STOPWORDS)
+
+    def test_block_holds_its_scores_and_three_posting_arrays(self, index):
+        # 64 Zipf tweets gather 53,358 postings. The kernel peaks at the (B, n)
+        # scores and 2.2 posting arrays; a new array per step peaked at 3.2.
+        rng = random.Random(64)
+        block = [zipf_tokens(rng, 20) for _ in range(64)]
+        for table in (index.bm25_table(BM25Params()), index.tfidf_table()):
+            ids = {(r, table.term_ids[t]) for r, tokens in enumerate(block)
+                   for t in tokens if t in table.term_ids}
+            postings = sum(int(table.indptr[t + 1] - table.indptr[t]) for _, t in ids)
+            scores = len(block) * table.n_articles * 8
+            assert traced_peak(lambda: score_block(block, table)) < scores + 3 * postings * 8
+
+    @pytest.mark.parametrize("build", [lambda index: index.bm25_table(BM25Params()),
+                                       ArticleIndex.tfidf_table], ids=["bm25", "tfidf"])
+    def test_table_build_holds_under_four_posting_arrays(self, index, build):
+        # 3.5 posting arrays here; gathers through a posting-term array took 4.6 and 5.6
+        fresh = ArticleIndex(index.article_ids, index.terms, index.indptr, index.ordinals,
+                             index.counts)  # with no table cached
+        assert traced_peak(lambda: build(fresh)) < 4 * len(index.ordinals) * 8
 
 
 class TestCosineBlock:
