@@ -346,11 +346,13 @@ def _load_articles(config: RunConfig) -> list[corpus.RumorArticle]:
 
 
 def _get_index(config: RunConfig, articles=None) -> matchers.ArticleIndex:
-    """The saved index at index_path if there is one, else one built from the articles."""
+    """The saved index at index_path if there is one, else one built from
+    ``articles`` or, when the caller holds none, from the articles file
+    streamed into the build, so that no list of them is made."""
     if config.index_path and os.path.exists(config.index_path):
         return load_index(config.index_path, config)
     if articles is None:
-        articles = _load_articles(config)
+        articles = corpus.iter_articles(_require_file(config.articles, "articles"))
     return matchers.build_index(articles, config.tokenizer_config())
 
 
@@ -656,9 +658,10 @@ def load_detections(path, article_ids: Optional[Container[str]] = None
 
 
 def cmd_index(config: RunConfig, articles=None) -> matchers.ArticleIndex:
-    """Build the index, save it, and return it for the rest of the run."""
+    """Build the index, save it, and return it for the rest of the run.
+    Without ``articles``, the articles file is streamed into the build."""
     if articles is None:
-        articles = _load_articles(config)
+        articles = corpus.iter_articles(_require_file(config.articles, "articles"))
     tok = config.tokenizer_config()
     index = matchers.build_index(articles, tok)
     out = config.index_path or os.path.join(config.out, "index.rmix")

@@ -239,10 +239,20 @@ def load_tweets(path) -> list[Tweet]:
 
 
 def load_articles(path) -> list[RumorArticle]:
-    """Parse articles.jsonl; a missing, null or empty subjects list defaults
-    to {OTHER}."""
-    articles = []
+    """Parse articles.jsonl into a list: list(iter_articles(path))."""
+    return list(iter_articles(path))
+
+
+def iter_articles(path) -> Iterator[RumorArticle]:
+    """Parse articles.jsonl one article at a time, in file order.
+
+    An article is yielded once its line passes every check, so a fault is
+    raised, naming path:line, after the articles before it. A missing, null
+    or empty subjects list defaults to {OTHER}; equal subject lists share
+    one frozenset.
+    """
     seen = set()
+    shared = {}
     for line_no, obj in _iter_jsonl(path):
         aid = _checked_id(obj, path, line_no)
         if aid in seen:
@@ -259,8 +269,7 @@ def load_articles(path) -> list[RumorArticle]:
             subjects = frozenset(Subject(s) for s in raw_subjects or ["OTHER"])
         except ValueError as exc:
             raise MalformedLineError(path, line_no, str(exc)) from exc
-        articles.append(RumorArticle(aid, body, subjects))
-    return articles
+        yield RumorArticle(aid, body, shared.setdefault(subjects, subjects))
 
 
 def read_labels(path, article_ids: Iterable[str]) -> list[LabeledTweet]:

@@ -209,34 +209,37 @@ EMBED_BLOCK = 64
 def build_index(articles, tok: Optional[TokenizerConfig] = None) -> ArticleIndex:
     """Tokenize the article bodies and index them; term ids follow first appearance.
 
-    One block of EMBED_BLOCK articles' tokens is held at a time: each token
-    is mapped to its term id before the next block is tokenized, so only
-    the int term ids of the whole corpus are kept until the postings are
-    inverted.
+    ``articles`` may be any iterable, such as corpus.iter_articles: one
+    block of EMBED_BLOCK articles, and their tokens, is held at a time. Each
+    token is mapped to its term id before the next block is read, so only
+    the article ids and the int term ids of the whole corpus are kept until
+    the postings are inverted. No article at all is an EmptyCorpusError.
     """
-    if not articles:
-        raise EmptyCorpusError("no articles to index")
     tok = tok or TokenizerConfig()
-    n = len(articles)
     term_ids: dict[str, int] = {}
+    article_ids = []
     ids = array.array("q")  # every token's term id, article by article
-    doc_len = np.empty(n, dtype=np.int64)
-    for start in range(0, n, EMBED_BLOCK):
-        bodies = [a.body for a in articles[start:start + EMBED_BLOCK]]
-        for j, tokens in enumerate(tokenize_texts(bodies, tok), start):
-            doc_len[j] = len(tokens)
+    doc_len = array.array("q")
+    articles = iter(articles)
+    while block := list(itertools.islice(articles, EMBED_BLOCK)):
+        article_ids += [a.id for a in block]
+        for tokens in tokenize_texts([a.body for a in block], tok):
+            doc_len.append(len(tokens))
             ids.extend([term_ids.setdefault(t, len(term_ids)) for t in tokens])
+    n = len(article_ids)
+    if not n:
+        raise EmptyCorpusError("no articles to index")
     if not ids:
         raise AllEmptyAfterTokenizeError("every article tokenized to empty")
     # one (term id, ordinal) key per token; unique keys sort term-major
     keys = np.frombuffer(ids, dtype=np.int64) * n
     del ids
-    keys += np.repeat(np.arange(n, dtype=np.int64), doc_len)
+    keys += np.repeat(np.arange(n, dtype=np.int64), np.frombuffer(doc_len, dtype=np.int64))
     keys, counts = np.unique(keys, return_counts=True)
     indptr = np.zeros(len(term_ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=len(term_ids)), out=indptr[1:])
     ordinals = np.remainder(keys, n, out=keys)
-    return ArticleIndex([a.id for a in articles], list(term_ids), indptr, ordinals, counts)
+    return ArticleIndex(article_ids, list(term_ids), indptr, ordinals, counts)
 
 
 def lookup_ids(vocab: Mapping[str, int], token_lists: list[list[str]]

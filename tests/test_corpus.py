@@ -412,6 +412,25 @@ class TestLoadArticles:
         assert article == corpus.RumorArticle("a1", ARTICLES[0]["body"],
                                               frozenset({Subject.OTHER}))
 
+    def test_equal_subject_lists_share_one_frozenset(self, tmp_path):
+        # in any order, repeated or defaulted: one frozenset per distinct set
+        p = tmp_path / "articles.jsonl"
+        lists = [["TRUMP", "CLINTON"], ["CLINTON", "TRUMP"], ["TRUMP", "TRUMP", "CLINTON"],
+                 None, [], ["OTHER"], ["CLINTON"]]
+        write_jsonl(p, [dict(ARTICLES[0], id=f"a{i}", subjects=s) for i, s in enumerate(lists)])
+        subjects = [a.subjects for a in corpus.iter_articles(p)]
+        assert len({id(s) for s in subjects[:3]}) == len({id(s) for s in subjects[3:6]}) == 1
+        assert len({id(s) for s in subjects}) == 3
+        assert subjects[0] == frozenset({Subject.CLINTON, Subject.TRUMP})
+
+    def test_iter_yields_the_articles_before_a_fault(self, tmp_path):
+        p = tmp_path / "articles.jsonl"
+        write_jsonl(p, [ARTICLES[0], ARTICLES[1], ARTICLES[0]])
+        articles = corpus.iter_articles(p)
+        assert [next(articles).id, next(articles).id] == ["a1", "a2"]
+        with pytest.raises(DuplicateIdError, match=":3: duplicate id 'a1'"):
+            next(articles)
+
     @pytest.mark.parametrize("subjects", [5, "CLINTON", {"CLINTON": True}])
     def test_subjects_not_a_list(self, tmp_path, subjects):
         p = tmp_path / "articles.jsonl"

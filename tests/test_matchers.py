@@ -51,6 +51,11 @@ class TestBuildIndex:
         with pytest.raises(EmptyCorpusError):
             build_index([])
 
+    def test_empty_iterator(self):
+        # no article at all is found only once the iterator ends
+        with pytest.raises(EmptyCorpusError):
+            build_index(iter([]))
+
     def test_all_empty_after_tokenize(self):
         with pytest.raises(AllEmptyAfterTokenizeError):
             build_index([make_article("a0", []) or make_article("a0", [])], NO_STOPWORDS)
