@@ -56,6 +56,12 @@ ELECTION_WINDOW = TimeWindow(start=1459468800, end=1475280000)
 MAX_BINS = 10**6
 
 
+def bin_count(window: TimeWindow, bin_width: int) -> int:
+    """The timeline bins of ``window``, the last one maybe partial. The ceiling
+    is taken in integers: a float quotient can round down past a last bin."""
+    return -(-(window.end - window.start) // bin_width)
+
+
 class Accumulator:
     """The counters every analysis reads, fed a block of tweets at a time.
 
@@ -162,8 +168,8 @@ class Accumulator:
 
     def timeline(self) -> list[tuple[int, int]]:
         start, width = self.window.start, self.bin_width
-        n_bins = math.ceil((self.window.end - start) / width)
-        return [(start + i * width, self.bin_rumors[i]) for i in range(n_bins)]
+        return [(start + i * width, self.bin_rumors[i])
+                for i in range(bin_count(self.window, width))]
 
 
 def subject_article_counts(articles: list[RumorArticle]) -> dict[Subject, int]:

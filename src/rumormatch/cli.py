@@ -4,8 +4,8 @@ Runs are driven by a flat key=value config file; a handful of flags override
 config keys one-for-one. Every command that scores tweets does so through one
 in-order stream (run_match) whose results feed matches.jsonl, the evaluation
 and the analysis accumulator; `all` reads, tokenizes and scores each tweet
-once. All outputs are written atomically (temp file + rename) so a failed run
-never leaves a truncated artifact.
+once. Each output goes to a temp file beside it, and `main` renames them all
+when the command returns, so a failed command publishes none of its outputs.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ EXIT_EVAL = 4
 
 INDEX_MAGIC = b"RMIX"
 INDEX_VERSION = 5
+HASH_CHUNK = 1 << 16  # bytes of the articles file hashed at a time
 
 MATCHERS = ("TFIDF", "BM25", "EMBEDDING", "DOCVEC", "LEXICON")
 VECTOR_MATCHERS = ("TFIDF", "BM25", "EMBEDDING", "DOCVEC")
@@ -194,7 +195,7 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
                          f"'window_end' ({config.window_end})")
     if config.bin_width <= 0:
         raise ValueError(f"config key 'bin_width' must be positive, got {config.bin_width}")
-    n_bins = -(-(config.window_end - config.window_start) // config.bin_width)
+    n_bins = analysis.bin_count(config.window(), config.bin_width)
     if n_bins > analysis.MAX_BINS:
         raise ValueError(f"config keys 'window_start', 'window_end' and 'bin_width' make "
                          f"{n_bins} timeline bins, more than {analysis.MAX_BINS}")
@@ -210,20 +211,14 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
     return config
 
 
-def _umask() -> int:
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
-
-
 @contextlib.contextmanager
 def atomic_write_text(path):
     """Yield a temp path beside `path` to write the output to.
 
     On success the temp file replaces `path` in one rename; on failure it is
     removed, so a failed run never leaves a truncated or partial artifact.
-    Every output file of the CLI, text or binary, is written through here;
-    the name is kept because the benchmark's traced run reports it.
+    `main` stages every output of a command here, in one ExitStack that renames
+    them when the command returns; the name is kept for the benchmark's tracer.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -232,7 +227,9 @@ def atomic_write_text(path):
     try:
         yield tmp
         # mkstemp creates 0600; give the output the mode open() would have
-        os.chmod(tmp, 0o666 & ~_umask())
+        mask = os.umask(0o077)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -241,12 +238,12 @@ def atomic_write_text(path):
 
 
 def write_csv(path, header, rows) -> None:
-    """Write one CSV output atomically: the header, then one line per row.
+    """Write a CSV file, such as a staged output: the header, then one line per row.
 
     csv.writer writes a float as its repr, an int as its digits and a
     str-Enum as its value, so rows hold raw values.
     """
-    with atomic_write_text(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -257,8 +254,11 @@ def index_provenance(tok: textpipe.TokenizerConfig, articles_path) -> dict:
     sha256 of the articles file. Saved with the index, checked on load."""
     digest = None
     if articles_path is not None:
+        h = sha256()
         with open(_require_file(articles_path, "articles"), "rb") as fh:
-            digest = sha256(fh.read()).hexdigest()
+            while chunk := fh.read(HASH_CHUNK):  # a chunk at a time, not the whole file
+                h.update(chunk)
+        digest = h.hexdigest()
     tokenizer = {**dataclasses.asdict(tok), "stopwords": sorted(tok.stopwords)}
     return {"tokenizer": tokenizer, "articles_sha256": digest}
 
@@ -275,7 +275,7 @@ def save_index(index: matchers.ArticleIndex, path, provenance: dict):
     1,723 articles raised the peak RSS of `all` by about 0.2 MB.
     """
     header = {"article_ids": index.article_ids, "terms": index.terms, **provenance}
-    with atomic_write_text(path) as tmp, open(tmp, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC + bytes([INDEX_VERSION]))
         fh.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
@@ -591,7 +591,7 @@ def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scor
               acc: Optional[analysis.Accumulator] = None) -> None:
     """Score every tweet once, in input order, and hand each result on.
 
-    Each tweet's matches.jsonl line goes to ``out_path`` (if given), each
+    Each tweet's matches.jsonl line goes to the file ``out_path`` (if given), each
     block's detections and keyword hits to ``acc`` (if given), and the
     results of the labeled tweets to ``labeled`` (if given). ``tweets`` may
     be any iterable of Tweet; nothing is kept per tweet but the labeled
@@ -610,8 +610,7 @@ def run_match(config: RunConfig, tweets, out_path=None, *, scorer: Optional[Scor
     with contextlib.ExitStack() as stack:
         write = None
         if out_path is not None:
-            tmp = stack.enter_context(atomic_write_text(out_path))
-            write = stack.enter_context(open(tmp, "w", encoding="utf-8", newline="")).write
+            write = stack.enter_context(open(out_path, "w", encoding="utf-8", newline="")).write
         stream = stack.enter_context(contextlib.closing(_scored_blocks(jobs, scorer, tweets)))
         for block, (text, (ordinals, scores, rumor), hits) in stream:
             if write:
@@ -657,7 +656,7 @@ def load_detections(path, article_ids: Optional[Container[str]] = None
 # subcommands
 
 
-def cmd_index(config: RunConfig, articles=None) -> matchers.ArticleIndex:
+def cmd_index(config: RunConfig, stage, articles=None) -> matchers.ArticleIndex:
     """Build the index, save it, and return it for the rest of the run.
     Without ``articles``, the articles file is streamed into the build."""
     if articles is None:
@@ -665,15 +664,16 @@ def cmd_index(config: RunConfig, articles=None) -> matchers.ArticleIndex:
     tok = config.tokenizer_config()
     index = matchers.build_index(articles, tok)
     out = config.index_path or os.path.join(config.out, "index.rmix")
-    save_index(index, out, index_provenance(tok, config.articles))
+    save_index(index, stage(out), index_provenance(tok, config.articles))
     if not config.quiet:
         print(f"indexed {index.n_articles} articles -> {out}", file=sys.stderr)
     return index
 
 
-def cmd_match(config: RunConfig) -> None:
+def cmd_match(config: RunConfig, stage) -> None:
     tweets = corpus.iter_tweets(_require_file(config.tweets, "tweets"))
-    run_match(config, tweets, os.path.join(config.out, "matches.jsonl"))
+    scorer = make_scorer(config)  # a set-up fault stages nothing, so out/ is not made
+    run_match(config, tweets, stage(os.path.join(config.out, "matches.jsonl")), scorer=scorer)
 
 
 def _read_labels(config: RunConfig, articles) -> list[LabeledTweet]:
@@ -689,7 +689,7 @@ def pr_rows(points: Iterable[evaluation.PRPoint]) -> Iterator[tuple]:
         yield ("fixed" if math.isnan(p.threshold) else p.threshold, p.precision, p.recall, p.f1)
 
 
-def _write_classify(config: RunConfig, labels, results: LabeledResults) -> None:
+def _write_classify(config: RunConfig, stage, labels, results: LabeledResults) -> None:
     """pr_curve.csv and max_f1.csv from the labeled tweets' results."""
     if config.matcher == "LEXICON":
         point = evaluation.fixed_point_eval(results.rumor, labels)
@@ -697,11 +697,11 @@ def _write_classify(config: RunConfig, labels, results: LabeledResults) -> None:
     else:
         result = evaluation.sweep(results.scores, labels)
         points, best = result.points, result.max_f1_point
-    write_csv(os.path.join(config.out, "pr_curve.csv"), PR_HEADER, pr_rows(points))
-    write_csv(os.path.join(config.out, "max_f1.csv"), PR_HEADER, pr_rows([best]))
+    write_csv(stage(os.path.join(config.out, "pr_curve.csv")), PR_HEADER, pr_rows(points))
+    write_csv(stage(os.path.join(config.out, "max_f1.csv")), PR_HEADER, pr_rows([best]))
 
 
-def cmd_eval(config: RunConfig, task: str) -> None:
+def cmd_eval(config: RunConfig, stage, task: str) -> None:
     if task == "IDENTIFY" and config.matcher == "LEXICON":
         raise ValueError("eval identify needs a matcher that names an article: "
                          f"{', '.join(VECTOR_MATCHERS)} or ALL, not LEXICON")
@@ -717,7 +717,7 @@ def cmd_eval(config: RunConfig, task: str) -> None:
     if task == "CLASSIFY":
         run_match(config, tweets, scorer=make_scorer(config, articles), labeled=labeled)
         labeled.check_seen()
-        _write_classify(config, labels, labeled)
+        _write_classify(config, stage, labels, labeled)
         return
 
     # IDENTIFY: the labeled RUMOR tweets are held, and each matcher scores them into one
@@ -742,7 +742,7 @@ def cmd_eval(config: RunConfig, task: str) -> None:
                                results.rumor.tolist())
         accuracy = evaluation.identification_accuracy(best, results.labels)
         rows.append((name, accuracy, len(results.labels)))
-    write_csv(os.path.join(config.out, "identification.csv"),
+    write_csv(stage(os.path.join(config.out, "identification.csv")),
               ("matcher", "accuracy", "n_evaluated"), rows)
 
 
@@ -756,29 +756,27 @@ def _accumulator(config: RunConfig, which=ANALYSES) -> analysis.Accumulator:
     return analysis.Accumulator(config.window(), config.bin_width, keywords, tok)
 
 
-def _write_analyses(config: RunConfig, acc: analysis.Accumulator, which, articles) -> None:
+def _write_analyses(config: RunConfig, stage, acc, which, articles) -> None:
     """Write the selected analyses, in ANALYSES order, from one filled accumulator."""
-    os.makedirs(config.out, exist_ok=True)
-    out = config.out
     groups = acc.groups()
 
+    def write(name, header, rows):
+        write_csv(stage(os.path.join(config.out, name)), header, rows)
+
     if "ratio" in which:
-        rows = []
-        for group in groups:
-            rows.append((group, "entire", acc.group_ratio(group)))
-            rows.append((group, "election", acc.group_ratio(group, windowed=True)))
-        write_csv(os.path.join(out, "group_ratio.csv"), ("group", "window", "ratio"), rows)
+        write("group_ratio.csv", ("group", "window", "ratio"),
+              [(group, window, acc.group_ratio(group, windowed=window == "election"))
+               for group in groups for window in ("entire", "election")])
 
     if "users" in which:
-        write_csv(os.path.join(out, "concentration.csv"), ("fraction", "share"),
-                  [(f, acc.user_concentration(f)) for f in config.top_fractions])
-        write_csv(os.path.join(out, "user_ranking.csv"),
-                  ("user_id", "rumor_count", "total_count", "ratio"),
-                  acc.user_ranking(config.top_n))
+        write("concentration.csv", ("fraction", "share"),
+              [(f, acc.user_concentration(f)) for f in config.top_fractions])
+        write("user_ranking.csv", ("user_id", "rumor_count", "total_count", "ratio"),
+              acc.user_ranking(config.top_n))
 
     if "keywords" in which and config.keywords:
-        write_csv(os.path.join(out, "keywords.csv"), ("keyword", "rumor_count", "nonrumor_count"),
-                  [(k, *counts) for k, counts in acc.keyword_breakdown().items()])
+        write("keywords.csv", ("keyword", "rumor_count", "nonrumor_count"),
+              [(k, *counts) for k, counts in acc.keyword_breakdown().items()])
 
     if "attribution" in which:
         rows = []
@@ -786,18 +784,18 @@ def _write_analyses(config: RunConfig, acc: analysis.Accumulator, which, article
             values = acc.content_attribution(articles, group)
             for subject, value in sorted(values.items(), key=lambda kv: kv[0].value):
                 rows.append((group, subject, value))
-        write_csv(os.path.join(out, "attribution.csv"), ("group", "subject", "value"), rows)
+        write("attribution.csv", ("group", "subject", "value"), rows)
 
     if "timeline" in which:
         bins = acc.timeline()
         peaks = set(analysis.detect_peaks([c for _, c in bins], config.peak_k) if bins else ())
-        write_csv(os.path.join(out, "timeline.csv"), ("bin_start_iso8601", "count", "is_peak"),
-                  [(time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(start)), count,
-                    "true" if i in peaks else "false")
-                   for i, (start, count) in enumerate(bins)])
+        write("timeline.csv", ("bin_start_iso8601", "count", "is_peak"),
+              [(time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(start)), count,
+                "true" if i in peaks else "false")
+               for i, (start, count) in enumerate(bins)])
 
 
-def cmd_analyze(config: RunConfig, which: list[str]) -> None:
+def cmd_analyze(config: RunConfig, stage, which: list[str]) -> None:
     matches_path = os.path.join(config.out, "matches.jsonl")
     _require_file(matches_path, "matches")
     tweets_path = _require_file(config.tweets, "tweets")
@@ -824,17 +822,17 @@ def cmd_analyze(config: RunConfig, which: list[str]) -> None:
 
     for block in _batches(pairs(), BLOCK):
         acc.add_block(*zip(*block))
-    _write_analyses(config, acc, which, articles)
+    _write_analyses(config, stage, acc, which, articles)
 
 
-def cmd_all(config: RunConfig) -> None:
+def cmd_all(config: RunConfig, stage) -> None:
     """index, match, eval classify (with labels) and every analysis in one pass.
 
     The articles are read and indexed once, and only the index's impact
     table is kept for the pass; each tweet is read, tokenized and scored
     once, and its result feeds matches.jsonl, the labeled scores and the
     analysis accumulator. The files are the bytes the four commands write
-    when run one after another.
+    when run one after another; `index.rmix`, staged first, is renamed last.
     """
     articles = _load_articles(config)
     # the faults that the articles and labels show are raised before any output
@@ -843,16 +841,16 @@ def cmd_all(config: RunConfig) -> None:
     if labels is not None:
         evaluation.check_classes(labels, fixed_point=config.matcher == "LEXICON")
     acc = _accumulator(config)
-    scorer = make_scorer(config, articles, cmd_index(config, articles), acc.wanted)
+    scorer = make_scorer(config, articles, cmd_index(config, stage, articles), acc.wanted)
     labeled = LabeledResults(labels) if labels is not None else None
     run_match(
         config, corpus.iter_tweets(_require_file(config.tweets, "tweets")),
-        os.path.join(config.out, "matches.jsonl"), scorer=scorer, labeled=labeled, acc=acc,
+        stage(os.path.join(config.out, "matches.jsonl")), scorer=scorer, labeled=labeled, acc=acc,
     )
     if labeled is not None:
         labeled.check_seen()
-        _write_classify(config, labels, labeled)
-    _write_analyses(config, acc, ANALYSES, articles)
+        _write_classify(config, stage, labels, labeled)
+    _write_analyses(config, stage, acc, ANALYSES, articles)
 
 
 # ---------------------------------------------------------------------------
@@ -899,21 +897,23 @@ def main(argv=None) -> int:
         config = build_config(file_values, overrides)
         if config.matcher == "ALL" and getattr(args, "task", None) != "identify":
             raise ValueError("config key 'matcher' may be ALL only for eval identify")
-
-        if args.command == "index":
-            cmd_index(config)
-        elif args.command == "match":
-            cmd_match(config)
-        elif args.command == "eval":
-            cmd_eval(config, args.task.upper())
-        elif args.command == "analyze":
-            unknown = [w for w in args.which if w not in ANALYSES]
-            if unknown:
-                raise ValueError(f"unknown analysis {unknown[0]!r} "
-                                 f"(choose from {', '.join(ANALYSES)})")
-            cmd_analyze(config, args.which)
-        elif args.command == "all":
-            cmd_all(config)
+        with contextlib.ExitStack() as outputs:  # renamed last staged first, or removed on a fault
+            def stage(path):
+                return outputs.enter_context(atomic_write_text(path))
+            if args.command == "index":
+                cmd_index(config, stage)
+            elif args.command == "match":
+                cmd_match(config, stage)
+            elif args.command == "eval":
+                cmd_eval(config, stage, args.task.upper())
+            elif args.command == "analyze":
+                unknown = [w for w in args.which if w not in ANALYSES]
+                if unknown:
+                    raise ValueError(f"unknown analysis {unknown[0]!r} "
+                                     f"(choose from {', '.join(ANALYSES)})")
+                cmd_analyze(config, stage, args.which)
+            elif args.command == "all":
+                cmd_all(config, stage)
     except (OSError, CorpusError, InputFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

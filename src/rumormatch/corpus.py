@@ -175,10 +175,10 @@ def iter_tweets(path) -> Iterator[Tweet]:
     after the tweets before it were yielded, and the first fault in file
     order is named (a line whose own id repeats an earlier one is a
     duplicate before its other fields are checked). A caller that stops
-    early has not had the ids checked. The CLI renames each output into
-    place only when its writer succeeds, so a fault found here publishes no
-    file that the pass over the tweets writes; a file written before that
-    pass, such as the index that `all` saves, stays. A line in the plain
+    early has not had the ids checked. The CLI renames a command's outputs
+    into place only when the whole command succeeds, so a fault found here
+    publishes none of them, not even a file written before the pass, such as
+    the index that `all` saves. A line in the plain
     case (a non-empty ASCII str id, a str text that is not blank, an ASCII
     str user_id, an int timestamp and a known group) is taken as it is;
     every other line goes through _checked_id and _checked_tweet, which

@@ -188,7 +188,7 @@ def analyses_oracle(tweets, detections, window, bin_width, keywords, articles, s
         for g in groups
     }
 
-    n_bins = math.ceil((window.end - window.start) / bin_width)
+    n_bins = -(-(window.end - window.start) // bin_width)  # a float quotient can round down
     timeline = [(window.start + i * bin_width,
                  sum(1 for t, r, _, inside in rows
                      if r and inside and (t.timestamp - window.start) // bin_width == i))

@@ -266,6 +266,19 @@ class TestTimeline:
         assert [c for _, c in bins] == [3, 0, 0, 0, 0, 0, 0]
 
 
+    def test_rumor_in_the_last_bin_of_a_window_the_float_quotient_rounds_down(self):
+        # the window spans 999,999 bins and one second: 999,999.0000000000149 bins, which
+        # rounds to 999,999.0 as a float; the rumor at end - 1 is in bin 999,999, the 10**6th
+        width = 67_000_000_001
+        window = TimeWindow(0, width * 999_999 + 1)
+        acc = analysis.Accumulator(window, width)
+        acc.add_block([Tweet("t1", "u1", Group.OTHER, window.end - 1, "x")], [True], [None])
+        bins = acc.timeline()
+        assert len(bins) == analysis.bin_count(window, width) == analysis.MAX_BINS
+        assert bins[-1] == (width * 999_999, 1)
+        assert sum(c for _, c in bins) == 1
+
+
 class TestDetectPeaks:
     def test_flat_series(self):
         assert detect_peaks([4, 4, 4, 4]) == []

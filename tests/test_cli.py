@@ -557,6 +557,25 @@ class TestIndexProvenance:
         assert f"built from other articles than {articles}" in capsys.readouterr().err
         assert not (out / "matches.jsonl").exists()
 
+    def test_articles_file_is_hashed_a_chunk_at_a_time(self, tmp_path):
+        # 6 MB of articles: the digest is the whole file's, while a chunk or two is held
+        path = tmp_path / "articles.jsonl"
+        body = " ".join(["clinton parkinsons diagnosis montage"] * 25)
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(6400):
+                fh.write(json.dumps({"id": f"a{i}", "title": "", "body": body,
+                                     "subjects": ["CLINTON"]}) + "\n")
+        assert path.stat().st_size > 6e6
+        tok = TokenizerConfig()
+        tracemalloc.start()
+        try:
+            provenance = cli.index_provenance(tok, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert provenance["articles_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak < 3 * cli.HASH_CHUNK
+
 
 class TestMatchCommand:
     def test_scores_match_bm25_oracle(self, workspace):
@@ -1106,7 +1125,7 @@ class TestAnalyzeCommand:
                                quiet=True)
         tracemalloc.start()
         try:
-            cli.cmd_analyze(config, ["ratio", "users", "timeline"])
+            cli.cmd_analyze(config, lambda path: path, ["ratio", "users", "timeline"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1412,7 +1431,7 @@ class TestExitCodes:
     def test_main_maps_each_error_to_its_code(self, workspace, monkeypatch, capsys, exc, code):
         _, config, _ = workspace
 
-        def fail(config):
+        def fail(config, stage):
             raise exc
         monkeypatch.setattr(cli, "cmd_index", fail)
         assert cli.main(["--config", str(config), "index"]) == code
@@ -1586,7 +1605,7 @@ class TestAtomicWrites:
         write_jsonl(tweets, TWEETS + [dict(TWEETS[2], text="a tweet on the last line")])
         assert cli.main(args) == cli.EXIT_INPUT
         assert capsys.readouterr().err == f"error: {tweets}:5: duplicate id 't3'\n"
-        indexed = ["index.rmix"] if command == "all" else []
+        indexed = []  # `all` renames index.rmix last, so it is not published either
         assert sorted(p.name for p in out.iterdir()) == indexed
 
         write_jsonl(tweets, TWEETS)
@@ -1597,6 +1616,90 @@ class TestAtomicWrites:
         assert capsys.readouterr().err == f"error: {tweets}:5: duplicate id 't1'\n"
         assert (out / "matches.jsonl").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == sorted(indexed + ["matches.jsonl"])
+
+
+def snapshot(out):
+    """Each file in ``out`` by name: its bytes and its inode, which a rename into place
+    changes even when the bytes are the same."""
+    return {p.name: (p.read_bytes(), p.stat().st_ino) for p in out.iterdir()}
+
+
+def march_tweets(tmp_path, base):
+    # every tweet in March 2016, before the election window: no windowed group ratio
+    write_jsonl(tmp_path / "tweets.jsonl",
+                [dict(t, timestamp=t["timestamp"] - 60 * 86400) for t in TWEETS])
+    return base + ["all"]
+
+
+def duplicate_on_the_last_line(tmp_path, base):
+    write_jsonl(tmp_path / "tweets.jsonl", TWEETS + [TWEETS[0]])
+    return base + ["all"]
+
+
+def no_rumor_matched(tmp_path, base):
+    assert cli.main(base + ["--threshold", "1000", "match"]) == 0
+    return base + ["analyze", "ratio", "users"]
+
+
+class TestOutputsPublishedTogether:
+    """A command's outputs are renamed into place together when it returns, so a
+    fault found late in a run publishes none of them."""
+
+    @pytest.mark.parametrize("prepare,code", [
+        (march_tweets, cli.EXIT_EMPTY),
+        (lambda tmp_path, base: base + ["--threshold", "1000", "all"], cli.EXIT_EMPTY),
+        (duplicate_on_the_last_line, cli.EXIT_INPUT),
+        (no_rumor_matched, cli.EXIT_EMPTY),
+    ], ids=["all-march-tweets", "all-no-rumor", "all-duplicate-id", "analyze-no-rumor"])
+    def test_late_fault_keeps_every_byte_of_out(self, workspace, prepare, code):
+        tmp_path, config, out = workspace
+        base = ["--config", str(config)]
+        assert cli.main(base + ["all"]) == 0
+        args = prepare(tmp_path, base)
+        before = snapshot(out)
+        assert cli.main(args) == code
+        assert snapshot(out) == before
+        assert list(out.glob("*.tmp")) == []
+
+    def test_match_set_up_fault_makes_no_out_directory(self, workspace, capsys):
+        # the scorer is set up before matches.jsonl is staged
+        _, config, out = workspace
+        args = ["--config", str(config), "--matcher", "EMBEDDING", "match"]
+        assert cli.main(args) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: no embeddings path configured\n"
+        assert not out.exists()
+
+    @staticmethod
+    def record_renames(monkeypatch, fail_at=None):
+        """The names that os.replace renames into place, in order; rename number
+        ``fail_at`` (from 1) raises OSError instead."""
+        names, replace = [], os.replace
+
+        def recorded(src, dst):
+            if len(names) + 1 == fail_at:
+                raise OSError("rename failed")
+            replace(src, dst)
+            names.append(os.path.basename(dst))
+
+        monkeypatch.setattr(os, "replace", recorded)
+        return names
+
+    def test_all_renames_the_index_last(self, workspace, monkeypatch):
+        _, config, out = workspace
+        renamed = self.record_renames(monkeypatch)
+        assert cli.main(["--config", str(config), "all"]) == 0
+        assert renamed == ["timeline.csv", "attribution.csv", "user_ranking.csv",
+                           "concentration.csv", "group_ratio.csv", "max_f1.csv", "pr_curve.csv",
+                           "matches.jsonl", "index.rmix"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(renamed)
+
+    def test_fault_while_renaming_keeps_what_was_renamed(self, workspace, monkeypatch, capsys):
+        # the outputs renamed before the fault stay published; the others' temp files go
+        _, config, out = workspace
+        renamed = self.record_renames(monkeypatch, fail_at=2)
+        assert cli.main(["--config", str(config), "all"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: rename failed\n"
+        assert [p.name for p in out.iterdir()] == renamed == ["timeline.csv"]
 
 
 class TestStopwordsFile:

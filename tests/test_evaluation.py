@@ -135,7 +135,7 @@ class TestSweep:
         results = LabeledResults(labels)
         results.add_block(list(scores), [0] * len(scores), list(scores.values()),
                           [False] * len(scores))
-        _write_classify(RunConfig(out=str(tmp_path)), labels, results)
+        _write_classify(RunConfig(out=str(tmp_path)), lambda path: path, labels, results)
         assert (tmp_path / "max_f1.csv").read_text().splitlines() == [
             "threshold,precision,recall,f1", "0.8,1.0,0.5,0.6666666666666666"]
 

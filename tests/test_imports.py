@@ -120,3 +120,41 @@ def test_finds_the_package_imports():
               "from rumormatch.analysis import x\nfrom rumormatchx import y\n")
     assert package_imports(source) == {"cli", "matchers", "errors", "corpus", "textpipe",
                                        "analysis"}
+
+
+def references(source: str, names: set[str]) -> list[str]:
+    """'function:line name' of each read in ``source`` of a name in ``names``
+    (such as 'os.replace'), the function named by its enclosing defs, outermost first."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                and ast.unparse(node) in names):
+            found.append(f"{where or '<module>'}:{node.lineno} {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("names,where", [
+    ({"atomic_write_text"}, "cli.py main.stage atomic_write_text"),
+    ({"os.replace", "os.rename"}, "cli.py atomic_write_text os.replace"),
+])
+def test_outputs_are_published_in_one_place(names, where):
+    # main stages every output of a command in one ExitStack, and atomic_write_text alone
+    # renames it into place: a writer that published its own file would be found here
+    found = [f"{path.name} {ref.partition(':')[0]} {ref.partition(' ')[2]}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for ref in references(path.read_text(encoding="utf-8"), names)]
+    assert found == [where]
+
+
+def test_finds_the_references():
+    source = ("import os\ndef f(p):\n    def g(q):\n        return os.replace(p, q)\n"
+              "    w = atomic_write_text\n    return w, p.replace('a', 'b'), os.rename\n")
+    assert references(source, {"os.replace", "os.rename", "atomic_write_text"}) == [
+        "f.g:4 os.replace", "f:5 atomic_write_text", "f:6 os.rename"]
