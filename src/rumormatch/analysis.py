@@ -13,7 +13,9 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .corpus import Group, RumorArticle, Subject, Tweet
 from .errors import (
@@ -52,7 +54,7 @@ class TimeWindow:
 ELECTION_WINDOW = TimeWindow(start=1459468800, end=1475280000)
 
 # The most timeline bins a window may hold: hourly bins over a century, or
-# minute bins over a year. The timeline keeps a row per bin.
+# minute bins over a year. The timeline keeps a count per bin.
 MAX_BINS = 10**6
 
 
@@ -166,10 +168,18 @@ class Accumulator:
                     tweet_counts[s] += n
         return {s: tweet_counts[s] / count for s, count in article_counts.items()}
 
+    def timeline_counts(self) -> np.ndarray:
+        """The rumor count of each timeline bin, as one int64 array; bin i
+        starts at window.start + i * bin_width."""
+        counts = np.zeros(bin_count(self.window, self.bin_width), dtype=np.int64)
+        counts[list(self.bin_rumors)] = list(self.bin_rumors.values())
+        return counts
+
     def timeline(self) -> list[tuple[int, int]]:
+        """(bin start, rumor count) of each timeline bin."""
         start, width = self.window.start, self.bin_width
-        return [(start + i * width, self.bin_rumors[i])
-                for i in range(bin_count(self.window, width))]
+        return [(start + i * width, count)
+                for i, count in enumerate(self.timeline_counts().tolist())]
 
 
 def subject_article_counts(articles: list[RumorArticle]) -> dict[Subject, int]:
@@ -281,24 +291,33 @@ def timeline(
     return _accumulate(tweets, detections, window=window, bin_width=bin_width).timeline()
 
 
-def detect_peaks(series: list[int], k: float = 2.0) -> list[int]:
+PEAK_CHUNK = 1 << 14  # counts whose squared deviations are made at a time
+
+
+def detect_peaks(series: Sequence[int], k: float = 2.0) -> list[int]:
     """Strict local maxima exceeding mean + k*stddev (population stddev).
 
-    Boundary bins are compared against their single neighbor.
+    Boundary bins are compared against their single neighbor. ``series``
+    may be an int64 array, which is read as it is: the squared deviations
+    are made PEAK_CHUNK counts at a time.
     """
-    if not series:
+    if not len(series):
         raise ValueError("series must be nonempty")
-    n = len(series)
-    mean = sum(series) / n
+    counts = np.asarray(series).astype(np.int64, casting="safe", copy=False)  # no float
+    n = len(counts)
+    mean = int(counts.sum()) / n
     # d * d and fsum: IEEE basic operations only, so every host gives the same bits
-    std = math.sqrt(math.fsum(d * d for d in [x - mean for x in series]) / n)
+    std = math.sqrt(math.fsum(_squared_deviations(counts, mean)) / n)
     cutoff = mean + k * std
-    peaks = []
-    for i, x in enumerate(series):
-        if x <= cutoff:
-            continue
-        left_ok = i == 0 or x > series[i - 1]
-        right_ok = i == n - 1 or x > series[i + 1]
-        if left_ok and right_ok:
-            peaks.append(i)
-    return peaks
+    at = np.flatnonzero(~(counts <= cutoff))  # a NaN cutoff leaves every count above it
+    x = counts[at]
+    left_ok = (at == 0) | (x > counts[np.maximum(at - 1, 0)])
+    right_ok = (at == n - 1) | (x > counts[np.minimum(at + 1, n - 1)])
+    return at[left_ok & right_ok].tolist()
+
+
+def _squared_deviations(counts: np.ndarray, mean: float) -> Iterator[float]:
+    """(x - mean) * (x - mean) of each count x, in order, as floats."""
+    for start in range(0, len(counts), PEAK_CHUNK):
+        d = counts[start:start + PEAK_CHUNK] - mean
+        yield from (d * d).tolist()

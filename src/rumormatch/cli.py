@@ -25,7 +25,7 @@ import tempfile
 import time
 import typing
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Iterator, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -537,18 +537,17 @@ def _scored_blocks(jobs: int, scorer: Scorer, tweets):
 class LabeledResults:
     """The result of each labeled tweet, as numbers by label position.
 
-    ``scores`` (float64), ``ordinals`` (int32 argmax article ordinal),
-    ``rumor`` and ``seen`` (bool) hold one entry per label; a label is seen
-    once ``select`` passes its tweet on or the stream reaches it, and its
-    results are filled then. A tweet finds its label by one lookup of its id
-    in a dict of label positions. The evaluations read the arrays, which are
-    in label order, as they are.
+    ``labels`` is the corpus.LabelSet of the labels given. ``scores``
+    (float64), ``ordinals`` (int32 argmax article ordinal), ``rumor`` and
+    ``seen`` (bool) hold one entry per label; a label is seen once ``select``
+    passes its tweet on or the stream reaches it, and its results are filled
+    then. A block of tweets finds its labels by ``LabelSet.positions``. The
+    evaluations read the arrays, which are in label order, as they are.
     """
 
-    def __init__(self, labels: list[LabeledTweet]):
-        self.labels = labels
-        n = len(labels)
-        self._where = {l.tweet_id: i for i, l in enumerate(labels)}  # label ids are unique
+    def __init__(self, labels: Sequence[LabeledTweet]):
+        self.labels = corpus.LabelSet.of(labels)
+        n = len(self.labels)
         self.scores = np.zeros(n)
         self.ordinals = np.zeros(n, dtype=np.int32)
         self.rumor = np.zeros(n, dtype=bool)
@@ -557,18 +556,15 @@ class LabeledResults:
     def positions(self, tweet_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """(js, label positions): each tweet_ids[j] of js, in order, is labeled,
         at the position alongside."""
-        at = np.fromiter(map(self._where.get, tweet_ids, itertools.repeat(-1)), np.intp,
-                         len(tweet_ids))
-        js = np.flatnonzero(at >= 0)
-        return js, at[js]
+        return self.labels.positions(tweet_ids)
 
     def select(self, tweets: Iterable[corpus.Tweet]) -> Iterator[corpus.Tweet]:
-        """The labeled tweets among ``tweets``, in order; their labels are marked seen."""
-        for t in tweets:
-            at = self._where.get(t.id)
-            if at is not None:
-                self.seen[at] = True
-                yield t
+        """The labeled tweets among ``tweets``, in order, read BLOCK at a time;
+        their labels are marked seen."""
+        for block in _batches(tweets, BLOCK):
+            js, found = self.positions([t.id for t in block])
+            self.seen[found] = True
+            yield from map(block.__getitem__, js.tolist())
 
     def add_block(self, tweet_ids, ordinals, scores, rumor) -> None:
         """Keep the results, as _score_block gives them, of the labeled tweets among tweet_ids."""
@@ -637,15 +633,18 @@ def load_detections(path, article_ids: Optional[Container[str]] = None
         if type(tweet_id) is not str:
             raise MalformedLineError(path, line_no,
                                      f"tweet_id must be a string, got {tweet_id!r}")
+        corpus._encodable(tweet_id, "tweet_id", path, line_no)
         label = corpus._require(obj, "label", path, line_no)
         if label not in (Label.RUMOR.value, Label.NONRUMOR.value):
             raise MalformedLineError(path, line_no,
                                      f"label must be RUMOR or NONRUMOR, got {label!r}")
         rumor = label == Label.RUMOR.value
         article_id = obj.get("article_id") if rumor else None
-        if article_id is not None and type(article_id) is not str:
-            raise MalformedLineError(path, line_no,
-                                     f"article_id must be a string, got {article_id!r}")
+        if article_id is not None:
+            if type(article_id) is not str:
+                raise MalformedLineError(path, line_no,
+                                         f"article_id must be a string, got {article_id!r}")
+            corpus._encodable(article_id, "article_id", path, line_no)
         if article_ids is not None and article_id is not None and article_id not in article_ids:
             raise MalformedLineError(path, line_no,
                                      f"article_id {article_id!r} is not the id of an article")
@@ -676,7 +675,7 @@ def cmd_match(config: RunConfig, stage) -> None:
     run_match(config, tweets, stage(os.path.join(config.out, "matches.jsonl")), scorer=scorer)
 
 
-def _read_labels(config: RunConfig, articles) -> list[LabeledTweet]:
+def _read_labels(config: RunConfig, articles) -> corpus.LabelSet:
     return corpus.read_labels(_require_file(config.labels, "labels"), [a.id for a in articles])
 
 
@@ -722,7 +721,7 @@ def cmd_eval(config: RunConfig, stage, task: str) -> None:
 
     # IDENTIFY: the labeled RUMOR tweets are held, and each matcher scores them into one
     # result set; once every label is seen, each run rewrites every entry of it
-    results = LabeledResults([l for l in labels if l.label is Label.RUMOR])
+    results = LabeledResults(labels.subset(labels.rumor))
     tweets = list(results.select(tweets))
     labeled.check_seen()
     names = [config.matcher]
@@ -786,13 +785,14 @@ def _write_analyses(config: RunConfig, stage, acc, which, articles) -> None:
                 rows.append((group, subject, value))
         write("attribution.csv", ("group", "subject", "value"), rows)
 
-    if "timeline" in which:
-        bins = acc.timeline()
-        peaks = set(analysis.detect_peaks([c for _, c in bins], config.peak_k) if bins else ())
+    if "timeline" in which:  # one array of counts; a row is made as it is written
+        counts = acc.timeline_counts()
+        peaks = set(analysis.detect_peaks(counts, config.peak_k))
+        start, width = acc.window.start, acc.bin_width
         write("timeline.csv", ("bin_start_iso8601", "count", "is_peak"),
-              [(time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(start)), count,
+              ((time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(start + i * width)), int(count),
                 "true" if i in peaks else "false")
-               for i, (start, count) in enumerate(bins)])
+               for i, count in enumerate(counts)))
 
 
 def cmd_analyze(config: RunConfig, stage, which: list[str]) -> None:

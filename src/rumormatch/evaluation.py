@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Label, LabeledTweet
+from .corpus import LabeledTweet, LabelSet
 from .errors import (
     DegenerateLabelsError,
     NoRumorLabelsError,
@@ -73,12 +73,12 @@ class SweepResult:
     max_f1_point: PRPoint
 
 
-def check_classes(labels: list[LabeledTweet], fixed_point: bool = False) -> int:
+def check_classes(labels: Sequence[LabeledTweet], fixed_point: bool = False) -> int:
     """The number of RUMOR labels, if the labels can be evaluated: a sweep
     needs both classes (DegenerateLabelsError), a fixed point or an
     identification one RUMOR label (NoRumorLabelsError). Needs no score, so
     a caller can check before it reads a tweet."""
-    n_rumor = sum(1 for l in labels if l.label is Label.RUMOR)
+    n_rumor = int(LabelSet.of(labels).rumor.sum())
     if fixed_point:
         if n_rumor == 0:
             raise NoRumorLabelsError("no RUMOR labels to evaluate against")
@@ -87,7 +87,7 @@ def check_classes(labels: list[LabeledTweet], fixed_point: bool = False) -> int:
     return n_rumor
 
 
-def _per_label(values, labels: list[LabeledTweet]) -> Sequence:
+def _per_label(values, labels: Sequence[LabeledTweet]) -> Sequence:
     """``values``, checked to hold one value per label, in label order. A
     Mapping is refused: iterated, it would give its keys."""
     if isinstance(values, Mapping):
@@ -98,7 +98,7 @@ def _per_label(values, labels: list[LabeledTweet]) -> Sequence:
     return values
 
 
-def sweep(scores: Sequence[float], labels: list[LabeledTweet]) -> SweepResult:
+def sweep(scores: Sequence[float], labels: Sequence[LabeledTweet]) -> SweepResult:
     """Evaluate every classification threshold the score set can induce.
 
     Candidate thresholds are the distinct observed scores (classification is
@@ -110,9 +110,10 @@ def sweep(scores: Sequence[float], labels: list[LabeledTweet]) -> SweepResult:
     point is the first, highest-threshold one among equal F1. ``scores``
     holds each label's score in label order.
     """
+    labels = LabelSet.of(labels)
     values = np.asarray(_per_label(scores, labels), dtype=np.float64)
     n_rumor = check_classes(labels)
-    is_rumor = np.fromiter((l.label is Label.RUMOR for l in labels), bool, len(labels))
+    is_rumor = labels.rumor
     ranked = ~np.isnan(values)
     values, is_rumor = values[ranked], is_rumor[ranked]
     # descending score, RUMOR first among equal scores, then label order: a group
@@ -136,15 +137,16 @@ def sweep(scores: Sequence[float], labels: list[LabeledTweet]) -> SweepResult:
     return SweepResult(points=points, max_f1_point=points[best])
 
 
-def fixed_point_eval(predictions: Sequence[bool], labels: list[LabeledTweet]) -> PRPoint:
+def fixed_point_eval(predictions: Sequence[bool], labels: Sequence[LabeledTweet]) -> PRPoint:
     """Single PR point for a threshold-free classifier (lexicon matching);
     ``predictions`` holds each label's prediction in label order."""
+    labels = LabelSet.of(labels)
     positive = _per_label(predictions, labels)
     n_rumor = check_classes(labels, fixed_point=True)
     tp = fp = 0
-    for l, p in zip(labels, positive):
+    for rumor, p in zip(labels.rumor.tolist(), positive):
         if p:
-            if l.label is Label.RUMOR:
+            if rumor:
                 tp += 1
             else:
                 fp += 1
@@ -152,13 +154,16 @@ def fixed_point_eval(predictions: Sequence[bool], labels: list[LabeledTweet]) ->
 
 
 def identification_accuracy(best_articles: Sequence[Optional[str]],
-                            labels: list[LabeledTweet]) -> float:
+                            labels: Sequence[LabeledTweet]) -> float:
     """Fraction of rumor-labeled tweets whose best article equals the labeled one.
 
     ``best_articles`` holds each label's best article id in label order; a
     NONRUMOR label's is not read.
     """
+    labels = LabelSet.of(labels)
     n_rumor = check_classes(labels, fixed_point=True)
     best = _per_label(best_articles, labels)
-    return sum(a == l.article_id for l, a in zip(labels, best)
-               if l.label is Label.RUMOR) / n_rumor
+    articles = [*labels.article_ids, None]  # ordinal -1, no article, is None
+    want = labels.article.tolist()
+    return sum(best[i] == articles[want[i]]
+               for i in np.flatnonzero(labels.rumor).tolist()) / n_rumor

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rumormatch import cli, corpus
-from rumormatch.corpus import Group, Label, Subject
+from rumormatch.corpus import Group, Label, LabeledTweet, Subject
 from rumormatch.errors import DanglingTweetRefError, DuplicateIdError, MalformedLineError
 
 
@@ -532,3 +532,33 @@ class TestLoadLabels:
             corpus.load_labels(p, *loaded)
         assert str(exc.value) == (
             f"{p}:2: malformed line: article_id must be a string, got {article_id!r}")
+
+    def test_labels_are_numbers_read_as_items(self, tmp_path, loaded):
+        p = tmp_path / "labels.jsonl"
+        write_jsonl(p, [{"tweet_id": "t2", "label": "NONRUMOR"},
+                        {"tweet_id": "t1\u00e9", "label": "RUMOR", "article_id": "a2"},
+                        {"tweet_id": 7, "label": "RUMOR", "article_id": "a1"}])
+        labels = corpus.read_labels(p, ["a1", "a2"])
+        want = [LabeledTweet("t2", Label.NONRUMOR), LabeledTweet("t1\u00e9", Label.RUMOR, "a2"),
+                LabeledTweet("7", Label.RUMOR, "a1")]
+        assert list(labels) == want and labels[-1] == want[-1]
+        assert (labels.rumor.tolist(), labels.article.tolist()) == ([False, True, True], [-1, 1, 0])
+        with pytest.raises(IndexError):
+            labels[3]
+        rumors = labels.subset(labels.rumor)
+        assert list(rumors) == want[1:]
+        js, found = rumors.positions(["t2", "7", "t1\u00e9", "t1"])
+        assert (js.tolist(), found.tolist()) == ([1, 2], [1, 0])
+        assert corpus.LabelSet.of(labels) is labels
+        assert list(corpus.LabelSet.of(want)) == want
+
+
+class TestLoadLabelsWhenKeysCollide(TestLoadLabels):
+    """Every case of TestLoadLabels with every id key equal: a repeated label id
+    is still named at its second line, and no other label is taken for one."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def one_key(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_id_key", lambda tid: 7)
+            yield
